@@ -324,42 +324,47 @@ class StateOnWords:
     @classmethod
     def from_model(cls, model: FiberModel, bound: int) -> "StateOnWords":
         n = model.n
+        exact = model.mode == "exact"
+        zero = 0 if exact else 0j
+        weights = model.weights if exact else tuple(complex(w) for w in model.weights)
+        # Each letter with its fibers, None where the fiber is zero.
+        letters = [((i, j), tuple(None if f.is_zero() else f for f in model.entries[i][j]))
+                   for i in range(n) for j in range(n)]
         table = {}
 
         def value_of(prods):
             total = None
-            for w, p in zip(model.weights, prods):
-                if p is None:
-                    continue
-                t = p.ntrace()
-                term = t * w if model.mode == "exact" else t * complex(w)
-                total = term if total is None else total + term
-            if total is None:
-                return 0 if model.mode == "exact" else 0j
-            return total
+            for w, p in zip(weights, prods):
+                if p is not None:
+                    term = p.ntrace() * w
+                    total = term if total is None else total + term
+            return zero if total is None else total
+
+        def fill(word):
+            # The prefix products vanish at every point: the word and all
+            # its extensions are worth the mode's zero.
+            table[word] = zero
+            if len(word) < bound:
+                for letter, _ in letters:
+                    fill(word + (letter,))
 
         def rec(word, prods):
             table[word] = value_of(prods)
             if len(word) == bound:
                 return
-            for i in range(n):
-                for j in range(n):
-                    fibers = model.entries[i][j]
-                    nxt = []
-                    dead = True
-                    for p, f in zip(prods, fibers):
-                        if p is None or f.is_zero():
-                            nxt.append(None)
-                        else:
-                            q = p * f
-                            if q.is_zero():
-                                nxt.append(None)
-                            else:
-                                nxt.append(q)
-                                dead = False
-                    if dead:
-                        nxt = [None] * len(nxt)
-                    rec(word + ((i, j),), nxt)
+            for letter, fibers in letters:
+                nxt = []
+                for p, f in zip(prods, fibers):
+                    q = None
+                    if p is not None and f is not None:
+                        q = p * f
+                        if q.is_zero():
+                            q = None
+                    nxt.append(q)
+                if any(q is not None for q in nxt):
+                    rec(word + (letter,), nxt)
+                else:
+                    fill(word + (letter,))
 
         start = [CMatrix.identity(model.dim, model.mode)] * model.n_points
         rec((), start)

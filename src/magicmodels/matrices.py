@@ -81,7 +81,7 @@ def _scalar_div(a, b):
 class CMatrix:
     """A rectangular matrix in one arithmetic mode ("exact" or "float")."""
 
-    __slots__ = ("rows", "cols", "mode", "data")
+    __slots__ = ("rows", "cols", "mode", "data", "_nonzero")
 
     def __init__(self, mode: str, data):
         if mode not in ("exact", "float"):
@@ -104,6 +104,20 @@ class CMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "data", rows)
+        object.__setattr__(self, "_nonzero", None)
+
+    @classmethod
+    def _of(cls, mode: str, rows: tuple) -> "CMatrix":
+        """Wrap a nonempty tuple of equal-length row tuples whose entries are
+        already of the mode's types, as arithmetic on valid matrices leaves
+        them; skips the per-entry checks of the public constructor."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]))
+        object.__setattr__(m, "mode", mode)
+        object.__setattr__(m, "data", rows)
+        object.__setattr__(m, "_nonzero", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("CMatrix values are immutable")
@@ -172,45 +186,65 @@ class CMatrix:
         self._check_mode(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition needs equal shapes")
-        return CMatrix(self.mode, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
+        return CMatrix._of(self.mode, tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ))
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
         self._check_mode(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("subtraction needs equal shapes")
-        return CMatrix(self.mode, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
+        return CMatrix._of(self.mode, tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ))
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix(self.mode, [[-a for a in row] for row in self.data])
+        return CMatrix._of(self.mode, tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, s) -> "CMatrix":
         if self.mode == "float":
             s = complex(s) if not isinstance(s, Cyc) else s.to_complex()
         return CMatrix(self.mode, [[s * a for a in row] for row in self.data])
 
+    def _nonzero_rows(self) -> tuple:
+        """Per row, the (column, entry) pairs of its nonzero entries, in
+        column order; zero means falsy in exact mode (a Cyc reduces first)
+        and |x| <= EPS in float mode.  Built on first use and kept."""
+        rows = self._nonzero
+        if rows is None:
+            if self.mode == "exact":
+                rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                             for row in self.data)
+            else:
+                rows = tuple(tuple((j, x) for j, x in enumerate(row) if not abs(x) <= EPS)
+                             for row in self.data)
+            object.__setattr__(self, "_nonzero", rows)
+        return rows
+
     def __mul__(self, other: "CMatrix") -> "CMatrix":
+        """Matrix product, accumulated row by row over nonzero entries only.
+
+        Entry (i, j) starts at the mode's zero (0 or 0j) and adds
+        a[i][k] * b[k][j] for each k, in increasing order, at which both
+        factors are nonzero.  Those are the same terms in the same order as
+        the dense triple loop that tests every pair, so every value and its
+        Python type are identical to that loop's."""
         if not isinstance(other, CMatrix):
             return NotImplemented
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero = 0 if self.mode == "exact" else 0j
-        bt = list(zip(*other.data))
+        width = other.cols
+        b_rows = other._nonzero_rows()
         out = []
-        for row in self.data:
-            out_row = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not scalar_is_zero(a) and not scalar_is_zero(b):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return CMatrix(self.mode, out)
+        for a_row in self._nonzero_rows():
+            acc = [zero] * width
+            for k, a in a_row:
+                for j, b in b_rows[k]:
+                    acc[j] = acc[j] + a * b
+            out.append(tuple(acc))
+        return CMatrix._of(self.mode, tuple(out))
 
     def power(self, k: int) -> "CMatrix":
         if self.rows != self.cols:
@@ -227,21 +261,20 @@ class CMatrix:
         return result
 
     def adjoint(self) -> "CMatrix":
-        return CMatrix(self.mode, [
-            [scalar_conj(self.data[i][j]) for i in range(self.rows)]
-            for j in range(self.cols)
-        ])
+        return CMatrix._of(self.mode, tuple(
+            tuple(scalar_conj(x) for x in col) for col in zip(*self.data)
+        ))
 
     def transpose(self) -> "CMatrix":
-        return CMatrix(self.mode, list(zip(*self.data)))
+        return CMatrix._of(self.mode, tuple(zip(*self.data)))
 
     def kron(self, other: "CMatrix") -> "CMatrix":
         self._check_mode(other)
         out = []
         for ra in self.data:
             for rb in other.data:
-                out.append([a * b for a in ra for b in rb])
-        return CMatrix(self.mode, out)
+                out.append(tuple(a * b for a in ra for b in rb))
+        return CMatrix._of(self.mode, tuple(out))
 
     def trace(self):
         if self.rows != self.cols:
@@ -287,7 +320,10 @@ class CMatrix:
     __hash__ = None
 
     def is_zero(self, tol=None) -> bool:
-        return all(scalar_is_zero(x, tol) for row in self.data for x in row)
+        if self.mode == "exact":
+            return not any(map(any, self.data))
+        tol = EPS if tol is None else tol
+        return all(abs(x) <= tol for row in self.data for x in row)
 
     def is_identity(self, tol=None) -> bool:
         if self.rows != self.cols:
@@ -295,8 +331,12 @@ class CMatrix:
         return self.close_to(CMatrix.identity(self.rows, self.mode), tol)
 
     def is_diagonal(self, tol=None) -> bool:
+        if self.mode == "exact":
+            return not any(any(row[:i]) or any(row[i + 1:])
+                           for i, row in enumerate(self.data))
+        tol = EPS if tol is None else tol
         return all(
-            scalar_is_zero(x, tol)
+            abs(x) <= tol
             for i, row in enumerate(self.data)
             for j, x in enumerate(row)
             if i != j

@@ -194,7 +194,12 @@ def model_from_json(v) -> MagicModel:
         labels.append(str(pt.get("label", len(labels))))
         w = pt["weight"]
         _expect(isinstance(w, str), "point weights must be rational strings")
-        weights.append(Fraction(w))
+        try:
+            weight = Fraction(w)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadInput(f"bad point weight {w!r}") from exc
+        _expect(weight >= 0, "point weights must be nonnegative")
+        weights.append(weight)
         rows = pt["entries"]
         _expect(isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows),

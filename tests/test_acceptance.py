@@ -20,7 +20,7 @@ from magicmodels.acceptance import (
     run_suite,
 )
 
-RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 5.0, 5: 1.0, 6: 1.0}
+RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 2.0, 5: 1.0, 6: 1.0}
 
 
 def _run(number, fn, **kwargs):

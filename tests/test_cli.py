@@ -94,6 +94,17 @@ def files(tmp_path_factory):
                             [{"rows": [["1/2"]]}, {"rows": [["1/2"]]}]],
             }],
         }),
+        "bad_weight_model": put("bad_weight_model.json", {
+            "n": 1, "dim": 1, "points": [
+                {"label": "a", "weight": "abc", "entries": [[{"rows": [["1"]]}]]},
+            ],
+        }),
+        "negative_weight_model": put("negative_weight_model.json", {
+            "n": 1, "dim": 1, "points": [
+                {"label": "a", "weight": "3/2", "entries": [[{"rows": [["1"]]}]]},
+                {"label": "b", "weight": "-1/2", "entries": [[{"rows": [["1"]]}]]},
+            ],
+        }),
         "not_json": str(root / "not.json"),
         "root": str(root),
     }
@@ -270,6 +281,14 @@ def test_missing_and_malformed_files(files, capsys):
     assert code == 2 and report["error"]["type"] == "BadInput"
     code2, rep2, _ = run_cli(capsys, "orbits", "--group", files["not_json"])
     assert code2 == 2 and rep2["error"]["type"] == "BadInput"
+
+
+@pytest.mark.parametrize("model", ["bad_weight_model", "negative_weight_model"])
+def test_bad_point_weight_is_input_error(files, capsys, model):
+    code, report, cap = run_cli(capsys, "magic-verify", "--model", files[model])
+    assert code == 2 and report["status"] == "error"
+    assert report["error"]["type"] == "BadInput"
+    assert "Traceback" not in cap.err
 
 
 def test_reports_are_byte_identical(files, capsys):

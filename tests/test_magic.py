@@ -24,6 +24,7 @@ from magicmodels.magic import (
     verify_magic,
 )
 from magicmodels.matrices import CMatrix, scalars_equal
+from magicmodels.quasiflat import classical_model_from_family, latin_family_search
 
 F = Fraction
 
@@ -262,3 +263,77 @@ def test_orbit_source_rejects_non_group_input():
     with pytest.raises((TypeError, NotQuasiTransitive, ShapeMismatch,
                         ValueError)):
         orbits_from_source("nonsense")
+
+
+# -- the pruned word-state table against the full recursion ------------------
+
+def dense_state_table(model, bound):
+    """Word-state table by recursing through every word, dead prefixes included."""
+    table = {}
+
+    def value_of(prods):
+        total = None
+        for w, p in zip(model.weights, prods):
+            if p is None:
+                continue
+            t = p.ntrace()
+            term = t * w if model.mode == "exact" else t * complex(w)
+            total = term if total is None else total + term
+        if total is None:
+            return 0 if model.mode == "exact" else 0j
+        return total
+
+    def rec(word, prods):
+        table[word] = value_of(prods)
+        if len(word) == bound:
+            return
+        for i in range(model.n):
+            for j in range(model.n):
+                nxt = []
+                for p, f in zip(prods, model.entries[i][j]):
+                    q = None if p is None or f.is_zero() else p * f
+                    nxt.append(None if q is None or q.is_zero() else q)
+                rec(word + ((i, j),), nxt)
+
+    rec((), [CMatrix.identity(model.dim, model.mode)] * model.n_points)
+    return table
+
+
+@pytest.fixture(scope="module")
+def family_models():
+    """A stationary family model over Z3 and the failing identity-fiber
+    collapse of a D4 family model, with their groups."""
+    z3 = pg(3, [(1, 2, 3)])
+    d4 = pg(4, [(1, 2, 3, 4)], [(1, 3)])
+    stationary = classical_model_from_family(z3, latin_family_search(z3, 3))
+    d4_model = classical_model_from_family(d4, latin_family_search(d4, 4))
+    failing = single_fiber(d4_model, list(d4.elements).index(d4.identity))
+    return (z3, stationary), (d4, failing)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_pruned_state_table_matches_full_recursion(family_models, mode):
+    bound = 3
+    for _, model in family_models:
+        if mode == "float":
+            model = model.to_float()
+        got = StateOnWords.from_model(model, bound).table
+        want = dense_state_table(model, bound)
+        assert len(got) == sum((model.n ** 2) ** m for m in range(bound + 1))
+        assert list(got) == list(want)
+        assert [(type(v), repr(v)) for v in got.values()] == \
+            [(type(v), repr(v)) for v in want.values()]
+
+
+def test_failing_model_witnesses_match_full_recursion(family_models):
+    _, (d4, failing) = family_models
+    report = stationarity_check(d4, failing, word_len=3)
+    ref = StateOnWords.from_group(d4, failing.n, 3)
+    full = dense_state_table(failing, 3)
+    want = [{"word": " ".join(f"u[{i + 1},{j + 1}]" for i, j in word) or "1",
+             "reference": str(ref.table[word]), "model": str(full[word])}
+            for word in ref.words_by_length()
+            if not scalars_equal(ref.table[word], full[word])]
+    assert not report.passed and want
+    assert list(report.witnesses) == want
+    assert report.checked == len(full)

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magicmodels.cyclotomic import zeta
+from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.errors import (
     ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
 )
 from magicmodels.matrices import (
-    CMatrix, FnMatrix, scalars_equal, spectral_multiplicities,
-    spectral_projection,
+    EPS, CMatrix, FnMatrix, scalar_is_zero, scalars_equal,
+    spectral_multiplicities, spectral_projection,
 )
 
 
@@ -171,3 +173,92 @@ def test_fn_matrix_point_mismatch():
                  (CMatrix.exact([[1]]), CMatrix.exact([[1]])))
     with pytest.raises(ShapeMismatch):
         a.mul(b)
+
+
+# -- the sparse product against the dense triple loop ---------------------------
+
+def dense_product(a, b):
+    """The dense triple loop: every (i, k, j) term, zero-tested on both factors."""
+    zero = 0 if a.mode == "exact" else 0j
+    out = []
+    for row in a.data:
+        out_row = []
+        for col in zip(*b.data):
+            acc = zero
+            for x, y in zip(row, col):
+                if not scalar_is_zero(x) and not scalar_is_zero(y):
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def entry_keys(rows):
+    """Type, repr and (for Cyc) the stored order and coefficients of each entry."""
+    return [[(type(x), repr(x), (x.order, x.coeffs) if isinstance(x, Cyc) else None)
+             for x in row] for row in rows]
+
+
+@st.composite
+def cyc_values(draw):
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    coeffs = draw(st.lists(st.one_of(st.integers(-2, 2),
+                                     st.fractions(-2, 2, max_denominator=3)),
+                           min_size=order, max_size=order))
+    return Cyc(order, coeffs)
+
+
+UNREDUCED_ZEROS = [
+    Cyc(3, (1, 1, 1)),                  # 1 + z3 + z3^2
+    Cyc(4, (1, 0, 1, 0)),               # 1 + z4^2
+    Cyc(6, (0, 1, 0, 1, 0, 1)),         # z6 + z6^3 + z6^5
+    Cyc(12, (2,) + (0,) * 5 + (2,) + (0,) * 5),
+]
+EXACT_SCALARS = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4),
+    cyc_values(), st.sampled_from(UNREDUCED_ZEROS),
+    st.sampled_from([Cyc.from_rational(0), zeta(3), zeta(4, 3), zeta(12, 5)]),
+)
+FLOAT_PARTS = st.sampled_from([0.0, -0.0, EPS, -EPS, 2 * EPS, 0.5, -1.25, 3.0])
+FLOAT_SCALARS = st.builds(complex, FLOAT_PARTS, FLOAT_PARTS)
+
+
+@st.composite
+def matrix_pairs(draw, scalars, mode):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def grid(h, w):
+        return [[draw(scalars) for _ in range(w)] for _ in range(h)]
+
+    return CMatrix(mode, grid(r, k)), CMatrix(mode, grid(k, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs(EXACT_SCALARS, "exact"))
+def test_sparse_product_matches_dense_loop_exact(pair):
+    a, b = pair
+    prod = a * b
+    assert entry_keys(prod.data) == entry_keys(dense_product(a, b))
+    assert (prod.rows, prod.cols, prod.mode) == (a.rows, b.cols, "exact")
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(FLOAT_SCALARS, "float"))
+def test_sparse_product_matches_dense_loop_float(pair):
+    a, b = pair
+    prod = a * b
+    assert entry_keys(prod.data) == entry_keys(dense_product(a, b))
+    assert (prod.rows, prod.cols, prod.mode) == (a.rows, b.cols, "float")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(matrix_pairs(EXACT_SCALARS, "exact"),
+                 matrix_pairs(FLOAT_SCALARS, "float")))
+def test_zero_and_diagonal_predicates_match_entrywise_tests(pair):
+    for m in pair:
+        assert m.is_zero() == all(scalar_is_zero(x) for row in m.data for x in row)
+        assert m.is_diagonal() == all(
+            scalar_is_zero(x) for i, row in enumerate(m.data)
+            for j, x in enumerate(row) if i != j)
+        assert m.is_zero(4 * EPS) == all(
+            scalar_is_zero(x, 4 * EPS) for row in m.data for x in row)
