@@ -24,15 +24,15 @@ from .induced import (
     check_stationarity, evaluate_at_character, frobenius_trace, induce,
 )
 from .magic import (
-    CheckReport, DualWordReference, FiberModel, MagicModel, OrbitStructure,
+    CheckReport, DualWordReference, FiberModel, OrbitStructure,
     StateOnWords, bichon_build, block_projection, convolution_idempotency,
     dual_group_stationarity, fixed_point_matrix, haar_word_classical,
     orbits_from_source, quasi_flat_check, regular_rep, single_fiber,
     stationarity_check, verify_magic,
 )
-from .matrices import CMatrix, FnMatrix, spectral_multiplicities, spectral_projection
+from .matrices import CMatrix, spectral_multiplicities, spectral_projection
 from .cyclic import (
-    CyclicModel, CyclicModelData, abelian_rep, build_cyclic_model,
+    CyclicModelData, abelian_rep, build_cyclic_model,
     cycle_fill, semidirect_stationarity, verify_half_liberation,
     verify_k_symmetry,
 )

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, zeta
+from .cyclotomic import zeta
 from .errors import (
     Inconsistent,
     InvalidAutomorphism,
@@ -20,7 +20,6 @@ from .magic import CheckReport, FiberModel
 from .matrices import CMatrix, scalars_equal
 
 __all__ = [
-    "CyclicModel",
     "CyclicModelData",
     "abelian_rep",
     "build_cyclic_model",
@@ -107,12 +106,9 @@ def abelian_rep(group, generator_images) -> dict:
     return rep
 
 
-class CyclicModel(FiberModel):
+def build_cyclic_model(data: CyclicModelData) -> FiberModel:
     """Fibers are K x K cycle-fill matrices; row r of the (i, j) entry at
     point g carries the (i, j) coordinate of v(sigma^r(g))."""
-
-
-def build_cyclic_model(data: CyclicModelData) -> CyclicModel:
     elements = list(data.group.elements)
     n, k = data.dim, data.k
     weights = [Fraction(1, len(elements))] * len(elements)
@@ -128,19 +124,23 @@ def build_cyclic_model(data: CyclicModelData) -> CyclicModel:
                               else cycle_fill(vals).to_float())
             row.append(tuple(fibers))
         entries.append(row)
-    model = CyclicModel(n, k, [str(g) for g in elements], weights, entries)
-    model.k = k
+    model = FiberModel(n, k, [str(g) for g in elements], weights, entries)
     for x in range(model.n_points):
         big = model.assembled(x)
         if not big.is_unitary():
             raise Inconsistent("assembled fiber is not unitary")
-        conj = CMatrix.from_blocks([
-            [model.entries[i][j][x].adjoint() for j in range(n)]
-            for i in range(n)
-        ])
-        if not conj.is_unitary():
+        if not _entrywise_adjoint(model, x).is_unitary():
             raise Inconsistent("entrywise adjoint fiber is not unitary")
     return model
+
+
+def _entrywise_adjoint(model: FiberModel, x: int) -> CMatrix:
+    """The fiber at x with every entry replaced by its adjoint, the block
+    positions kept."""
+    return CMatrix.from_blocks([
+        [model.entries[i][j][x].adjoint() for j in range(model.n)]
+        for i in range(model.n)
+    ])
 
 
 def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
@@ -157,12 +157,8 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
         checked += 1
         if not big.is_unitary(tol):
             witnesses.append({"kind": "not_unitary", "point": model.labels[x]})
-        conj = CMatrix.from_blocks([
-            [model.entries[i][j][x].adjoint() for j in range(n)]
-            for i in range(n)
-        ])
         checked += 1
-        if not conj.is_unitary(tol):
+        if not _entrywise_adjoint(model, x).is_unitary(tol):
             witnesses.append({"kind": "conjugate_not_unitary",
                               "point": model.labels[x]})
         flat = [(i, j, model.entries[i][j][x])

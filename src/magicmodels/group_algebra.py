@@ -6,7 +6,6 @@ coefficient and invert the group element.  The group is any object exposing
 """
 from __future__ import annotations
 
-from .cyclotomic import Cyc
 from .matrices import scalar_conj, scalar_is_zero
 
 __all__ = ["AlgebraElement", "delta"]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
@@ -257,24 +256,37 @@ class QuotientData:
         return TableGroup(self.table)
 
 
-def quotient_data(ambient: PermGroup, sub: PermGroup) -> QuotientData:
-    """Left coset representatives (first member of each coset in enumeration
-    order, identity first) and the induced multiplication table."""
-    if not is_normal(sub, ambient):
-        raise NotNormal("subgroup is not normal, no quotient group")
-    reps: list[Perm] = []
-    coset_of: dict[Perm, int] = {}
-    for g in ambient.elements:
+def _cosets(elements, sub_elements, mul) -> tuple[list, dict]:
+    """Left cosets g H of the subgroup with the given elements: the
+    representatives (first member of each coset in enumeration order) and
+    the index of the coset of every element."""
+    reps: list = []
+    coset_of: dict = {}
+    for g in elements:
         if g in coset_of:
             continue
         idx = len(reps)
         reps.append(g)
-        for h in sub.elements:
-            coset_of[g * h] = idx
+        for h in sub_elements:
+            coset_of[mul(g, h)] = idx
+    return reps, coset_of
+
+
+def _quotient(ambient: PermGroup, sub: PermGroup) -> tuple[QuotientData, dict]:
+    """quotient_data, together with the coset index of every element."""
+    if not is_normal(sub, ambient):
+        raise NotNormal("subgroup is not normal, no quotient group")
+    reps, coset_of = _cosets(ambient.elements, sub.elements, ambient.mul)
     table = tuple(
         tuple(coset_of[a * b] for b in reps) for a in reps
     )
-    return QuotientData(tuple(reps), table)
+    return QuotientData(tuple(reps), table), coset_of
+
+
+def quotient_data(ambient: PermGroup, sub: PermGroup) -> QuotientData:
+    """Left coset representatives (first member of each coset in enumeration
+    order, identity first) and the induced multiplication table."""
+    return _quotient(ambient, sub)[0]
 
 
 class TableGroup:
@@ -339,35 +351,10 @@ class TableGroup:
             x = self.table[x][a]
         return x
 
-    def subgroup_elements(self, gens) -> list[int]:
-        seen = [0]
-        known = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in known:
-                        known.add(y)
-                        seen.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
     def quotient(self, subgroup: list[int]) -> tuple["TableGroup", list[int]]:
         """Quotient by a normal subgroup (normality is the caller's duty).
         Returns the quotient table group and the coset representatives."""
-        sub = list(subgroup)
-        reps: list[int] = []
-        coset_of: dict[int, int] = {}
-        for g in self.elements:
-            if g in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for h in sub:
-                coset_of[self.table[g][h]] = idx
+        reps, coset_of = _cosets(self.elements, list(subgroup), self.mul)
         table = [[coset_of[self.table[a][b]] for b in reps] for a in reps]
         return TableGroup(table), reps
 
@@ -385,10 +372,7 @@ class FinAbelian:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return prod(self.factors)
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -641,9 +625,10 @@ def semidirect(base, auto: AutoMap, k: int) -> SemidirectGroup:
     return SemidirectGroup(base, auto, k)
 
 
-def orbit_blocks(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the natural action on 1..degree, sorted by smallest point."""
-    parent = list(range(group.degree + 1))
+def _joined_blocks(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """Classes of the points 1..n under the equivalence the pairs generate,
+    each in increasing order, sorted by smallest point."""
+    parent = list(range(n + 1))
 
     def find(x):
         while parent[x] != x:
@@ -651,15 +636,21 @@ def orbit_blocks(group: PermGroup) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for g in group.generators:
-        for i in range(1, group.degree + 1):
-            a, b = find(i), find(g(i))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+    for i, j in pairs:
+        a, b = find(i), find(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
     blocks: dict[int, list[int]] = {}
-    for i in range(1, group.degree + 1):
+    for i in range(1, n + 1):
         blocks.setdefault(find(i), []).append(i)
     return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
+def orbit_blocks(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the natural action on 1..degree, sorted by smallest point."""
+    points = range(1, group.degree + 1)
+    return _joined_blocks(group.degree,
+                          ((i, g(i)) for g in group.generators for i in points))
 
 
 # -- structure of finite abelian groups -------------------------------------
@@ -719,14 +710,10 @@ def abelian_structure(group):
         for (b, _), e in zip(basis, exps):
             x = table.mul(x, table.power(b, e))
         from_tuple[exps] = elements[x]
-    if len(set(from_tuple.values())) != group_order(group):
+    if len(set(from_tuple.values())) != len(group.elements):
         raise AssertionError("abelian decomposition is not bijective")
     to_tuple = {v: k for k, v in from_tuple.items()}
     return fin, to_tuple, from_tuple
-
-
-def group_order(group) -> int:
-    return len(group.elements)
 
 
 def commutator_subgroup(group: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -762,12 +749,7 @@ def abelianization(group: PermGroup):
     Returns (fin, proj) with fin a FinAbelian and proj a dict sending each
     group element to its exponent tuple."""
     derived = commutator_subgroup(group)
-    qd = quotient_data(group, derived)
-    table = qd.as_table_group()
-    fin, to_tuple, _ = abelian_structure(table)
-    coset_of = {}
-    for idx, rep in enumerate(qd.representatives):
-        for h in derived.elements:
-            coset_of[rep * h] = idx
+    qd, coset_of = _quotient(group, derived)
+    fin, to_tuple, _ = abelian_structure(qd.as_table_group())
     proj = {g: to_tuple[coset_of[g]] for g in group.elements}
     return fin, proj

@@ -23,12 +23,13 @@ from .errors import (
     InvalidAutomorphism,
     ModelInputError,
     NotNormal,
-    NotWellDefined,
 )
 from .group_algebra import AlgebraElement, delta
 from .groups import (
     CharacterOf,
+    FinAbelian,
     PermGroup,
+    _cosets,
     abelian_dual,
     abelian_structure,
     extend_generator_map,
@@ -240,14 +241,7 @@ class VirtuallyAbelianData:
             raise ModelInputError("subgroup is not abelian")
         if not is_normal(lam, gamma):
             raise NotNormal("subgroup is not normal")
-        reps = []
-        covered = set()
-        for g in gamma.elements:
-            if g in covered:
-                continue
-            reps.append(g)
-            for h in lam.elements:
-                covered.add(g * h)
+        reps, _ = _cosets(gamma.elements, lam.elements, gamma.mul)
         return cls(finite=True, gamma=gamma, lam=lam, reps=reps,
                    lam_key=lambda g: g, in_lam=lambda g: g in lam,
                    lam_group=lam)
@@ -283,9 +277,7 @@ class VirtuallyAbelianData:
             raise FreePartPresent("subgroup has a free part, no finite dual")
         if self._chars is None:
             if isinstance(self.lam, AbelianWithFreePart):
-                fin_factors = self.lam.factors
-                from .groups import FinAbelian
-                fin = FinAbelian(fin_factors)
+                fin = FinAbelian(self.lam.factors)
                 to_tuple = {v: v for v in fin.elements}
             else:
                 fin, to_tuple, _ = abelian_structure(self.lam)

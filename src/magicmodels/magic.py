@@ -12,23 +12,27 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Cyc, zeta
+from .cyclotomic import zeta
 from .errors import (
     Inconsistent,
     ModeMismatch,
     NotFiniteOrder,
     NotQuasiTransitive,
-    NotUnitary,
     ShapeMismatch,
 )
-from .group_algebra import AlgebraElement, delta
-from .groups import PermGroup, orbit_blocks
-from .matrices import CMatrix, FnMatrix, scalar_is_zero, scalars_equal
+from .group_algebra import AlgebraElement
+from .groups import PermGroup, _joined_blocks, orbit_blocks
+from .matrices import (
+    CMatrix,
+    _check_spectral_pre,
+    _fourier_sum,
+    _powers,
+    scalars_equal,
+)
 
 __all__ = [
     "DualWordReference",
     "FiberModel",
-    "MagicModel",
     "OrbitStructure",
     "StateOnWords",
     "bichon_build",
@@ -49,14 +53,14 @@ __all__ = [
 class FiberModel:
     """An n x n grid of dim x dim matrix fibers over one weighted point set."""
 
-    def __init__(self, n: int, dim: int, labels, weights, entries, check_weights=True):
+    def __init__(self, n: int, dim: int, labels, weights, entries):
         self.n = n
         self.dim = dim
         self.labels = tuple(str(x) for x in labels)
         self.weights = tuple(Fraction(w) for w in weights)
         if len(self.labels) != len(self.weights):
             raise ShapeMismatch("labels and weights differ in length")
-        if check_weights and sum(self.weights) != 1:
+        if sum(self.weights) != 1:
             raise ShapeMismatch("point weights must sum to 1")
         grid = []
         mode = None
@@ -86,9 +90,6 @@ class FiberModel:
         """The tuple of fibers of coordinate (i, j), 0-based."""
         return self.entries[i][j]
 
-    def entry_fn(self, i: int, j: int) -> FnMatrix:
-        return FnMatrix(self.labels, self.weights, self.entries[i][j])
-
     def assembled(self, x: int) -> CMatrix:
         """The full n*dim square matrix of the fiber at point x."""
         return CMatrix.from_blocks([
@@ -96,24 +97,19 @@ class FiberModel:
         ])
 
     def to_float(self) -> "FiberModel":
-        out = self.__class__(
+        return FiberModel(
             self.n, self.dim, self.labels, self.weights,
             [[tuple(f.to_float() for f in self.entries[i][j]) for j in range(self.n)]
              for i in range(self.n)],
         )
-        return out
 
 
-class MagicModel(FiberModel):
-    """A FiberModel whose fibers are meant to form a magic unitary."""
-
-
-def single_fiber(model: FiberModel, x: int) -> MagicModel:
+def single_fiber(model: FiberModel, x: int) -> FiberModel:
     """Collapse a model to the single point x with full weight.  Discards the
     averaging over the point set, so stationarity is usually destroyed."""
     grid = [[(model.entries[i][j][x],) for j in range(model.n)]
             for i in range(model.n)]
-    return MagicModel(model.n, model.dim, (model.labels[x],), (Fraction(1),), grid)
+    return FiberModel(model.n, model.dim, (model.labels[x],), (Fraction(1),), grid)
 
 
 @dataclass(frozen=True)
@@ -179,15 +175,6 @@ class OrbitStructure:
             raise NotQuasiTransitive(f"unequal block sizes {self.sizes}")
         return self.sizes[0]
 
-    def block_of(self, i: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if i in block:
-                return b
-        raise ValueError(f"index {i} out of range")
-
-    def same_block(self, i: int, j: int) -> bool:
-        return self.block_of(i) == self.block_of(j)
-
 
 def orbits_from_source(source, tol=None) -> OrbitStructure:
     """Orbit blocks from a classical group, a dual presentation (list of
@@ -197,25 +184,9 @@ def orbits_from_source(source, tol=None) -> OrbitStructure:
         return OrbitStructure(orbit_blocks(source), "classical")
     if isinstance(source, FiberModel):
         n = source.n
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(n):
-                if any(not f.is_zero(tol) for f in source.entries[i][j]):
-                    a, b = find(i), find(j)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-        blocks: dict[int, list[int]] = {}
-        for i in range(n):
-            blocks.setdefault(find(i), []).append(i + 1)
-        ordered = tuple(tuple(blocks[r]) for r in sorted(blocks))
-        return OrbitStructure(ordered, "model", lower_bound=True)
+        joined = ((i + 1, j + 1) for i in range(n) for j in range(n)
+                  if any(not f.is_zero(tol) for f in source.entries[i][j]))
+        return OrbitStructure(_joined_blocks(n, joined), "model", lower_bound=True)
     sizes = [int(s) for s in source]
     if any(s < 1 for s in sizes):
         raise ValueError("block sizes must be positive")
@@ -270,26 +241,26 @@ class DualWordReference:
     def from_block_generators(cls, group, gens_with_orders) -> "DualWordReference":
         """Block-diagonal coordinates: block i is the order-K_i cyclic pattern
         (1/K_i) sum_a zeta^{(c - r) a} [g_i^a] for the i-th generator."""
-        coords = {}
-        offset = 0
         n = sum(k for _, k in gens_with_orders)
         zero = AlgebraElement.zero(group)
-        for i in range(n):
-            for j in range(n):
-                coords[(i, j)] = zero
+        coords = {(i, j): zero for i in range(n) for j in range(n)}
+        offset = 0
         for g, k in gens_with_orders:
             powers = [group.identity]
             for _ in range(k - 1):
                 powers.append(group.mul(powers[-1], g))
             if group.mul(powers[-1], g) != group.identity:
                 raise NotFiniteOrder(f"generator order does not divide {k}")
+            projections = []
+            for d in range(k):
+                coeffs = {}
+                for a in range(k):
+                    w = zeta(k, (-d * a) % k) * Fraction(1, k)
+                    coeffs[powers[a]] = coeffs.get(powers[a], 0) + w
+                projections.append(AlgebraElement(group, coeffs))
             for r in range(k):
                 for c in range(k):
-                    coeffs = {}
-                    for a in range(k):
-                        w = zeta(k, ((c - r) * a) % k) * Fraction(1, k)
-                        coeffs[powers[a]] = coeffs.get(powers[a], 0) + w
-                    coords[(offset + r, offset + c)] = AlgebraElement(group, coeffs)
+                    coords[(offset + r, offset + c)] = projections[(r - c) % k]
             offset += k
         return cls(group, n, coords)
 
@@ -301,6 +272,24 @@ class DualWordReference:
             if acc.is_zero():
                 break
         return acc.at_identity()
+
+
+def _point_weights(model: FiberModel) -> tuple:
+    """The point weights as scalars of the model's mode."""
+    if model.mode == "exact":
+        return model.weights
+    return tuple(complex(w) for w in model.weights)
+
+
+def _weighted_ntrace(weights, fibers, zero=None):
+    """sum_x w_x ntrace(F_x), added in point order over the fibers that are
+    not None; zero when every fiber is None."""
+    total = None
+    for w, f in zip(weights, fibers):
+        if f is not None:
+            term = f.ntrace() * w
+            total = term if total is None else total + term
+    return zero if total is None else total
 
 
 class StateOnWords:
@@ -324,21 +313,12 @@ class StateOnWords:
     @classmethod
     def from_model(cls, model: FiberModel, bound: int) -> "StateOnWords":
         n = model.n
-        exact = model.mode == "exact"
-        zero = 0 if exact else 0j
-        weights = model.weights if exact else tuple(complex(w) for w in model.weights)
+        zero = 0 if model.mode == "exact" else 0j
+        weights = _point_weights(model)
         # Each letter with its fibers, None where the fiber is zero.
         letters = [((i, j), tuple(None if f.is_zero() else f for f in model.entries[i][j]))
                    for i in range(n) for j in range(n)]
         table = {}
-
-        def value_of(prods):
-            total = None
-            for w, p in zip(weights, prods):
-                if p is not None:
-                    term = p.ntrace() * w
-                    total = term if total is None else total + term
-            return zero if total is None else total
 
         def fill(word):
             # The prefix products vanish at every point: the word and all
@@ -349,7 +329,7 @@ class StateOnWords:
                     fill(word + (letter,))
 
         def rec(word, prods):
-            table[word] = value_of(prods)
+            table[word] = _weighted_ntrace(weights, prods, zero)
             if len(word) == bound:
                 return
             for letter, fibers in letters:
@@ -495,7 +475,8 @@ def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
         q = CMatrix.exact(rows)
     elif isinstance(source, FiberModel):
         n = source.n
-        rows = [[source.entry_fn(i, j).integrate_ntrace() for j in range(n)]
+        weights = _point_weights(source)
+        rows = [[_weighted_ntrace(weights, source.entries[i][j]) for j in range(n)]
                 for i in range(n)]
         q = CMatrix("exact" if source.mode == "exact" else "float", rows)
     else:
@@ -552,10 +533,11 @@ def dual_group_stationarity(group, rep, tol=None) -> CheckReport:
     return CheckReport("dual_stationarity", not witnesses, checked, tuple(witnesses))
 
 
-def bichon_build(sizes, generator_matrices, tol=None) -> MagicModel:
+def bichon_build(sizes, generator_matrices, tol=None) -> FiberModel:
     """Single-point block-diagonal magic model from unitaries of finite
     order: block i has entries (1/K_i) sum_a zeta_{K_i}^{(c - r) a} U_i^a,
-    the spectral projections of U_i arranged in a circulant pattern."""
+    the spectral projections of U_i arranged in a circulant pattern: entry
+    (r, c) is the projection onto the zeta_{K_i}^{r - c} eigenspace."""
     sizes = [int(k) for k in sizes]
     if len(sizes) != len(generator_matrices):
         raise ShapeMismatch("need one generator per block size")
@@ -567,30 +549,19 @@ def bichon_build(sizes, generator_matrices, tol=None) -> MagicModel:
     for k, u in zip(sizes, mats):
         if u.rows != dim or u.cols != dim or u.mode != mode:
             raise ShapeMismatch("generators must share dimension and mode")
-        if not u.is_unitary(tol):
-            raise NotUnitary("generator is not unitary")
-        if not u.power(k).is_identity(tol):
-            raise NotFiniteOrder(f"generator does not satisfy U^{k} = 1")
+        _check_spectral_pre(u, k, tol, what="generator")
     n = sum(sizes)
     zero = CMatrix.zeros(dim, dim, mode)
     grid = [[(zero,) for _ in range(n)] for _ in range(n)]
     offset = 0
     for k, u in zip(sizes, mats):
-        powers = [CMatrix.identity(dim, mode)]
-        for _ in range(k - 1):
-            powers.append(powers[-1] * u)
+        powers = _powers(u, k)
+        projections = [_fourier_sum(powers, d) for d in range(k)]
         for r in range(k):
             for c in range(k):
-                acc = CMatrix.zeros(dim, dim, mode)
-                for a in range(k):
-                    w = zeta(k, ((c - r) * a) % k)
-                    if mode == "float":
-                        w = w.to_complex()
-                    acc = acc + powers[a].scale(w)
-                acc = acc.scale(Fraction(1, k) if mode == "exact" else 1.0 / k)
-                grid[offset + r][offset + c] = (acc,)
+                grid[offset + r][offset + c] = (projections[(r - c) % k],)
         offset += k
-    model = MagicModel(n, dim, ("pt",), (Fraction(1),), grid)
+    model = FiberModel(n, dim, ("pt",), (Fraction(1),), grid)
     report = verify_magic(model, tol)
     if not report.passed:
         raise Inconsistent("constructed block model is not magic")

@@ -8,7 +8,6 @@ mix silently; converting is explicit via to_float().
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
 __all__ = [
     "EPS",
     "CMatrix",
-    "FnMatrix",
     "scalar_conj",
     "scalar_is_zero",
     "scalar_to_complex",
@@ -56,8 +54,6 @@ def scalar_is_zero(x, tol=None):
 def scalars_equal(a, b, tol=None):
     if isinstance(a, complex) or isinstance(b, complex):
         return abs(complex(a) - complex(b)) <= (EPS if tol is None else tol)
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        return a == b
     return a == b
 
 
@@ -139,9 +135,7 @@ class CMatrix:
 
     @classmethod
     def identity(cls, n: int, mode: str = "exact") -> "CMatrix":
-        if mode == "exact":
-            return cls(mode, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        return cls(mode, [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n, mode)
 
     @classmethod
     def diagonal(cls, entries, mode: str = "exact") -> "CMatrix":
@@ -409,42 +403,55 @@ class CMatrix:
         return f"CMatrix[{self.mode} {self.rows}x{self.cols}: {body}]"
 
 
-def _check_spectral_pre(u: CMatrix, k: int, tol=None):
+def _check_spectral_pre(u: CMatrix, k: int, tol=None, what: str = "matrix"):
+    """Raise unless U is unitary with U^k = 1; callers check its shape first."""
+    if not u.is_unitary(tol):
+        raise NotUnitary(f"{what} is not unitary")
+    if not u.power(k).is_identity(tol):
+        raise NotFiniteOrder(f"{what} does not satisfy U^{k} = 1")
+
+
+def _check_square_order(u: CMatrix, k: int):
     if u.rows != u.cols:
         raise ShapeMismatch("need a square matrix")
     if k < 1:
         raise ValueError("order must be positive")
-    if not u.is_unitary(tol):
-        raise NotUnitary("matrix is not unitary")
-    if not u.power(k).is_identity(tol):
-        raise NotFiniteOrder(f"matrix does not satisfy U^{k} = 1")
+
+
+def _powers(u: CMatrix, k: int) -> list:
+    """U^0, ..., U^(k-1), each the previous one times U."""
+    powers = [CMatrix.identity(u.rows, u.mode)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * u)
+    return powers
+
+
+def _fourier_sum(powers: list, a: int) -> CMatrix:
+    """(1/K) sum_b zeta_K^(-ab) U^b from the powers U^0, ..., U^(K-1): the
+    projection onto the zeta_K^a eigenspace of a unitary with U^K = 1."""
+    k = len(powers)
+    n, mode = powers[0].rows, powers[0].mode
+    acc = CMatrix.zeros(n, n, mode)
+    for b, power in enumerate(powers):
+        w = zeta(k, (-a * b) % k)
+        if mode == "float":
+            w = w.to_complex()
+        acc = acc + power.scale(w)
+    return acc.scale(Fraction(1, k) if mode == "exact" else 1.0 / k)
 
 
 def spectral_projection(u: CMatrix, k: int, a: int, tol=None) -> CMatrix:
     """Projection onto the eigenspace of zeta_k^a for a unitary with U^k = 1."""
+    _check_square_order(u, k)
     _check_spectral_pre(u, k, tol)
-    n = u.rows
-    acc = CMatrix.zeros(n, n, u.mode)
-    power = CMatrix.identity(n, u.mode)
-    for b in range(k):
-        w = zeta(k, (-a * b) % k)
-        if u.mode == "float":
-            w = w.to_complex()
-        acc = acc + power.scale(w)
-        power = power * u
-    return acc.scale(Fraction(1, k) if u.mode == "exact" else 1.0 / k)
+    return _fourier_sum(_powers(u, k), a)
 
 
-def spectral_multiplicities(u: CMatrix, k: int, tol=None) -> tuple[int, ...]:
-    """Eigenvalue multiplicities (m_0, ..., m_{k-1}) of a unitary with U^k = 1,
-    where m_a counts the eigenvalue zeta_k^a."""
-    _check_spectral_pre(u, k, tol)
+def _traces_and_multiplicities(u: CMatrix, k: int, tol=None) -> tuple:
+    """The power traces (Tr U^b) for b < k of a unitary with U^k = 1 (already
+    checked), and the eigenvalue multiplicities derived from them."""
     n = u.rows
-    traces = []
-    power = CMatrix.identity(n, u.mode)
-    for _ in range(k):
-        traces.append(power.trace())
-        power = power * u
+    traces = [p.trace() for p in _powers(u, k)]
     mults = []
     for a in range(k):
         if u.mode == "exact":
@@ -469,85 +476,12 @@ def spectral_multiplicities(u: CMatrix, k: int, tol=None) -> tuple[int, ...]:
         mults.append(int(m))
     if sum(mults) != n:
         raise Inconsistent("spectral multiplicities do not sum to the dimension")
-    return tuple(mults)
+    return tuple(traces), tuple(mults)
 
 
-class FnMatrix:
-    """A matrix-valued function on a finite weighted point set."""
-
-    __slots__ = ("labels", "weights", "fibers")
-
-    def __init__(self, labels, weights, fibers):
-        labels = tuple(str(x) for x in labels)
-        weights = tuple(Fraction(w) for w in weights)
-        fibers = tuple(fibers)
-        if not (len(labels) == len(weights) == len(fibers)):
-            raise ShapeMismatch("labels, weights and fibers must have equal length")
-        if not fibers:
-            raise ShapeMismatch("need at least one point")
-        shape = (fibers[0].rows, fibers[0].cols, fibers[0].mode)
-        for f in fibers:
-            if (f.rows, f.cols, f.mode) != shape:
-                raise ShapeMismatch("fibers must share shape and mode")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "fibers", fibers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FnMatrix values are immutable")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.fibers)
-
-    @property
-    def mode(self) -> str:
-        return self.fibers[0].mode
-
-    def fiber(self, x: int) -> CMatrix:
-        return self.fibers[x]
-
-    def _check_points(self, other: "FnMatrix"):
-        if self.labels != other.labels or self.weights != other.weights:
-            raise ShapeMismatch("point sets differ")
-
-    def mul(self, other: "FnMatrix") -> "FnMatrix":
-        self._check_points(other)
-        return FnMatrix(self.labels, self.weights,
-                        [a * b for a, b in zip(self.fibers, other.fibers)])
-
-    def add(self, other: "FnMatrix") -> "FnMatrix":
-        self._check_points(other)
-        return FnMatrix(self.labels, self.weights,
-                        [a + b for a, b in zip(self.fibers, other.fibers)])
-
-    def adjoint(self) -> "FnMatrix":
-        return FnMatrix(self.labels, self.weights, [f.adjoint() for f in self.fibers])
-
-    def scale(self, s) -> "FnMatrix":
-        return FnMatrix(self.labels, self.weights, [f.scale(s) for f in self.fibers])
-
-    def integrate(self) -> CMatrix:
-        """Weighted sum of the fibers."""
-        total = self.fibers[0].scale(self.weights[0])
-        for w, f in zip(self.weights[1:], self.fibers[1:]):
-            total = total + f.scale(w)
-        return total
-
-    def integrate_ntrace(self):
-        """Weighted average of normalized fiber traces."""
-        total = None
-        for w, f in zip(self.weights, self.fibers):
-            term = f.ntrace() * w if f.mode == "exact" else f.ntrace() * complex(w)
-            total = term if total is None else total + term
-        return total
-
-    def to_float(self) -> "FnMatrix":
-        return FnMatrix(self.labels, self.weights, [f.to_float() for f in self.fibers])
-
-    def close_to(self, other: "FnMatrix", tol=None) -> bool:
-        self._check_points(other)
-        return all(a.close_to(b, tol) for a, b in zip(self.fibers, other.fibers))
-
-    def __repr__(self):
-        return f"FnMatrix[{self.n_points} points, {self.fibers[0].rows}x{self.fibers[0].cols} {self.mode}]"
+def spectral_multiplicities(u: CMatrix, k: int, tol=None) -> tuple[int, ...]:
+    """Eigenvalue multiplicities (m_0, ..., m_{k-1}) of a unitary with U^k = 1,
+    where m_a counts the eigenvalue zeta_k^a."""
+    _check_square_order(u, k)
+    _check_spectral_pre(u, k, tol)
+    return _traces_and_multiplicities(u, k, tol)[1]

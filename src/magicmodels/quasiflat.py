@@ -10,24 +10,27 @@ from .errors import (
     Inconsistent,
     InvalidFamily,
     NotBijective,
-    NotFiniteOrder,
     NotInGroup,
     NotQuasiTransitive,
-    NotUnitary,
     NotWellDefined,
     ShapeMismatch,
 )
 from .groups import Perm, PermGroup, abelianization, extend_automorphism, orbit_blocks
 from .magic import (
     CheckReport,
-    MagicModel,
+    FiberModel,
     bichon_build,
     orbits_from_source,
     quasi_flat_check,
     stationarity_check,
     verify_magic,
 )
-from .matrices import CMatrix, scalars_equal, spectral_multiplicities
+from .matrices import (
+    CMatrix,
+    _check_spectral_pre,
+    _traces_and_multiplicities,
+    scalars_equal,
+)
 
 __all__ = [
     "LatinFamily",
@@ -172,7 +175,7 @@ def latin_family_search(group: PermGroup, size: int):
     return fam
 
 
-def classical_model_from_family(group: PermGroup, fam: LatinFamily) -> MagicModel:
+def classical_model_from_family(group: PermGroup, fam: LatinFamily) -> FiberModel:
     """Model over X = G with uniform weights: the (i, j) fiber at x is the
     diagonal unit E_kk for the unique k with sigma_k(x(j)) = i.  The result
     must certify as magic, quasi-flat, and stationary at word length 2."""
@@ -200,7 +203,7 @@ def classical_model_from_family(group: PermGroup, fam: LatinFamily) -> MagicMode
                 fibers.append(hit)
             row.append(tuple(fibers))
         entries.append(row)
-    model = MagicModel(n, k_size, [str(x) for x in points],
+    model = FiberModel(n, k_size, [str(x) for x in points],
                        [Fraction(1, len(points))] * len(points), entries)
     if not verify_magic(model).passed:
         raise Inconsistent("family model failed the magic conditions")
@@ -315,23 +318,15 @@ def trace_vector_check(u: CMatrix, k: int, tol=None) -> TraceReport:
     against all spectral multiplicities being 1."""
     if u.rows != k:
         raise ShapeMismatch(f"need a {k} x {k} matrix for order {k}")
-    if not u.is_unitary(tol):
-        raise NotUnitary("matrix is not unitary")
-    if not u.power(k).is_identity(tol):
-        raise NotFiniteOrder(f"matrix does not satisfy U^{k} = 1")
-    traces = []
-    p = CMatrix.identity(k, u.mode)
-    for _ in range(k):
-        traces.append(p.trace())
-        p = p * u
+    _check_spectral_pre(u, k, tol)
+    traces, mults = _traces_and_multiplicities(u, k, tol)
     flat = scalars_equal(traces[0], k, tol) and all(
         scalars_equal(t, 0, tol) for t in traces[1:])
-    mults = spectral_multiplicities(u, k, tol)
     mult_flat = all(m == 1 for m in mults)
     if flat != mult_flat:
         raise Inconsistent(
             "trace vector and spectral multiplicities disagree")
-    return TraceReport(flat, TraceVector(tuple(traces)), mults)
+    return TraceReport(flat, TraceVector(traces), mults)
 
 
 def quasiflat_dual_check(generator_fibers, k: int, labels=None,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cyclotomic import Cyc
 from .errors import ModelInputError
 from .groups import DEFAULT_CAP, AutoMap, FinAbelian, Perm, PermGroup
-from .magic import FiberModel, MagicModel
+from .magic import FiberModel
 from .matrices import CMatrix
 from .quasiflat import LatinFamily, SparseLatinSquare
 
@@ -179,7 +179,7 @@ def model_to_json(model: FiberModel) -> dict:
     }
 
 
-def model_from_json(v) -> MagicModel:
+def model_from_json(v) -> FiberModel:
     _expect(isinstance(v, dict), "model must be an object")
     for field in ("n", "dim", "points"):
         _expect(field in v, f"model needs a {field} field")
@@ -207,7 +207,7 @@ def model_from_json(v) -> MagicModel:
         grids.append([[matrix_from_json(c) for c in row] for row in rows])
     entries = [[tuple(grids[x][i][j] for x in range(len(points)))
                 for j in range(n)] for i in range(n)]
-    return MagicModel(n, dim, labels, weights, entries)
+    return FiberModel(n, dim, labels, weights, entries)
 
 
 # -- latin data -------------------------------------------------------------

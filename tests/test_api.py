@@ -1,0 +1,37 @@
+"""The public surface: every exported name resolves, and removed names stay gone."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import magicmodels
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(magicmodels.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"magicmodels.{name}")
+    for attr in getattr(module, "__all__", ()):
+        assert hasattr(module, attr), f"magicmodels.{name}.{attr}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(magicmodels.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert names
+    for name in names:
+        assert hasattr(magicmodels, name), name
+
+
+@pytest.mark.parametrize("module, name", [
+    ("matrices", "FnMatrix"), ("magic", "MagicModel"), ("cyclic", "CyclicModel"),
+])
+def test_merged_model_types_are_gone(module, name):
+    assert not hasattr(importlib.import_module(f"magicmodels.{module}"), name)
+    assert not hasattr(magicmodels, name)
+    assert not hasattr(magicmodels.FiberModel, "entry_fn")

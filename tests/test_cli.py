@@ -85,6 +85,19 @@ def files(tmp_path_factory):
                 [sz.matrix_to_json(CMatrix.identity(2))],
             ],
         }),
+        "flat_non_unitary": put("flat_non_unitary.json", {
+            "k": 2,
+            "generators": [[{"mode": "exact", "rows": [["1", "1"], ["0", "1"]]}]],
+        }),
+        "flat_wide": put("flat_wide.json", {
+            "k": 2,
+            "generators": [[{"mode": "exact",
+                             "rows": [["1", "0", "0"], ["0", "1", "0"]]}]],
+        }),
+        "flat_too_big": put("flat_too_big.json", {
+            "k": 2,
+            "generators": [[sz.matrix_to_json(CMatrix.identity(3))]],
+        }),
         "model_z3": put("model_z3.json", sz.model_to_json(model3)),
         "fiber_d4": put("fiber_d4.json", sz.model_to_json(fiber)),
         "broken_model": put("broken_model.json", {
@@ -135,6 +148,7 @@ def test_thoma_check_rejects_non_normal_subgroup(files, capsys):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "NotNormal"
+    assert report["error"]["message"] == "subgroup is not normal"
 
 
 def test_dual_build_artifact_feeds_magic_verify(files, capsys, tmp_path):
@@ -165,6 +179,7 @@ def test_dual_build_rejects_non_unitary(files, capsys):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "NotUnitary"
+    assert report["error"]["message"] == "generator is not unitary"
 
 
 def test_orbits_group_and_flag_validation(files, capsys):
@@ -262,6 +277,18 @@ def test_dual_flat_check_pass_and_fail(files, capsys):
                              files["flat_bad"])
     assert code2 == 1
     assert rep2["witnesses"][0]["generator"] == 2
+
+
+@pytest.mark.parametrize("name, error, message", [
+    ("flat_non_unitary", "NotUnitary", "matrix is not unitary"),
+    ("flat_wide", "NotUnitary", "matrix is not unitary"),
+    ("flat_too_big", "ShapeMismatch", "need a 2 x 2 matrix for order 2"),
+])
+def test_dual_flat_check_rejects_bad_fibers(files, capsys, name, error, message):
+    code, report, cap = run_cli(capsys, "dual-flat-check", "--input", files[name])
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {"type": error, "message": message}
+    assert "Traceback" not in cap.err
 
 
 def test_usage_errors(files, capsys):

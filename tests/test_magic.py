@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import pg
-from magicmodels.errors import NotQuasiTransitive, ShapeMismatch
+from magicmodels.cyclotomic import zeta
+from magicmodels.errors import NotFiniteOrder, NotQuasiTransitive, NotUnitary, ShapeMismatch
+from magicmodels.group_algebra import AlgebraElement
 from magicmodels.groups import FinAbelian, Perm, PermGroup
 from magicmodels.magic import (
     DualWordReference,
-    MagicModel,
+    FiberModel,
     StateOnWords,
     bichon_build,
     block_projection,
@@ -23,7 +25,7 @@ from magicmodels.magic import (
     stationarity_check,
     verify_magic,
 )
-from magicmodels.matrices import CMatrix, scalars_equal
+from magicmodels.matrices import CMatrix, scalars_equal, spectral_projection
 from magicmodels.quasiflat import classical_model_from_family, latin_family_search
 
 F = Fraction
@@ -55,7 +57,7 @@ def translation_model(group, family):
     grids = [flat_fiber(group, family, x) for x in group.elements]
     n = group.degree
     npts = len(grids)
-    return MagicModel(
+    return FiberModel(
         n, n, [str(x) for x in group.elements],
         [F(1, npts)] * npts,
         [[tuple(g[i][j] for g in grids) for j in range(n)] for i in range(n)],
@@ -94,7 +96,7 @@ def test_magic_rows_sum_to_identity_with_unit_traces(m2):
 
 def test_verify_magic_flags_non_projection_entry(m2):
     half_i = CMatrix.exact([[F(1, 2), 0], [0, F(1, 2)]])
-    broken = MagicModel(2, 2, ("pt",), (F(1),), [
+    broken = FiberModel(2, 2, ("pt",), (F(1),), [
         [(half_i,), (m2.entry(0, 1)[0],)],
         [(m2.entry(1, 0)[0],), (m2.entry(1, 1)[0],)],
     ])
@@ -252,7 +254,7 @@ def test_stationary_state_is_idempotent(m2, m4):
 def test_quasi_flat_rejects_full_rank_entry():
     i2 = CMatrix.identity(2)
     z = CMatrix.zeros(2, 2)
-    idmodel = MagicModel(2, 2, ("pt",), (F(1),),
+    idmodel = FiberModel(2, 2, ("pt",), (F(1),),
                          [[(i2,), (z,)], [(z,), (i2,)]])
     qf = quasi_flat_check(idmodel, orbits_from_source([2]))
     assert not qf.passed
@@ -337,3 +339,85 @@ def test_failing_model_witnesses_match_full_recursion(family_models):
     assert not report.passed and want
     assert list(report.witnesses) == want
     assert report.checked == len(full)
+
+
+# -- one spectral kernel: block entries, dual coordinates, integrated traces ---
+
+@pytest.mark.parametrize("sizes", [[2], [3], [2, 2], [8], [3, 4]])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_bichon_blocks_are_spectral_projections(sizes, mode):
+    group = FinAbelian(sizes)
+    reg = regular_rep(group)
+    gens = [reg[group.generator(i)] for i in range(len(sizes))]
+    if mode == "float":
+        gens = [u.to_float() for u in gens]
+    model = bichon_build(sizes, gens)
+    offset = 0
+    for k, u in zip(sizes, gens):
+        projections = [spectral_projection(u, k, d) for d in range(k)]
+        for r in range(k):
+            for c in range(k):
+                got = model.entry(offset + r, offset + c)[0]
+                assert repr(got) == repr(projections[(r - c) % k]), (sizes, r, c)
+        offset += k
+
+
+def test_bichon_build_precondition_messages():
+    with pytest.raises(NotUnitary, match="^generator is not unitary$"):
+        bichon_build([2], [CMatrix.exact([[1, 1], [0, 1]])])
+    with pytest.raises(NotFiniteOrder, match=r"^generator does not satisfy U\^2 = 1$"):
+        bichon_build([2], [CMatrix.diagonal([1, zeta(4)])])
+
+
+def k_squared_dual_coords(group, gens_with_orders):
+    """Dual coordinates with one Fourier sum per block entry (r, c)."""
+    coords, offset = {}, 0
+    n = sum(k for _, k in gens_with_orders)
+    for i in range(n):
+        for j in range(n):
+            coords[(i, j)] = AlgebraElement.zero(group)
+    for g, k in gens_with_orders:
+        powers = [group.identity]
+        for _ in range(k - 1):
+            powers.append(group.mul(powers[-1], g))
+        for r in range(k):
+            for c in range(k):
+                coeffs = {}
+                for a in range(k):
+                    w = zeta(k, ((c - r) * a) % k) * Fraction(1, k)
+                    coeffs[powers[a]] = coeffs.get(powers[a], 0) + w
+                coords[(offset + r, offset + c)] = AlgebraElement(group, coeffs)
+        offset += k
+    return coords
+
+
+@pytest.mark.parametrize("factors, gens", [
+    ([2, 2], [((1, 0), 2), ((0, 1), 2)]),
+    ([4], [((1,), 4)]),
+])
+def test_dual_reference_matches_k_squared_construction(factors, gens):
+    group = FinAbelian(factors)
+    ref = DualWordReference.from_block_generators(group, gens)
+    want = k_squared_dual_coords(group, gens)
+    assert list(ref.coords) == list(want)
+    assert [repr(v) for v in ref.coords.values()] == [repr(v) for v in want.values()]
+    expected = DualWordReference(group, ref.n, want)
+    for word in StateOnWords(ref.n, 2, {}).words_by_length():
+        got, exp = ref.haar(word), expected.haar(word)
+        assert (type(got), repr(got)) == (type(exp), repr(exp)), word
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_fixed_point_matrix_sums_weighted_traces_in_point_order(family_models, mode):
+    (_, model), _ = family_models
+    if mode == "float":
+        model = model.to_float()
+    q, report = fixed_point_matrix(model)
+    assert report.passed
+    for i in range(model.n):
+        for j in range(model.n):
+            total = None
+            for w, f in zip(model.weights, model.entry(i, j)):
+                term = f.ntrace() * (w if mode == "exact" else complex(w))
+                total = term if total is None else total + term
+            assert (type(q.entry(i, j)), repr(q.entry(i, j))) == (type(total), repr(total))

@@ -10,7 +10,7 @@ from magicmodels.errors import (
     ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
 )
 from magicmodels.matrices import (
-    EPS, CMatrix, FnMatrix, scalar_is_zero, scalars_equal,
+    EPS, CMatrix, scalar_is_zero, scalars_equal,
     spectral_multiplicities, spectral_projection,
 )
 
@@ -153,26 +153,6 @@ def test_to_float_agreement():
     assert f.mode == "float"
     assert f.close_to(m.to_float(), 0)
     assert abs(f.entry(0, 1) - 1 / 7) < 1e-15
-
-
-def test_fn_matrix_integration():
-    half = Fraction(1, 2)
-    fm = FnMatrix(("a", "b"), (half, half),
-                  (CMatrix.exact([[1]]), CMatrix.exact([[3]])))
-    assert fm.integrate().entry(0, 0) == 2
-    assert fm.integrate_ntrace() == 2
-    prod = fm.mul(fm)
-    assert prod.integrate().entry(0, 0) == 5
-    assert fm.adjoint().fiber(1).entry(0, 0) == 3
-
-
-def test_fn_matrix_point_mismatch():
-    half = Fraction(1, 2)
-    a = FnMatrix(("a",), (Fraction(1),), (CMatrix.exact([[1]]),))
-    b = FnMatrix(("a", "b"), (half, half),
-                 (CMatrix.exact([[1]]), CMatrix.exact([[1]])))
-    with pytest.raises(ShapeMismatch):
-        a.mul(b)
 
 
 # -- the sparse product against the dense triple loop ---------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import pg
 from magicmodels.cyclotomic import zeta
-from magicmodels.errors import InvalidFamily, NotQuasiTransitive
+from magicmodels.errors import (
+    InvalidFamily, NotFiniteOrder, NotQuasiTransitive, NotUnitary, ShapeMismatch,
+)
 from magicmodels.groups import Perm
 from magicmodels.magic import (
     StateOnWords,
@@ -232,3 +234,39 @@ def test_rejects_invalid_family_and_non_quasi_transitive(z3):
         LatinFamily(z3, 2, (z3.identity, z3.identity))
     with pytest.raises(NotQuasiTransitive):
         latin_family_search(pg(3, [(1, 2)]), 2)
+
+
+def test_trace_vector_multiplicities_match_spectral_multiplicities():
+    """The multiplicities trace_vector_check derives from its own power
+    traces equal spectral_multiplicities, on every criterion-7 exact pattern
+    and on seeded random conjugates."""
+    import numpy as np
+    from magicmodels.acceptance import _pattern_entries
+    for k in range(1, 7):
+        for mask in range(2 ** k):
+            bits = [(mask >> j) & 1 for j in range(k)]
+            u = CMatrix.diagonal(_pattern_entries(k, bits))
+            assert trace_vector_check(u, k).multiplicities == \
+                spectral_multiplicities(u, k), (k, bits)
+    rng = np.random.RandomState(11)
+    for k in (2, 3, 5):
+        for _ in range(5):
+            exps = rng.randint(0, k, size=k)
+            diag = np.diag([np.exp(2j * np.pi * e / k) for e in exps])
+            q, _ = np.linalg.qr(rng.randn(k, k) + 1j * rng.randn(k, k))
+            arr = q @ diag @ q.conj().T
+            u = CMatrix.floating([[complex(arr[i, j]) for j in range(k)]
+                                  for i in range(k)])
+            assert trace_vector_check(u, k, tol=1e-8).multiplicities == \
+                spectral_multiplicities(u, k, tol=1e-8), (k, exps)
+
+
+def test_trace_vector_precondition_order():
+    with pytest.raises(ShapeMismatch, match="^need a 2 x 2 matrix for order 2$"):
+        trace_vector_check(CMatrix.identity(3), 2)
+    with pytest.raises(NotUnitary, match="^matrix is not unitary$"):
+        trace_vector_check(CMatrix.exact([[1, 0, 0], [0, 1, 0]]), 2)
+    with pytest.raises(NotUnitary, match="^matrix is not unitary$"):
+        trace_vector_check(CMatrix.exact([[1, 1], [0, 1]]), 2)
+    with pytest.raises(NotFiniteOrder, match=r"^matrix does not satisfy U\^2 = 1$"):
+        trace_vector_check(CMatrix.diagonal([1, zeta(4)]), 2)
