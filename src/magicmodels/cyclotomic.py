@@ -1,21 +1,23 @@
 """Exact scalars in cyclotomic fields.
 
-A value is stored as rational coefficients of 1, z, ..., z^(n-1) where
-z = exp(2*pi*i/n), i.e. as a polynomial taken modulo z^n - 1.  Addition and
-multiplication work directly on that representation; equality, zero tests and
-inversion reduce modulo the n-th cyclotomic polynomial first, which gives the
-canonical coordinates in the field Q(z).  Values of different orders are
-compared and combined by lifting both to the least common multiple order.
-
-Coefficients may be Python ints or Fractions; integer coefficients are kept
-as ints so that the common all-integer case stays cheap.
+A value of order n is stored as integer numerators c_0, ..., c_(n-1) over one
+positive integer denominator d: the value (c_0 + c_1 z + ... + c_(n-1) z^(n-1))/d
+with z = exp(2*pi*i/n), a polynomial taken modulo z^n - 1 but not modulo the
+n-th cyclotomic polynomial.  The pair is normalised so that gcd(d, c_0, ...,
+c_(n-1)) = 1, so the rational coefficients c_a/d (read through `coeffs`) are
+exactly those of the unreduced vector that arithmetic produced; serialized
+models write that vector.  Arithmetic works on the integers alone.  Equality,
+zero tests and inversion reduce the numerators modulo the n-th cyclotomic
+polynomial, which gives the canonical coordinates in the field Q(z); a zero
+verdict is kept on the (immutable) value.  Values of different orders are
+combined by lifting both to the least common multiple order.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero
 
@@ -62,19 +64,33 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(order: int, coeffs) -> tuple:
-    """Canonical coordinates of the value in the power basis of Q(zeta_order)."""
+@lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple:
+    """For each i from deg(Phi_order) to order - 1, the nonzero (j, r) with
+    z^i = sum_j r z^j modulo Phi_order, j below the degree."""
     phi = cyclotomic_poly(order)
     deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+    rows = []
+    power = [0] * (deg - 1) + [1]           # z^(deg - 1)
+    for _ in range(deg, order):
+        top = power[-1]                     # z * power, then z^deg -> -phi
+        power = [0] + power[:-1]
+        for j in range(deg):
+            power[j] -= top * phi[j]
+        rows.append(tuple((j, r) for j, r in enumerate(power) if r))
+    return tuple(rows)
+
+
+def _reduce(order: int, num) -> list:
+    """Canonical coordinates of sum_a num[a] z^a in the power basis of
+    Q(zeta_order), for integer (or rational) coefficients."""
+    deg = len(cyclotomic_poly(order)) - 1
+    work = list(num[:deg])
+    for row, c in zip(_reduction_rows(order), num[deg:]):
         if c:
-            work[i] = 0
-            base = i - deg
-            for j in range(deg):
-                work[base + j] -= c * phi[j]
-    return tuple(work[:deg])
+            for j, r in row:
+                work[j] += c * r
+    return work
 
 
 def _poly_divmod(a: list, b: list):
@@ -94,31 +110,63 @@ def _poly_divmod(a: list, b: list):
 
 
 class Cyc:
-    """An exact element of a cyclotomic field."""
+    """An exact element of a cyclotomic field: `order` n, the tuple `num` of
+    n integer numerators and the positive integer denominator `den`."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den", "_zero")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(_coerce(c) for c in coeffs)
+        coeffs = [_coerce(c) for c in coeffs]
         if order < 1:
             raise ValueError("order must be positive")
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        # The least common denominator leaves no common factor to remove.
+        den = lcm(*[c.denominator for c in coeffs])
+        num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
+        _set_order(self, order)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_zero(self, None)
+
+    @classmethod
+    def _of(cls, order: int, num: tuple, den: int) -> "Cyc":
+        """The value num/den from a tuple of `order` ints and an int den > 0,
+        normalised; skips the checks of the public constructor."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = tuple([c // g for c in num])
+        x = _new(cls)
+        _set_order(x, order)
+        _set_num(x, num)
+        _set_den(x, den)
+        _set_zero(x, None)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients of 1, z, ..., z^(n-1): ints when the
+        denominator is 1, Fractions otherwise."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(Fraction(c, den) for c in self.num)
+
     @classmethod
     def from_rational(cls, value) -> "Cyc":
-        return cls(1, (_coerce(value),))
+        value = _coerce(value)
+        return cls._of(1, (value.numerator,), value.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyc":
-        co = [0] * order
-        co[power % order] = 1
-        return cls(order, co)
+        num = [0] * order
+        num[power % order] = 1
+        return cls._of(order, tuple(num), 1)
 
     def lift(self, order: int) -> "Cyc":
         """Rewrite the value in the field of the given multiple order."""
@@ -127,61 +175,110 @@ class Cyc:
         if order % self.order:
             raise ValueError("can only lift to a multiple of the order")
         step = order // self.order
-        co = [0] * order
-        for a, c in enumerate(self.coeffs):
+        num = [0] * order
+        for a, c in enumerate(self.num):
             if c:
-                co[a * step] = c
-        return Cyc(order, co)
+                num[a * step] = c
+        return Cyc._of(order, tuple(num), self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _pair(self, other):
-        if not isinstance(other, Cyc):
-            other = Cyc.from_rational(other)
-        m = lcm(self.order, other.order)
-        return self.lift(m), other.lift(m)
+    def _plus(self, p: int, q: int) -> "Cyc":
+        """self + p/q for ints p and q > 0."""
+        if not p:
+            return self
+        den = self.den
+        if q == 1:
+            num = list(self.num)
+            num[0] += p * den
+            return Cyc._of(self.order, tuple(num), den)
+        num = [c * q for c in self.num]
+        num[0] += p * den
+        return Cyc._of(self.order, tuple(num), den * q)
+
+    def _times(self, p: int, q: int) -> "Cyc":
+        """self * p/q for ints p and q > 0."""
+        if not p:
+            return Cyc._of(self.order, (0,) * self.order, 1)
+        if p == 1 and q == 1:
+            return self
+        return Cyc._of(self.order, tuple(c * p for c in self.num), self.den * q)
+
+    def _combine(self, other: "Cyc", sign: int) -> "Cyc":
+        """self + sign * other for sign 1 or -1."""
+        if other.order == 1:
+            return self._plus(sign * other.num[0], other.den)
+        if self.order == 1:
+            if sign < 0:
+                other = -other
+            return other._plus(self.num[0], self.den)
+        if self.order != other.order:
+            m = lcm(self.order, other.order)
+            a, b = self.lift(m), other.lift(m)
+        else:
+            a, b = self, other
+        da, db = a.den, b.den
+        if da == db:
+            if sign > 0:
+                num = tuple([x + y for x, y in zip(a.num, b.num)])
+            else:
+                num = tuple([x - y for x, y in zip(a.num, b.num)])
+            return Cyc._of(a.order, num, da)
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return Cyc._of(a.order, tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]), den)
 
     def __add__(self, other):
+        if isinstance(other, Cyc):
+            return self._combine(other, 1)
         try:
-            a, b = self._pair(other)
+            other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(other.numerator, other.denominator)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, Cyc):
+            return self._combine(other, -1)
         try:
-            a, b = self._pair(other)
+            other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return Cyc(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._plus(-other.numerator, other.denominator)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Cyc(self.order, tuple(-c for c in self.coeffs))
+        return Cyc._of(self.order, tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
-            if not other:
-                return Cyc(self.order, (0,) * self.order)
-            return Cyc(self.order, tuple(c * other for c in self.coeffs))
         if not isinstance(other, Cyc):
+            if isinstance(other, Rational):
+                return self._times(other.numerator, other.denominator)
             return NotImplemented
-        a, b = self._pair(other)
+        if other.order == 1:
+            return self._times(other.num[0], other.den)
+        if self.order == 1:
+            return other._times(self.num[0], self.den)
+        if self.order != other.order:
+            m = lcm(self.order, other.order)
+            a, b = self.lift(m), other.lift(m)
+        else:
+            a, b = self, other
         n = a.order
+        bs = [(j, cj) for j, cj in enumerate(b.num) if cj]
         out = [0] * n
-        for i, ci in enumerate(a.coeffs):
+        for i, ci in enumerate(a.num):
             if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        k = i + j
-                        if k >= n:
-                            k -= n
-                        out[k] += ci * cj
-        return Cyc(n, out)
+                for j, cj in bs:
+                    k = i + j
+                    if k >= n:
+                        k -= n
+                    out[k] += ci * cj
+        return Cyc._of(n, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -201,7 +298,8 @@ class Cyc:
         if isinstance(other, Rational):
             if not other:
                 raise DivisionByZero("cannot divide by zero")
-            return self * (Fraction(1) / Fraction(other))
+            p, q = other.numerator, other.denominator
+            return self._times(-q, -p) if p < 0 else self._times(q, p)
         if isinstance(other, Cyc):
             return self * other.inv()
         return NotImplemented
@@ -209,21 +307,22 @@ class Cyc:
     def conj(self) -> "Cyc":
         """Complex conjugate, i.e. z -> z^(n-1) on the stored basis."""
         n = self.order
-        co = [0] * n
-        for a, c in enumerate(self.coeffs):
+        num = [0] * n
+        for a, c in enumerate(self.num):
             if c:
-                co[(-a) % n] = c
-        return Cyc(n, co)
+                num[(-a) % n] = c
+        return Cyc._of(n, tuple(num), self.den)
 
     def inv(self) -> "Cyc":
         n = self.order
-        a = [c for c in _reduce(n, self.coeffs)]
+        a = _reduce(n, self.num)
         while len(a) > 1 and not a[-1]:
             a.pop()
         if not any(a):
             raise DivisionByZero("cannot invert zero")
         phi = list(cyclotomic_poly(n))
-        # Extended Euclid in Q[x]: maintain r = u * a (mod phi).
+        # Extended Euclid in Q[x] on the numerators: maintain r = u * a
+        # (mod phi); the inverse of a/den is den * u / r.
         r0, u0 = phi, [Fraction(0)]
         r1, u1 = [Fraction(c) for c in a], [Fraction(1)]
         while len(r1) > 1:
@@ -242,40 +341,44 @@ class Cyc:
         co = [0] * n
         for i, c in enumerate(u1):
             if c:
-                co[i] = c / g
+                co[i] = c * self.den / g
         return Cyc(n, co)
 
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        if not any(self.coeffs):
-            return True
-        return not any(_reduce(self.order, self.coeffs))
+        zero = self._zero
+        if zero is None:
+            num = self.num
+            zero = not any(num) or not any(_reduce(self.order, num))
+            _set_zero(self, zero)
+        return zero
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = Cyc.from_rational(other)
         if not isinstance(other, Cyc):
-            return NotImplemented
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Cyc.from_rational(other)
+        if self.order == other.order and self.den == other.den and self.num == other.num:
+            return True
         return (self - other).is_zero()
 
     __hash__ = None
 
     def reduced(self) -> "Cyc":
         """The same value with canonically reduced coefficients."""
-        red = _reduce(self.order, self.coeffs)
-        co = list(red) + [0] * (self.order - len(red))
-        return Cyc(self.order, co)
+        red = _reduce(self.order, self.num)
+        return Cyc._of(self.order, tuple(red + [0] * (self.order - len(red))), self.den)
 
     def as_fraction(self):
         """The value as a Fraction if it is rational, else None."""
-        red = _reduce(self.order, self.coeffs)
+        red = _reduce(self.order, self.num)
         if any(red[1:]):
             return None
-        return Fraction(red[0])
+        return Fraction(red[0], self.den)
 
     def as_int(self):
         f = self.as_fraction()
@@ -284,22 +387,25 @@ class Cyc:
         return int(f)
 
     def to_complex(self) -> complex:
+        # c / den is the correctly rounded float of the coefficient c/den.
         total = 0j
-        n = self.order
-        for a, c in enumerate(self.coeffs):
+        n, den = self.order, self.den
+        for a, c in enumerate(self.num):
             if c:
-                total += complex(c) * cmath.exp(2j * cmath.pi * a / n)
+                total += complex(c / den) * cmath.exp(2j * cmath.pi * a / n)
         return total
 
     def __repr__(self):
         f = self.as_fraction()
         if f is not None:
             return str(f)
-        red = _reduce(self.order, self.coeffs)
+        den = self.den
         parts = []
-        for a, c in enumerate(red):
+        for a, c in enumerate(_reduce(self.order, self.num)):
             if not c:
                 continue
+            if den != 1:
+                c = Fraction(c, den)
             if a == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -307,6 +413,15 @@ class Cyc:
             else:
                 parts.append(f"{c}*z{self.order}^{a}" if a > 1 else f"{c}*z{self.order}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# Cyc.__setattr__ refuses every assignment; values are filled in through
+# the slot descriptors, which is also cheaper than object.__setattr__.
+_new = object.__new__
+_set_order = Cyc.order.__set__
+_set_num = Cyc.num.__set__
+_set_den = Cyc.den.__set__
+_set_zero = Cyc._zero.__set__
 
 
 def zeta(order: int, power: int = 1) -> Cyc:

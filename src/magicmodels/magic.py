@@ -552,17 +552,23 @@ def bichon_build(sizes, generator_matrices, tol=None) -> FiberModel:
         _check_spectral_pre(u, k, tol, what="generator")
     n = sum(sizes)
     zero = CMatrix.zeros(dim, dim, mode)
+    ident = CMatrix.identity(dim, mode)
     grid = [[(zero,) for _ in range(n)] for _ in range(n)]
     offset = 0
     for k, u in zip(sizes, mats):
         powers = _powers(u, k)
         projections = [_fourier_sum(powers, d) for d in range(k)]
+        # Magic check of the block: every row and column of the circulant
+        # holds each projection once and the entries off the blocks are
+        # zero, so the model is magic iff each projection is one and they
+        # sum to the identity.
+        total = projections[0]
+        for p in projections[1:]:
+            total = total + p
+        if not (all(p.is_projection(tol) for p in projections) and total.close_to(ident, tol)):
+            raise Inconsistent("constructed block model is not magic")
         for r in range(k):
             for c in range(k):
                 grid[offset + r][offset + c] = (projections[(r - c) % k],)
         offset += k
-    model = FiberModel(n, dim, ("pt",), (Fraction(1),), grid)
-    report = verify_magic(model, tol)
-    if not report.passed:
-        raise Inconsistent("constructed block model is not magic")
-    return model
+    return FiberModel(n, dim, ("pt",), (Fraction(1),), grid)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Cyc
 from .errors import ModelInputError
@@ -30,7 +31,7 @@ def _expect(cond: bool, msg: str):
 
 def scalar_to_json(x):
     if isinstance(x, Cyc):
-        return {"order": x.order, "coeffs": [str(Fraction(c)) for c in x.coeffs]}
+        return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     if isinstance(x, complex):
@@ -40,12 +41,19 @@ def scalar_to_json(x):
     raise BadInput(f"cannot serialize scalar of type {type(x).__name__}")
 
 
+@lru_cache(maxsize=4096)
+def _rational(text: str) -> Fraction:
+    """The value of a rational string.  Model files repeat a few coefficient
+    strings many times, so parsed values are kept (Fractions are immutable)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadInput(f"bad rational string {text!r}") from exc
+
+
 def scalar_from_json(v):
     if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadInput(f"bad rational string {v!r}") from exc
+        return _rational(v)
     if isinstance(v, bool):
         raise BadInput("booleans are not scalars")
     if isinstance(v, (int, float)):
@@ -55,11 +63,9 @@ def scalar_from_json(v):
         order = v["order"]
         _expect(isinstance(order, int) and order >= 1, "cyclotomic order must be a positive integer")
         _expect(len(v["coeffs"]) == order, "cyclotomic coeffs length must equal the order")
-        coeffs = []
-        for c in v["coeffs"]:
-            _expect(isinstance(c, str), "cyclotomic coeffs must be rational strings")
-            coeffs.append(Fraction(c))
-        return Cyc(order, coeffs)
+        _expect(all(isinstance(c, str) for c in v["coeffs"]),
+                "cyclotomic coeffs must be rational strings")
+        return Cyc(order, [_rational(c) for c in v["coeffs"]])
     if isinstance(v, dict) and "re" in v:
         _expect(isinstance(v.get("re"), (int, float)) and isinstance(v.get("im"), (int, float)),
                 "complex scalar needs numeric re and im")

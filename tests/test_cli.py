@@ -1,4 +1,5 @@
 """Command-line behavior: reports, artifacts, and exit codes."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,12 @@ from magicmodels.quasiflat import classical_model_from_family, latin_family_sear
 def _group_payload(degree, *cycle_sets):
     gens = [Perm.from_cycles(degree, cs) for cs in cycle_sets]
     return {"degree": degree, "generators": [list(p.images) for p in gens]}
+
+
+def _scalar_model(scalar):
+    """A one-point 1 x 1 model of dimension 1 whose entry is the scalar."""
+    return {"n": 1, "dim": 1, "points": [
+        {"label": "a", "weight": "1", "entries": [[{"rows": [[scalar]]}]]}]}
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +125,10 @@ def files(tmp_path_factory):
                 {"label": "b", "weight": "-1/2", "entries": [[{"rows": [["1"]]}]]},
             ],
         }),
+        "bad_coeff_zero_den": put("bad_coeff_zero_den.json", _scalar_model(
+            {"order": 2, "coeffs": ["1/0", "0"]})),
+        "bad_coeff_text": put("bad_coeff_text.json", _scalar_model(
+            {"order": 2, "coeffs": ["abc", "0"]})),
         "not_json": str(root / "not.json"),
         "root": str(root),
     }
@@ -318,6 +329,16 @@ def test_bad_point_weight_is_input_error(files, capsys, model):
     assert "Traceback" not in cap.err
 
 
+@pytest.mark.parametrize("model, text", [("bad_coeff_zero_den", "1/0"),
+                                         ("bad_coeff_text", "abc")])
+def test_bad_cyclotomic_coefficient_is_input_error(files, capsys, model, text):
+    code, report, cap = run_cli(capsys, "magic-verify", "--model", files[model])
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {"type": "BadInput",
+                               "message": f"bad rational string {text!r}"}
+    assert "Traceback" not in cap.err
+
+
 def test_reports_are_byte_identical(files, capsys):
     _, _, first = run_cli(capsys, "uniform-check", "--group", files["s3z2"])
     _, _, second = run_cli(capsys, "uniform-check", "--group", files["s3z2"])
@@ -344,3 +365,29 @@ def test_module_entry_point(files):
     report = json.loads(proc.stdout)
     assert report["status"] == "pass"
     assert "orbits: pass" in proc.stderr
+
+
+# sha256 of two build artifacts, pinned when Cyc stored Fraction coefficient
+# vectors: a change of the scalar representation must not renormalise the
+# serialized coefficient vectors.
+GOLDEN_ARTIFACTS = {
+    "dual-build": "04a12c44ecf5d2ac9f5dd9c6b862930007b3b6c56173fd3217f04a35dc108c5e",
+    "cyclic-build": "a7f5b0ea02ea30c94f3b3e25c8c8b3f59fb0a8915e91bfbd54f9e569efe24b7c",
+}
+
+
+def test_build_artifacts_keep_their_bytes(capsys, tmp_path):
+    shift = [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)]
+    inputs = {
+        "dual-build": {"sizes": [4],
+                       "generators": [sz.matrix_to_json(CMatrix.exact(shift))]},
+        "cyclic-build": {"factors": [7],
+                         "rep_generators": [sz.matrix_to_json(CMatrix.exact([[zeta(7)]]))],
+                         "auto_images": [[2]], "k": 3},
+    }
+    for command, payload in inputs.items():
+        src, out = tmp_path / f"{command}.json", tmp_path / f"{command}-model.json"
+        src.write_text(sz.render_json(payload))
+        code, _, _ = run_cli(capsys, command, "--input", str(src), "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS[command]

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import pg
 from magicmodels.cyclotomic import zeta
-from magicmodels.errors import NotFiniteOrder, NotQuasiTransitive, NotUnitary, ShapeMismatch
+from magicmodels import magic
+from magicmodels.errors import (
+    Inconsistent,
+    NotFiniteOrder,
+    NotQuasiTransitive,
+    NotUnitary,
+    ShapeMismatch,
+)
 from magicmodels.group_algebra import AlgebraElement
 from magicmodels.groups import FinAbelian, Perm, PermGroup
 from magicmodels.magic import (
@@ -352,6 +359,7 @@ def test_bichon_blocks_are_spectral_projections(sizes, mode):
     if mode == "float":
         gens = [u.to_float() for u in gens]
     model = bichon_build(sizes, gens)
+    assert verify_magic(model).passed
     offset = 0
     for k, u in zip(sizes, gens):
         projections = [spectral_projection(u, k, d) for d in range(k)]
@@ -367,6 +375,30 @@ def test_bichon_build_precondition_messages():
         bichon_build([2], [CMatrix.exact([[1, 1], [0, 1]])])
     with pytest.raises(NotFiniteOrder, match=r"^generator does not satisfy U\^2 = 1$"):
         bichon_build([2], [CMatrix.diagonal([1, zeta(4)])])
+
+
+def _half_moved(fourier_sum, powers, d):
+    """Moves half of P_1 onto P_0: the sum stays 1, P_1 / 2 is no projection."""
+    if d > 1:
+        return fourier_sum(powers, d)
+    half = fourier_sum(powers, 1).scale(Fraction(1, 2))
+    return fourier_sum(powers, 0) + half if d == 0 else half
+
+
+def _dropped(fourier_sum, powers, d):
+    """Replaces P_1 by the zero projection: the sum is not 1."""
+    p = fourier_sum(powers, d)
+    return CMatrix.zeros(p.rows, p.cols) if d == 1 else p
+
+
+@pytest.mark.parametrize("broken", [_half_moved, _dropped])
+def test_bichon_build_rejects_a_non_magic_block(monkeypatch, broken):
+    fourier_sum = magic._fourier_sum
+    monkeypatch.setattr(magic, "_fourier_sum",
+                        lambda powers, d: broken(fourier_sum, powers, d))
+    reg = regular_rep(FinAbelian([3]))
+    with pytest.raises(Inconsistent, match="^constructed block model is not magic$"):
+        bichon_build([3], [reg[(1,)]])
 
 
 def k_squared_dual_coords(group, gens_with_orders):
