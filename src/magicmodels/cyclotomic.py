@@ -64,33 +64,19 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple:
-    """For each i from deg(Phi_order) to order - 1, the nonzero (j, r) with
-    z^i = sum_j r z^j modulo Phi_order, j below the degree."""
+def _reduce(order: int, coeffs) -> tuple:
+    """Canonical coordinates of the value in the power basis of Q(zeta_order)."""
     phi = cyclotomic_poly(order)
     deg = len(phi) - 1
-    rows = []
-    power = [0] * (deg - 1) + [1]           # z^(deg - 1)
-    for _ in range(deg, order):
-        top = power[-1]                     # z * power, then z^deg -> -phi
-        power = [0] + power[:-1]
-        for j in range(deg):
-            power[j] -= top * phi[j]
-        rows.append(tuple((j, r) for j, r in enumerate(power) if r))
-    return tuple(rows)
-
-
-def _reduce(order: int, num) -> list:
-    """Canonical coordinates of sum_a num[a] z^a in the power basis of
-    Q(zeta_order), for integer (or rational) coefficients."""
-    deg = len(cyclotomic_poly(order)) - 1
-    work = list(num[:deg])
-    for row, c in zip(_reduction_rows(order), num[deg:]):
+    work = list(coeffs)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
         if c:
-            for j, r in row:
-                work[j] += c * r
-    return work
+            work[i] = 0
+            base = i - deg
+            for j in range(deg):
+                work[base + j] -= c * phi[j]
+    return tuple(work[:deg])
 
 
 def _poly_divmod(a: list, b: list):
@@ -204,6 +190,13 @@ class Cyc:
             return self
         return Cyc._of(self.order, tuple(c * p for c in self.num), self.den * q)
 
+    def _pair(self, other: "Cyc"):
+        """self and other at a common order; lifts only if the orders differ."""
+        if self.order == other.order:
+            return self, other
+        m = lcm(self.order, other.order)
+        return self.lift(m), other.lift(m)
+
     def _combine(self, other: "Cyc", sign: int) -> "Cyc":
         """self + sign * other for sign 1 or -1."""
         if other.order == 1:
@@ -212,11 +205,7 @@ class Cyc:
             if sign < 0:
                 other = -other
             return other._plus(self.num[0], self.den)
-        if self.order != other.order:
-            m = lcm(self.order, other.order)
-            a, b = self.lift(m), other.lift(m)
-        else:
-            a, b = self, other
+        a, b = self._pair(other)
         da, db = a.den, b.den
         if da == db:
             if sign > 0:
@@ -263,11 +252,7 @@ class Cyc:
             return self._times(other.num[0], other.den)
         if self.order == 1:
             return other._times(self.num[0], self.den)
-        if self.order != other.order:
-            m = lcm(self.order, other.order)
-            a, b = self.lift(m), other.lift(m)
-        else:
-            a, b = self, other
+        a, b = self._pair(other)
         n = a.order
         bs = [(j, cj) for j, cj in enumerate(b.num) if cj]
         out = [0] * n
@@ -315,7 +300,7 @@ class Cyc:
 
     def inv(self) -> "Cyc":
         n = self.order
-        a = _reduce(n, self.num)
+        a = list(_reduce(n, self.num))
         while len(a) > 1 and not a[-1]:
             a.pop()
         if not any(a):
@@ -371,7 +356,7 @@ class Cyc:
     def reduced(self) -> "Cyc":
         """The same value with canonically reduced coefficients."""
         red = _reduce(self.order, self.num)
-        return Cyc._of(self.order, tuple(red + [0] * (self.order - len(red))), self.den)
+        return Cyc._of(self.order, red + (0,) * (self.order - len(red)), self.den)
 
     def as_fraction(self):
         """The value as a Fraction if it is rational, else None."""
@@ -415,8 +400,9 @@ class Cyc:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-# Cyc.__setattr__ refuses every assignment; values are filled in through
-# the slot descriptors, which is also cheaper than object.__setattr__.
+# Cyc.__setattr__ refuses every assignment, so values are filled in through
+# the slot descriptors, bound once here: a construction sets four slots, and
+# this costs less than four object.__setattr__ calls.
 _new = object.__new__
 _set_order = Cyc.order.__set__
 _set_num = Cyc.num.__set__

@@ -43,8 +43,9 @@ def scalar_to_json(x):
 
 @lru_cache(maxsize=4096)
 def _rational(text: str) -> Fraction:
-    """The value of a rational string.  Model files repeat a few coefficient
-    strings many times, so parsed values are kept (Fractions are immutable)."""
+    """The value of a rational string.  A model file holds only a few
+    distinct coefficient strings, so parsed values are kept (Fractions are
+    immutable)."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
