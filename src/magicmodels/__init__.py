@@ -20,7 +20,7 @@ from .groups import (
 )
 from .group_algebra import AlgebraElement, delta
 from .induced import (
-    InducedModel, StationarityReport, VirtuallyAbelianData,
+    InducedModel, VirtuallyAbelianData,
     check_stationarity, evaluate_at_character, frobenius_trace, induce,
 )
 from .magic import (
@@ -37,10 +37,9 @@ from .cyclic import (
     verify_k_symmetry,
 )
 from .quasiflat import (
-    LatinFamily, NoFamily, SparseLatinSquare, TraceReport, TraceVector,
-    UniformCertificate, classical_model_from_family, derangement_scan,
-    latin_family_search, quasiflat_dual_check, trace_vector_check,
-    uniform_check,
+    LatinFamily, NoFamily, SparseLatinSquare, classical_model_from_family,
+    derangement_scan, latin_family_search, quasiflat_dual_check,
+    trace_vector_check, uniform_check,
 )
 
 __version__ = "0.1.0"

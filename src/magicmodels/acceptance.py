@@ -97,7 +97,7 @@ def criterion_2(cap=DEFAULT_CAP):
         cases.append({
             "pair": label,
             "stationary": rep.passed,
-            "routes_agree": rep.routes_agree,
+            "routes_agree": rep.details["routes_agree"],
             "character_pairs": pairs,
             "traces_agree": traces_agree,
         })
@@ -269,7 +269,7 @@ def criterion_7(seed=0, samples=200, cap=DEFAULT_CAP):
             rep = trace_vector_check(u, k)
             flat, counts = _pattern_flat(k, bits)
             exact_checked += 1
-            if rep.passed != flat or tuple(sorted(rep.multiplicities)) != tuple(sorted(counts)):
+            if rep.passed != flat or sorted(rep.details["multiplicities"]) != sorted(counts):
                 disagreements += 1
 
     rs = numpy.random.RandomState(seed)
@@ -369,16 +369,17 @@ def criterion_10(cap=DEFAULT_CAP):
     neg = uniform_check(s3z2, [Perm.from_cycles(5, [(1, 2)]),
                                Perm.from_cycles(5, [(1, 3)]),
                                Perm.from_cycles(5, [(4, 5)])])
-    ok = pos1.uniform and pos2.uniform and not neg.uniform and neg.first_failing == 4
+    first_failing = neg.details["first_failing"]
+    ok = pos1.passed and pos2.passed and not neg.passed and first_failing == 4
     return {
         "criterion": 10,
         "name": "uniformity",
         "passed": ok,
         "details": {
-            "z2z2_uniform": pos1.uniform,
-            "s3_uniform": pos2.uniform,
-            "mixed_uniform": neg.uniform,
-            "mixed_first_failing": neg.first_failing,
+            "z2z2_uniform": pos1.passed,
+            "s3_uniform": pos2.passed,
+            "mixed_uniform": neg.passed,
+            "mixed_first_failing": first_failing,
         },
     }
 

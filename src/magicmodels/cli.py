@@ -62,11 +62,6 @@ class RunConfig:
             "out": self.out,
         }
 
-    @property
-    def tol(self):
-        """Comparison tolerance for checks: None selects exact equality."""
-        return self.tolerance if self.mode == "float" else None
-
 
 def _common_flags(p: argparse.ArgumentParser):
     mode = p.add_mutually_exclusive_group()
@@ -143,10 +138,16 @@ def _maybe_float(model, config: RunConfig):
     return model
 
 
-def _effective_tol(model, config: RunConfig):
-    if config.mode == "float" or model.mode == "float":
+def _tol(config: RunConfig, *inputs):
+    """Comparison tolerance: config.tolerance under --float or when any input
+    model or matrix is float, else None (exact equality)."""
+    if config.mode == "float" or any(m.mode == "float" for m in inputs):
         return config.tolerance
     return None
+
+
+def _status(rep) -> str:
+    return "pass" if rep.passed else "fail"
 
 
 def _handle_thoma(args, config):
@@ -154,19 +155,14 @@ def _handle_thoma(args, config):
     lam = sz.group_from_json(sz.load_json(args.lam), cap=config.cap)
     data = VirtuallyAbelianData.from_permutation_groups(gamma, lam)
     rep = check_stationarity(data, word_len=config.max_word_len)
-    witnesses = [{"element": e["element"], "value": str(e["value"]),
-                  "expected": str(e["expected"])} for e in rep.failures()]
-    status = "pass" if rep.passed else "fail"
-    return status, {"checked": rep.checked, "routes_agree": rep.routes_agree,
-                    "witnesses": witnesses}
+    return _status(rep), {"checked": rep.checked, **rep.details,
+                          "witnesses": list(rep.witnesses)}
 
 
 def _handle_magic_verify(args, config):
     model = sz.model_from_json(sz.load_json(args.model))
-    tol = _effective_tol(model, config)
-    model = _maybe_float(model, config)
-    rep = verify_magic(model, tol)
-    return ("pass" if rep.passed else "fail"), dict(sz.check_to_json(rep))
+    rep = verify_magic(_maybe_float(model, config), _tol(config, model))
+    return _status(rep), sz.check_to_json(rep)
 
 
 def _handle_orbits(args, config):
@@ -174,8 +170,7 @@ def _handle_orbits(args, config):
         raise sz.BadInput("orbits needs exactly one of --model or --group")
     if args.model is not None:
         source = sz.model_from_json(sz.load_json(args.model))
-        tol = _effective_tol(source, config)
-        orb = orbits_from_source(_maybe_float(source, config), tol)
+        orb = orbits_from_source(_maybe_float(source, config), _tol(config, source))
     else:
         orb = orbits_from_source(
             sz.group_from_json(sz.load_json(args.group), cap=config.cap))
@@ -192,10 +187,9 @@ def _handle_orbits(args, config):
 def _handle_stationarity(args, config):
     model = sz.model_from_json(sz.load_json(args.model))
     group = sz.group_from_json(sz.load_json(args.group), cap=config.cap)
-    tol = _effective_tol(model, config)
-    model = _maybe_float(model, config)
-    rep = stationarity_check(group, model, word_len=config.max_word_len, tol=tol)
-    return ("pass" if rep.passed else "fail"), dict(sz.check_to_json(rep))
+    rep = stationarity_check(group, _maybe_float(model, config),
+                             word_len=config.max_word_len, tol=_tol(config, model))
+    return _status(rep), sz.check_to_json(rep)
 
 
 def _parse_dual_input(payload):
@@ -211,8 +205,7 @@ def _parse_dual_input(payload):
 
 def _handle_dual_build(args, config):
     sizes, gens = _parse_dual_input(sz.load_json(args.input))
-    tol = config.tolerance if any(g.mode == "float" for g in gens) else config.tol
-    model = bichon_build(sizes, gens, tol)
+    model = bichon_build(sizes, gens, _tol(config, *gens))
     artifact = sz.model_to_json(model)
     if config.out:
         sz.dump_json(artifact, config.out)
@@ -248,7 +241,7 @@ def _handle_cyclic_build(args, config):
 def _handle_cyclic_verify(args, config):
     data = _parse_cyclic_input(sz.load_json(args.input), config)
     model = build_cyclic_model(data)
-    tol = _effective_tol(model, config)
+    tol = _tol(config, model)
     checked = _maybe_float(model, config)
     reports = [verify_half_liberation(checked, tol),
                verify_k_symmetry(checked, data.k, tol)]
@@ -292,17 +285,10 @@ def _handle_uniform_check(args, config):
     gens = [sz.perm_from_json(p) for p in payload["generators"]]
     if not gens:
         raise sz.BadInput("uniform-check needs a nonempty marked generating set")
-    cert = uniform_check(group, gens)
-    body = {
-        "uniform": cert.uniform,
-        "order": cert.order,
-        "count": cert.count,
-        "conditions": {str(k): v for k, v in cert.conditions.items()},
-        "first_failing": cert.first_failing,
-        "abelian_factors": list(cert.abelian_factors or ()),
-        "witnesses": [dict(w) for w in cert.witnesses],
-    }
-    return ("pass" if cert.uniform else "fail"), body
+    rep = uniform_check(group, gens)
+    # The int condition keys render as the strings "1" ... "4" in key order.
+    return _status(rep), {**rep.details, "uniform": rep.passed,
+                          "witnesses": list(rep.witnesses)}
 
 
 def _parse_flat_input(payload):
@@ -321,12 +307,11 @@ def _parse_flat_input(payload):
 
 def _handle_dual_flat(args, config):
     fibers, k, labels = _parse_flat_input(sz.load_json(args.input))
-    has_float = any(m.mode == "float" for per in fibers for m in per)
-    tol = config.tolerance if (has_float or config.mode == "float") else None
+    tol = _tol(config, *(m for per in fibers for m in per))
     if config.mode == "float":
         fibers = [[m.to_float() for m in per] for per in fibers]
     rep = quasiflat_dual_check(fibers, k, labels=labels, tol=tol)
-    return ("pass" if rep.passed else "fail"), dict(sz.check_to_json(rep))
+    return _status(rep), sz.check_to_json(rep)
 
 
 def _handle_suite(args, config):

@@ -287,15 +287,10 @@ def verify_k_symmetry(model: FiberModel, k: int | None = None,
         k = model.dim
     if k != model.dim:
         raise ShapeMismatch("fiber dimension does not match K")
-    if model.mode == "exact":
-        d_entries = [zeta(k, r) for r in range(k)]
-        factor = zeta(k, 1)
-    else:
-        d_entries = [complex(zeta(k, r).to_complex()) for r in range(k)]
-        factor = complex(zeta(k, 1).to_complex())
     dmat = CMatrix(model.mode,
-                   [[d_entries[r] if r == c else 0 for c in range(k)]
+                   [[zeta(k, r) if r == c else 0 for c in range(k)]
                     for r in range(k)])
+    factor = zeta(k, 1)
     dinv = dmat.adjoint()
     witnesses = []
     checked = 0

@@ -380,6 +380,8 @@ class Cyc:
                 total += complex(c / den) * cmath.exp(2j * cmath.pi * a / n)
         return total
 
+    __complex__ = to_complex
+
     def __repr__(self):
         f = self.as_fraction()
         if f is not None:

@@ -35,6 +35,7 @@ from .groups import (
     extend_generator_map,
     is_normal,
 )
+from .magic import CheckReport
 
 __all__ = [
     "AbelianWithFreePart",
@@ -381,18 +382,7 @@ def frobenius_trace(data: VirtuallyAbelianData, chi: CharacterOf, g) -> Cyc:
     return total
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    passed: bool
-    checked: int
-    entries: tuple
-    routes_agree: bool
-
-    def failures(self):
-        return [e for e in self.entries if not e["ok"]]
-
-
-def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> StationarityReport:
+def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> CheckReport:
     """Certify that averaging the induced model recovers delta at the
     identity.
 
@@ -400,8 +390,9 @@ def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> Station
     (identity-coefficient extraction and averaging the induced characters over
     the full dual of the subgroup); the routes must agree.  Split data with a
     free part: every word up to word_len in the canonical moves is tested by
-    coefficient extraction."""
-    entries = []
+    coefficient extraction.  Witnesses are the failing elements as strings
+    {element, value, expected}; details = {"routes_agree": bool}."""
+    tested = []
     routes_agree = True
     if data.finite and isinstance(data.lam, PermGroup):
         fin, _, chars = data.char_structure()
@@ -415,12 +406,7 @@ def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> Station
             char_value = char_total * Fraction(1, n_lam * data.n_reps)
             agree = char_value == value
             routes_agree = routes_agree and agree
-            entries.append({
-                "element": repr(g),
-                "value": value,
-                "expected": expected,
-                "ok": value == expected and agree,
-            })
+            tested.append((repr(g), value, expected, agree))
     else:
         moves = data.word_moves or []
         ident = data.gamma.identity
@@ -436,12 +422,8 @@ def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> Station
         for word, elem in seen_words:
             expected = Fraction(1) if elem == ident else Fraction(0)
             value = induce(data, elem).diagonal_identity_average()
-            entries.append({
-                "element": ".".join(word) or "e",
-                "value": value,
-                "expected": expected,
-                "ok": value == expected,
-            })
-    passed = routes_agree and all(e["ok"] for e in entries)
-    return StationarityReport(passed=passed, checked=len(entries),
-                              entries=tuple(entries), routes_agree=routes_agree)
+            tested.append((".".join(word) or "e", value, expected, True))
+    witnesses = tuple({"element": e, "value": str(v), "expected": str(x)}
+                      for e, v, x, agree in tested if not (v == x and agree))
+    return CheckReport("induced_stationarity", not witnesses, len(tested),
+                       witnesses, {"routes_agree": routes_agree})

@@ -114,6 +114,10 @@ def single_fiber(model: FiberModel, x: int) -> FiberModel:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The result of every check: the verdict, the number of cases tested,
+    the failing cases as JSON-ready dicts, and check-specific facts in
+    details, whose keys the producing function's docstring names."""
+
     name: str
     passed: bool
     checked: int
@@ -398,7 +402,8 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
     rank-one property of in-block entries is forced; that implication is
-    re-checked and a violation raises Inconsistent."""
+    re-checked, its verdict is details["single_point_flatness"], and a
+    violation raises Inconsistent."""
     if isinstance(reference, PermGroup):
         if reference.degree != model.n:
             raise ShapeMismatch("group degree does not match the model size")
@@ -478,14 +483,13 @@ def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
         weights = _point_weights(source)
         rows = [[_weighted_ntrace(weights, source.entries[i][j]) for j in range(n)]
                 for i in range(n)]
-        q = CMatrix("exact" if source.mode == "exact" else "float", rows)
+        q = CMatrix(source.mode, rows)
     else:
         raise TypeError("source must be a PermGroup or FiberModel")
     witnesses = []
     if not q.is_projection(tol):
         witnesses.append({"kind": "not_projection"})
-    ones = CMatrix("exact" if q.mode == "exact" else "float",
-                   [[1]] * q.rows)
+    ones = CMatrix(q.mode, [[1]] * q.rows)
     if not (q * ones).close_to(ones, tol):
         witnesses.append({"kind": "ones_not_fixed"})
     report = CheckReport("fixed_point_matrix", not witnesses, 2, tuple(witnesses))

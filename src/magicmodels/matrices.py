@@ -24,7 +24,6 @@ __all__ = [
     "CMatrix",
     "scalar_conj",
     "scalar_is_zero",
-    "scalar_to_complex",
     "scalars_equal",
     "spectral_multiplicities",
     "spectral_projection",
@@ -55,12 +54,6 @@ def scalars_equal(a, b, tol=None):
     if isinstance(a, complex) or isinstance(b, complex):
         return abs(complex(a) - complex(b)) <= (EPS if tol is None else tol)
     return a == b
-
-
-def scalar_to_complex(x) -> complex:
-    if isinstance(x, Cyc):
-        return x.to_complex()
-    return complex(x)
 
 
 def _scalar_div(a, b):
@@ -197,7 +190,7 @@ class CMatrix:
 
     def scale(self, s) -> "CMatrix":
         if self.mode == "float":
-            s = complex(s) if not isinstance(s, Cyc) else s.to_complex()
+            s = complex(s)
         return CMatrix(self.mode, [[s * a for a in row] for row in self.data])
 
     def _nonzero_rows(self) -> tuple:
@@ -290,9 +283,7 @@ class CMatrix:
     def to_float(self) -> "CMatrix":
         if self.mode == "float":
             return self
-        return CMatrix("float", [
-            [scalar_to_complex(x) for x in row] for row in self.data
-        ])
+        return CMatrix("float", self.data)
 
     # -- predicates ---------------------------------------------------------
 
@@ -300,11 +291,11 @@ class CMatrix:
         self._check_mode(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        for ra, rb in zip(self.data, other.data):
-            for a, b in zip(ra, rb):
-                if not scalars_equal(a, b, tol):
-                    return False
-        return True
+        if self.mode == "exact":
+            return self.data == other.data
+        tol = EPS if tol is None else tol
+        return all(abs(a - b) <= tol
+                   for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
 
     def __eq__(self, other):
         if not isinstance(other, CMatrix):
@@ -351,7 +342,7 @@ class CMatrix:
         return (self * self.adjoint()).is_identity(tol) and (self.adjoint() * self).is_identity(tol)
 
     def max_abs(self) -> float:
-        return max(abs(scalar_to_complex(x)) for row in self.data for x in row)
+        return max(abs(complex(x)) for row in self.data for x in row)
 
     def rank(self, tol=None) -> int:
         """Rank by Gaussian elimination; float mode zeroes entries below
@@ -433,10 +424,7 @@ def _fourier_sum(powers: list, a: int) -> CMatrix:
     n, mode = powers[0].rows, powers[0].mode
     acc = CMatrix.zeros(n, n, mode)
     for b, power in enumerate(powers):
-        w = zeta(k, (-a * b) % k)
-        if mode == "float":
-            w = w.to_complex()
-        acc = acc + power.scale(w)
+        acc = acc + power.scale(zeta(k, (-a * b) % k))
     return acc.scale(Fraction(1, k) if mode == "exact" else 1.0 / k)
 
 
@@ -465,7 +453,7 @@ def _traces_and_multiplicities(u: CMatrix, k: int, tol=None) -> tuple:
         else:
             total = 0j
             for b, t in enumerate(traces):
-                total += zeta(k, (-a * b) % k).to_complex() * t
+                total += complex(zeta(k, (-a * b) % k)) * t
             total /= k
             m = round(total.real)
             lim = (EPS if tol is None else tol) * n * k

@@ -3,7 +3,7 @@ uniform-generator certification, and trace-vector eigenvalue criteria.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,7 +36,6 @@ __all__ = [
     "LatinFamily",
     "NoFamily",
     "SparseLatinSquare",
-    "TraceVector",
     "classical_model_from_family",
     "derangement_scan",
     "latin_family_search",
@@ -214,23 +213,15 @@ def classical_model_from_family(group: PermGroup, fam: LatinFamily) -> FiberMode
     return model
 
 
-@dataclass(frozen=True)
-class UniformCertificate:
-    uniform: bool
-    order: int | None
-    count: int
-    conditions: dict = field(default_factory=dict)
-    first_failing: int | None = None
-    abelian_factors: tuple = ()
-    witnesses: tuple = ()
-
-
-def uniform_check(group: PermGroup, generators) -> UniformCertificate:
+def uniform_check(group: PermGroup, generators) -> CheckReport:
     """Certify the four uniform-generator conditions: (1) the listed elements
     generate the group; (2) they share a common order K; (3) sending the i-th
     coordinate generator of Z_K^M to the class of g_i defines a surjection
     onto the abelianization; (4) every transposition of two generators
-    extends to an automorphism."""
+    extends to an automorphism.  One witness per failing condition; details
+    are the common `order` (None unless (2) holds), the generator `count`,
+    the verdict per condition in `conditions`, `first_failing` and the
+    `abelian_factors` of the abelianization."""
     gens = list(generators)
     m_count = len(gens)
     witnesses = []
@@ -284,49 +275,29 @@ def uniform_check(group: PermGroup, generators) -> UniformCertificate:
     if not swap_ok:
         witnesses.append({"condition": 4, "pair": swap_witness})
     failing = [c for c in (1, 2, 3, 4) if not conditions[c]]
-    return UniformCertificate(
-        uniform=not failing,
-        order=common if conditions[2] else None,
-        count=m_count,
-        conditions=conditions,
-        first_failing=failing[0] if failing else None,
-        abelian_factors=ab.factors,
-        witnesses=tuple(witnesses),
-    )
+    details = {"order": common if conditions[2] else None, "count": m_count,
+               "conditions": conditions,
+               "first_failing": failing[0] if failing else None,
+               "abelian_factors": ab.factors}
+    return CheckReport("uniform", not failing, 4, tuple(witnesses), details)
 
 
-@dataclass(frozen=True)
-class TraceVector:
-    """The K power traces (Tr(U^a)) for a = 0, ..., K-1."""
-
-    values: tuple
-
-    @property
-    def dimension(self):
-        return self.values[0]
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    passed: bool
-    trace: TraceVector
-    multiplicities: tuple
-
-
-def trace_vector_check(u: CMatrix, k: int, tol=None) -> TraceReport:
-    """True iff the power-trace vector is (K, 0, ..., 0); cross-validated
-    against all spectral multiplicities being 1."""
+def trace_vector_check(u: CMatrix, k: int, tol=None) -> CheckReport:
+    """Passes iff the power-trace vector (Tr U^a) for a < K is (K, 0, ..., 0);
+    cross-validated against all spectral multiplicities being 1.  One witness
+    per power whose trace is off; details are the K power traces in `trace`
+    and the eigenvalue `multiplicities`."""
     if u.rows != k:
         raise ShapeMismatch(f"need a {k} x {k} matrix for order {k}")
     _check_spectral_pre(u, k, tol)
     traces, mults = _traces_and_multiplicities(u, k, tol)
-    flat = scalars_equal(traces[0], k, tol) and all(
-        scalars_equal(t, 0, tol) for t in traces[1:])
-    mult_flat = all(m == 1 for m in mults)
-    if flat != mult_flat:
+    witnesses = tuple({"power": a, "trace": str(t)} for a, t in enumerate(traces)
+                      if not scalars_equal(t, k if a == 0 else 0, tol))
+    if (not witnesses) != all(m == 1 for m in mults):
         raise Inconsistent(
             "trace vector and spectral multiplicities disagree")
-    return TraceReport(flat, TraceVector(traces), mults)
+    return CheckReport("trace_vector", not witnesses, k, witnesses,
+                       {"trace": traces, "multiplicities": mults})
 
 
 def quasiflat_dual_check(generator_fibers, k: int, labels=None,
@@ -353,7 +324,7 @@ def quasiflat_dual_check(generator_fibers, k: int, labels=None,
             if not report.passed:
                 fiber_flat = False
                 witnesses.append({"generator": i + 1, "point": labels[x],
-                                  "trace": [str(t) for t in report.trace.values]})
+                                  "trace": [str(t) for t in report.details["trace"]]})
         model = bichon_build([k] * len(gens), [f[x] for f in gens], tol)
         flat = quasi_flat_check(model, orbits_from_source([k] * len(gens)), tol)
         if flat.passed != fiber_flat:

@@ -240,8 +240,7 @@ def square_from_json(v) -> SparseLatinSquare:
 
 
 def check_to_json(report) -> dict:
-    """JSON form of a CheckReport-shaped result (name/passed/checked/
-    witnesses/details)."""
+    """JSON form of a CheckReport: its five fields."""
     return {
         "name": report.name,
         "passed": report.passed,

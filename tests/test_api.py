@@ -30,6 +30,8 @@ def test_package_imports_resolve():
 
 @pytest.mark.parametrize("module, name", [
     ("matrices", "FnMatrix"), ("magic", "MagicModel"), ("cyclic", "CyclicModel"),
+    ("induced", "StationarityReport"), ("quasiflat", "UniformCertificate"),
+    ("quasiflat", "TraceReport"), ("quasiflat", "TraceVector"),
 ])
 def test_merged_model_types_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"magicmodels.{module}"), name)

@@ -1,11 +1,14 @@
 """Command-line behavior: reports, artifacts, and exit codes."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import magicmodels
 from magicmodels import serialize as sz
 from magicmodels.cli import dispatch
 from magicmodels.cyclotomic import zeta
@@ -51,6 +54,8 @@ def files(tmp_path_factory):
         "a3": put("a3.json", _group_payload(3, [(1, 2, 3)])),
         "z3": put("z3.json", _group_payload(3, [(1, 2, 3)])),
         "d4": put("d4.json", _group_payload(4, [(1, 2, 3, 4)], [(1, 3)])),
+        "d4_t13": put("d4_t13.json", _group_payload(4, [(1, 3)])),
+        "z2z2": put("z2z2.json", _group_payload(4, [(1, 2)], [(3, 4)])),
         "klein6": put("klein6.json",
                       _group_payload(6, [(1, 2), (3, 4)], [(1, 2), (5, 6)])),
         "s3z2": put("s3z2.json",
@@ -357,10 +362,14 @@ def test_suite_command_passes(capsys):
 
 
 def test_module_entry_point(files):
+    # The child imports the package from where this process found it.
+    src = str(Path(magicmodels.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run(
         [sys.executable, "-m", "magicmodels.cli", "orbits", "--group",
          files["klein6"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["status"] == "pass"
@@ -391,3 +400,32 @@ def test_build_artifacts_keep_their_bytes(capsys, tmp_path):
         code, _, _ = run_cli(capsys, command, "--input", str(src), "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS[command]
+
+
+# sha256 of the stdout of check commands: a change to the result types or to
+# the CLI code that renders them must keep every report's bytes.  The commands
+# run in the input directory, so the config echo holds bare file names.
+GOLDEN_REPORTS = {
+    ("thoma-check", "--group", "s3.json", "--lambda", "a3.json"):
+        "2025ea0522ebb15a2c27af16bc447529f81fba8db3499c94019831bc651c0f14",
+    ("thoma-check", "--group", "d4.json", "--lambda", "d4_t13.json"):
+        "73b7f0371bf188cf3e93eb0d8b3cd60e6511a23020b31b9ed77ff5faf9ee6144",
+    ("uniform-check", "--group", "z2z2.json"):
+        "f9595037abb26a3e337f109e6fa0001c2a8a21058e8fee66b86bb1260a528377",
+    ("uniform-check", "--group", "s3z2.json"):
+        "f839fade72e588bdf6ef9871e5c20a35563cdb13121a6f8cb03b426576e8a08f",
+    ("latin-search", "--group", "klein6.json"):
+        "807dcc3869d07c854ae21886eb8189c196f943bd755ba03d282207c2172fd864",
+    ("magic-verify", "--model", "broken_model.json"):
+        "92820ed3bfde362b0923de495232430e01cac5feb35e189aa81d498e881ec0fc",
+    ("dual-flat-check", "--input", "flat_bad.json"):
+        "7e3ede6a1dbc62ed94921fd82a58b9ae75adb58424679dc8e323702e234ec784",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_reports_keep_their_bytes(files, capsys, monkeypatch, argv):
+    monkeypatch.chdir(files["root"])
+    dispatch(list(argv))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv], out

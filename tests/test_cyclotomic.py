@@ -358,3 +358,11 @@ def test_zero_verdict_stays_on_its_instance():
     for other in (z + 1, z + zeta(3), z * 1 + zeta(6), Cyc(3, (1, 1, 1)) + 2):
         assert other and not other.is_zero()
     assert 0 + a is a and a * 1 is a
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyc_pairs())
+def test_complex_of_cyc_is_to_complex(pair):
+    a, _ = pair
+    assert type(complex(a)) is complex
+    assert _bits(complex(a)) == _bits(a.to_complex())

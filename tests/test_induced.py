@@ -75,7 +75,7 @@ def test_stationarity_all_pairs(s3, d4):
     ]
     for data in cases:
         rep = check_stationarity(data)
-        assert rep.passed and rep.routes_agree
+        assert rep.passed and rep.details["routes_agree"]
         assert rep.checked == data.gamma.order
 
 
@@ -122,4 +122,4 @@ def test_finite_split_matches_permutation_route(s3):
     split = VirtuallyAbelianData.split(0, [3], phi, [[[-1]]])
     assert split.finite
     srep = check_stationarity(split)
-    assert srep.passed and srep.routes_agree
+    assert srep.passed and srep.details["routes_agree"]

@@ -147,6 +147,21 @@ def test_dual_reference_stationarity_order_two(m2):
     assert st.passed, st.witnesses[:2]
 
 
+@pytest.mark.parametrize("factors", [[2, 2], [4]])
+def test_float_stationarity_against_dual_reference(factors):
+    """Float words of a block model compare with the exact Cyc values of its
+    dual reference, and check as many words as the exact run."""
+    group = FinAbelian(factors)
+    reg = regular_rep(group)
+    gens = [(group.generator(i), k) for i, k in enumerate(factors)]
+    model = bichon_build(factors, [reg[g] for g, _ in gens])
+    ref = DualWordReference.from_block_generators(group, gens)
+    exact = stationarity_check(ref, model, word_len=3)
+    assert exact.passed and exact.checked == 4369
+    approx = stationarity_check(ref, model.to_float(), word_len=3, tol=1e-9)
+    assert approx.passed and approx.checked == exact.checked
+
+
 @pytest.fixture(scope="module")
 def m4():
     r4 = CMatrix.exact([[0, 0, 0, 1], [1, 0, 0, 0],

@@ -30,6 +30,13 @@ def test_construction_and_entry():
     assert CMatrix.zeros(2, 3).is_zero()
 
 
+def test_float_matrix_takes_cyc_entries():
+    m = CMatrix.floating([[zeta(3), Fraction(1, 2)], [0, zeta(8, 3)]])
+    assert m.data == ((zeta(3).to_complex(), 0.5 + 0j), (0j, zeta(8, 3).to_complex()))
+    assert m.data == CMatrix.exact([[zeta(3), Fraction(1, 2)], [0, zeta(8, 3)]]).to_float().data
+    assert m.scale(zeta(4)).data[0][0] == zeta(4).to_complex() * zeta(3).to_complex()
+
+
 def test_mode_mixing_rejected():
     a = CMatrix.exact([[1]])
     b = CMatrix.floating([[1.0]])
@@ -242,3 +249,29 @@ def test_zero_and_diagonal_predicates_match_entrywise_tests(pair):
             for j, x in enumerate(row) if i != j)
         assert m.is_zero(4 * EPS) == all(
             scalar_is_zero(x, 4 * EPS) for row in m.data for x in row)
+
+
+@st.composite
+def near_pairs(draw, scalars, mode):
+    """Two matrices of one shape; each entry of the second is the first's,
+    the first's plus an unreduced zero or a small float, or a fresh draw."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = [[draw(scalars) for _ in range(c)] for _ in range(r)]
+    shift = st.sampled_from(UNREDUCED_ZEROS) if mode == "exact" else FLOAT_SCALARS
+
+    def twin(x):
+        pick = draw(st.integers(0, 2))
+        return x if pick == 0 else x + draw(shift) if pick == 1 else draw(scalars)
+
+    return CMatrix(mode, a), CMatrix(mode, [[twin(x) for x in row] for row in a])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(near_pairs(EXACT_SCALARS, "exact"), near_pairs(FLOAT_SCALARS, "float")),
+       st.sampled_from([None, 0.0, EPS, 4 * EPS]))
+def test_close_to_matches_entrywise_scalars_equal(pair, tol):
+    a, b = pair
+    want = all(scalars_equal(x, y, tol)
+               for ra, rb in zip(a.data, b.data) for x, y in zip(ra, rb))
+    assert a.close_to(b, tol) is want
+    assert b.close_to(a, tol) is want

@@ -162,12 +162,13 @@ def test_uniform_certificates_positive():
     z2z2 = pg(4, [(1, 2)], [(3, 4)])
     cert = uniform_check(z2z2, [Perm.from_cycles(4, [(1, 2)]),
                                 Perm.from_cycles(4, [(3, 4)])])
-    assert cert.uniform and cert.order == 2 and cert.count == 2
+    assert cert.passed
+    assert cert.details["order"] == 2 and cert.details["count"] == 2
     s3 = pg(3, [(1, 2)], [(1, 3)])
     cert3 = uniform_check(s3, [Perm.from_cycles(3, [(1, 2)]),
                                Perm.from_cycles(3, [(1, 3)])])
-    assert cert3.uniform and cert3.order == 2
-    assert cert3.abelian_factors == (2,)
+    assert cert3.passed and cert3.details["order"] == 2
+    assert cert3.details["abelian_factors"] == (2,)
 
 
 def test_uniform_certificate_negative_swap_obstruction():
@@ -176,19 +177,21 @@ def test_uniform_certificate_negative_swap_obstruction():
     cert = uniform_check(s3z2, [Perm.from_cycles(5, [(1, 2)]),
                                 Perm.from_cycles(5, [(1, 3)]),
                                 Perm.from_cycles(5, [(4, 5)])])
-    assert not cert.uniform
-    assert cert.conditions[1] and cert.conditions[2] and cert.conditions[3]
-    assert cert.first_failing == 4
+    assert not cert.passed
+    assert cert.details["conditions"] == {1: True, 2: True, 3: True, 4: False}
+    assert cert.details["first_failing"] == 4
+    assert cert.witnesses == ({"condition": 4, "pair": (1, 3)},)
 
 
 def test_trace_vector_values():
     t1 = trace_vector_check(CMatrix.exact([[1, 0], [0, -1]]), 2)
-    assert t1.passed and t1.trace.values == (2, 0)
+    assert t1.passed and t1.details["trace"] == (2, 0) and t1.witnesses == ()
     t2 = trace_vector_check(CMatrix.identity(2), 2)
-    assert not t2.passed and t2.trace.values == (2, 2)
+    assert not t2.passed and t2.details["trace"] == (2, 2)
+    assert t2.witnesses == ({"power": 1, "trace": "2"},)
     shift3 = CMatrix.exact([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     t3 = trace_vector_check(shift3, 3)
-    assert t3.passed and t3.multiplicities == (1, 1, 1)
+    assert t3.passed and t3.details["multiplicities"] == (1, 1, 1)
 
 
 def test_trace_vector_agrees_with_multiplicities_exhaustively():
@@ -199,7 +202,7 @@ def test_trace_vector_agrees_with_multiplicities_exhaustively():
             rep = trace_vector_check(u, k)
             mults = spectral_multiplicities(u, k)
             assert rep.passed is all(m == 1 for m in mults), exps
-            assert rep.multiplicities == mults
+            assert rep.details["multiplicities"] == mults
 
 
 def test_trace_vector_agrees_with_multiplicities_float():
@@ -246,7 +249,7 @@ def test_trace_vector_multiplicities_match_spectral_multiplicities():
         for mask in range(2 ** k):
             bits = [(mask >> j) & 1 for j in range(k)]
             u = CMatrix.diagonal(_pattern_entries(k, bits))
-            assert trace_vector_check(u, k).multiplicities == \
+            assert trace_vector_check(u, k).details["multiplicities"] == \
                 spectral_multiplicities(u, k), (k, bits)
     rng = np.random.RandomState(11)
     for k in (2, 3, 5):
@@ -257,7 +260,7 @@ def test_trace_vector_multiplicities_match_spectral_multiplicities():
             arr = q @ diag @ q.conj().T
             u = CMatrix.floating([[complex(arr[i, j]) for j in range(k)]
                                   for i in range(k)])
-            assert trace_vector_check(u, k, tol=1e-8).multiplicities == \
+            assert trace_vector_check(u, k, tol=1e-8).details["multiplicities"] == \
                 spectral_multiplicities(u, k, tol=1e-8), (k, exps)
 
 
