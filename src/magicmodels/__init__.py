@@ -27,8 +27,8 @@ from .magic import (
     CheckReport, DualWordReference, FiberModel, OrbitStructure,
     StateOnWords, bichon_build, block_projection, convolution_idempotency,
     dual_group_stationarity, fixed_point_matrix, haar_word_classical,
-    orbits_from_source, quasi_flat_check, regular_rep, single_fiber,
-    stationarity_check, verify_magic,
+    orbits_from_source, quasi_flat_check, regular_rep, shortest_difference,
+    single_fiber, stationarity_check, verify_magic,
 )
 from .matrices import CMatrix, spectral_multiplicities, spectral_projection
 from .cyclic import (

@@ -5,14 +5,21 @@ on a finite weighted point set.  Certification is word-based: the state
 word -> sum_x w_x ntrace(P_{i1 j1}(x) ... P_{im jm}(x)) is compared against a
 reference Haar state, either counting permutations (classical reference) or
 extracting the identity coefficient in a group algebra (dual reference).
+
+Both states are weighted automata over the letters u_ij.  An exact verdict is
+decided by automaton equivalence (shortest_difference), which builds no word
+table; the witnesses of a failing check are enumerated from the word tables
+only then.  A float check stays a bounded comparison of the word tables.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import zeta
+from .cyclotomic import Cyc, zeta
 from .errors import (
     Inconsistent,
     ModeMismatch,
@@ -27,6 +34,7 @@ from .matrices import (
     _check_spectral_pre,
     _fourier_sum,
     _powers,
+    _scalar_div,
     scalars_equal,
 )
 
@@ -44,6 +52,7 @@ __all__ = [
     "orbits_from_source",
     "quasi_flat_check",
     "regular_rep",
+    "shortest_difference",
     "single_fiber",
     "stationarity_check",
     "verify_magic",
@@ -296,6 +305,134 @@ def _weighted_ntrace(weights, fibers, zero=None):
     return zero if total is None else total
 
 
+def _letters(n: int) -> list:
+    """The coordinates (i, j), 0-based, in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
+# A state on words as a weighted automaton: `start` is its state after the
+# empty word, `step` reads one more letter (i, j), `value` is the state's
+# number for the word read so far, and a state that `is_zero` gives its value
+# to every extension.  `coordinates` are the nonzero entries of the vector on
+# which each step acts linearly; the keys of a model state and of a reference
+# state never coincide.
+
+class _ModelWords:
+    """The model state: at each point, the product of the fibers of the word
+    read so far, None where that product is zero."""
+
+    def __init__(self, model: FiberModel):
+        self.weights = _point_weights(model)
+        self.zero = 0 if model.mode == "exact" else 0j
+        self.fibers = {letter: tuple(None if f.is_zero() else f
+                                     for f in model.entries[letter[0]][letter[1]])
+                       for letter in _letters(model.n)}
+        self.start = (CMatrix.identity(model.dim, model.mode),) * model.n_points
+
+    def step(self, prods, letter):
+        nxt = []
+        for p, f in zip(prods, self.fibers[letter]):
+            q = None
+            if p is not None and f is not None:
+                q = p * f
+                if q.is_zero():
+                    q = None
+            nxt.append(q)
+        return nxt
+
+    def value(self, prods):
+        return _weighted_ntrace(self.weights, prods, self.zero)
+
+    def is_zero(self, prods) -> bool:
+        return all(p is None for p in prods)
+
+    def coordinates(self, prods) -> list:
+        return [((x, r, c), v) for x, p in enumerate(prods) if p is not None
+                for r, row in enumerate(p._nonzero_rows()) for c, v in row]
+
+
+class _GroupWords:
+    """The Haar state of a permutation group: the elements g with g(j) = i
+    for every letter (i, j) read so far."""
+
+    def __init__(self, group: PermGroup):
+        self.order = group.order
+        self.start = list(group.elements)
+
+    def step(self, survivors, letter):
+        i, j = letter
+        return [s for s in survivors if s(j + 1) == i + 1]
+
+    def value(self, survivors):
+        return Fraction(len(survivors), self.order)
+
+    def is_zero(self, survivors) -> bool:
+        return not survivors
+
+    def coordinates(self, survivors) -> list:
+        return [(("g", s), 1) for s in survivors]
+
+
+class _DualWords:
+    """The Haar state of a group dual: the group-algebra product of the
+    coordinates read so far."""
+
+    def __init__(self, ref: DualWordReference):
+        self.coords = ref.coords
+        self.start = AlgebraElement.one(ref.group)
+
+    def step(self, acc, letter):
+        return acc * self.coords[letter]
+
+    def value(self, acc):
+        return acc.at_identity()
+
+    def is_zero(self, acc) -> bool:
+        return acc.is_zero()
+
+    def coordinates(self, acc) -> list:
+        return [(("g", g), c) for g, c in acc.coeffs.items()]
+
+
+def _reference_words(reference, n: int):
+    """The automaton of a reference Haar state on n x n coordinate words."""
+    if isinstance(reference, PermGroup):
+        if reference.degree != n:
+            raise ShapeMismatch("group degree does not match the model size")
+        return _GroupWords(reference)
+    if isinstance(reference, DualWordReference):
+        if reference.n != n:
+            raise ShapeMismatch("reference size does not match the model size")
+        return _DualWords(reference)
+    raise TypeError("reference must be a PermGroup or DualWordReference")
+
+
+def _word_table(words, n: int, bound: int) -> dict:
+    """The automaton's value on every word up to the bound, in depth-first
+    order.  Below a zero state no step is taken: every extension gets the
+    zero state's value, which is what the steps would give."""
+    letters = _letters(n)
+    table = {}
+
+    def fill(word, value):
+        table[word] = value
+        if len(word) < bound:
+            for letter in letters:
+                fill(word + (letter,), value)
+
+    def rec(word, state):
+        if words.is_zero(state):
+            fill(word, words.value(state))
+            return
+        table[word] = words.value(state)
+        if len(word) < bound:
+            for letter in letters:
+                rec(word + (letter,), words.step(state, letter))
+
+    rec((), words.start)
+    return table
+
+
 class StateOnWords:
     """A state evaluated on all coordinate words up to a length bound."""
 
@@ -309,82 +446,22 @@ class StateOnWords:
 
     def words_by_length(self):
         """All words in length-major, lexicographic order."""
-        letters = list(itertools.product(range(self.n), repeat=2))
+        letters = _letters(self.n)
         for m in range(self.bound + 1):
             for combo in itertools.product(letters, repeat=m):
                 yield combo
 
     @classmethod
     def from_model(cls, model: FiberModel, bound: int) -> "StateOnWords":
-        n = model.n
-        zero = 0 if model.mode == "exact" else 0j
-        weights = _point_weights(model)
-        # Each letter with its fibers, None where the fiber is zero.
-        letters = [((i, j), tuple(None if f.is_zero() else f for f in model.entries[i][j]))
-                   for i in range(n) for j in range(n)]
-        table = {}
-
-        def fill(word):
-            # The prefix products vanish at every point: the word and all
-            # its extensions are worth the mode's zero.
-            table[word] = zero
-            if len(word) < bound:
-                for letter, _ in letters:
-                    fill(word + (letter,))
-
-        def rec(word, prods):
-            table[word] = _weighted_ntrace(weights, prods, zero)
-            if len(word) == bound:
-                return
-            for letter, fibers in letters:
-                nxt = []
-                for p, f in zip(prods, fibers):
-                    q = None
-                    if p is not None and f is not None:
-                        q = p * f
-                        if q.is_zero():
-                            q = None
-                    nxt.append(q)
-                if any(q is not None for q in nxt):
-                    rec(word + (letter,), nxt)
-                else:
-                    fill(word + (letter,))
-
-        start = [CMatrix.identity(model.dim, model.mode)] * model.n_points
-        rec((), start)
-        return cls(n, bound, table)
+        return cls(model.n, bound, _word_table(_ModelWords(model), model.n, bound))
 
     @classmethod
     def from_group(cls, group: PermGroup, n: int, bound: int) -> "StateOnWords":
-        table = {}
-        order = group.order
-
-        def rec(word, survivors):
-            table[word] = Fraction(len(survivors), order)
-            if len(word) == bound:
-                return
-            for i in range(n):
-                for j in range(n):
-                    keep = [s for s in survivors if s(j + 1) == i + 1]
-                    rec(word + ((i, j),), keep)
-
-        rec((), list(group.elements))
-        return cls(n, bound, table)
+        return cls(n, bound, _word_table(_GroupWords(group), n, bound))
 
     @classmethod
     def from_dual(cls, ref: DualWordReference, bound: int) -> "StateOnWords":
-        table = {}
-
-        def rec(word, acc):
-            table[word] = acc.at_identity()
-            if len(word) == bound:
-                return
-            for i in range(ref.n):
-                for j in range(ref.n):
-                    rec(word + ((i, j),), acc * ref.coords[(i, j)])
-
-        rec((), AlgebraElement.one(ref.group))
-        return cls(ref.n, bound, table)
+        return cls(ref.n, bound, _word_table(_DualWords(ref), ref.n, bound))
 
 
 def _word_label(word) -> str:
@@ -393,46 +470,114 @@ def _word_label(word) -> str:
     return " ".join(f"u[{i + 1},{j + 1}]" for i, j in word)
 
 
+def _minus(vec: dict, c, row: dict) -> dict:
+    """vec - c * row, keeping the nonzero entries only."""
+    out = dict(vec)
+    for k, x in row.items():
+        out[k] = out.get(k, 0) - c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _enlarges_span(basis: dict, vec: dict) -> bool:
+    """Whether the sparse vector vec lies outside the span of basis; if it
+    does, it joins the basis.  basis maps each pivot key to its row, a sparse
+    vector that is 1 at its pivot and 0 at every other pivot (reduced
+    row-echelon form), so vec is reduced by one row per pivot it holds."""
+    for p in [k for k in vec if k in basis]:
+        vec = _minus(vec, vec[p], basis[p])
+    if not vec:
+        return False
+    pivot, head = next(iter(vec.items()))
+    inv = _scalar_div(1, head)
+    row = {k: x * inv for k, x in vec.items()}
+    for q, other in basis.items():
+        if pivot in other:
+            basis[q] = _minus(other, other[pivot], row)
+    basis[pivot] = row
+    return True
+
+
+def shortest_difference(reference, model: FiberModel, max_len=None):
+    """A shortest word, as a tuple of 0-based letters (i, j), on which the
+    state of an exact model differs from the Haar state of the reference (a
+    classical permutation group or a DualWordReference); None when the two
+    agree on every word, or on every word of length at most max_len.
+
+    Both states are weighted automata (Schützenberger 1961).  A word's joint
+    vector holds the model's fiber products at every point and the
+    reference's state; each letter acts on it linearly, and each state is a
+    linear function of it.  Words are read breadth-first in length-major
+    order, and only a word whose vector enlarges the span of the vectors kept
+    so far is kept and extended, so the search stops once the span stops
+    growing and reads at most n^2 words per kept vector (Tzeng 1992, SIAM J.
+    Comput. 21).  Every word's vector is a combination of kept vectors of
+    words no longer than it, so the states agree on every word if they agree
+    on the kept words, and the first word on which they differ is a shortest
+    one."""
+    if model.mode != "exact":
+        raise ModeMismatch("the automaton search needs an exact model")
+    ref = _reference_words(reference, model.n)
+    mod = _ModelWords(model)
+    letters = _letters(model.n)
+    basis = {}
+    queue = deque([((), mod.start, ref.start)])
+    while queue:
+        word, p, r = queue.popleft()
+        if not scalars_equal(mod.value(p), ref.value(r)):
+            return word
+        vec = dict(mod.coordinates(p) + ref.coordinates(r))
+        if _enlarges_span(basis, vec) and (max_len is None or len(word) < max_len):
+            for letter in letters:
+                queue.append((word + (letter,), mod.step(p, letter), ref.step(r, letter)))
+    return None
+
+
 def stationarity_check(reference, model: FiberModel, word_len: int = 3,
                        tol=None) -> CheckReport:
     """Compare the model state with the reference Haar state on every word up
     to the bound.  The reference is a classical permutation group or a
     DualWordReference.
 
+    An exact model is decided by shortest_difference up to the bound.  When
+    the states agree, the report passes with every word counted, and no word
+    table is built.  Otherwise the word tables list the witnesses in
+    length-major order, and the automaton's word must be one of them, as
+    long as the first (or, past the bound, the tables must agree); any other
+    outcome raises Inconsistent.  A float model is compared on the tables
+    alone, since a rank decision under a tolerance is no proof.
+
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
     rank-one property of in-block entries is forced; that implication is
     re-checked, its verdict is details["single_point_flatness"], and a
     violation raises Inconsistent."""
-    if isinstance(reference, PermGroup):
-        if reference.degree != model.n:
-            raise ShapeMismatch("group degree does not match the model size")
-        ref_state = StateOnWords.from_group(reference, model.n, word_len)
-        orbit_src = reference
-    elif isinstance(reference, DualWordReference):
-        if reference.n != model.n:
-            raise ShapeMismatch("reference size does not match the model size")
-        ref_state = StateOnWords.from_dual(reference, word_len)
-        orbit_src = None
-    else:
-        raise TypeError("reference must be a PermGroup or DualWordReference")
-    model_state = StateOnWords.from_model(model, word_len)
+    _reference_words(reference, model.n)  # rejects a bad reference in either mode
+    exact = model.mode == "exact"
+    shortest = shortest_difference(reference, model, word_len) if exact else None
     witnesses = []
-    checked = 0
-    for word in model_state.words_by_length():
-        checked += 1
-        ref_v = ref_state.table[word]
-        mod_v = model_state.table[word]
-        if not scalars_equal(ref_v, mod_v, tol):
-            witnesses.append({
-                "word": _word_label(word),
-                "reference": str(ref_v),
-                "model": str(mod_v),
-            })
+    if exact and shortest is None:
+        checked = sum((model.n * model.n) ** m for m in range(word_len + 1))
+    else:
+        if isinstance(reference, PermGroup):
+            ref_state = StateOnWords.from_group(reference, model.n, word_len)
+        else:
+            ref_state = StateOnWords.from_dual(reference, word_len)
+        model_state = StateOnWords.from_model(model, word_len)
+        failing = [word for word in model_state.words_by_length()
+                   if not scalars_equal(ref_state.table[word], model_state.table[word], tol)]
+        checked = len(model_state.table)
+        if shortest is not None and (
+                bool(failing) != (len(shortest) <= word_len)
+                or failing and (len(failing[0]) != len(shortest) or shortest not in failing)):
+            raise Inconsistent("the automaton search and the word tables disagree")
+        witnesses = [{"word": _word_label(word),
+                      "reference": str(ref_state.table[word]),
+                      "model": str(model_state.table[word])} for word in failing]
     passed = not witnesses
     details = {}
-    if (passed and word_len >= 2 and model.n_points == 1 and orbit_src is not None):
-        orbits = orbits_from_source(orbit_src)
+    if (passed and word_len >= 2 and model.n_points == 1
+            and isinstance(reference, PermGroup)):
+        orbits = orbits_from_source(reference)
         if orbits.quasi_transitive and orbits.block_size == model.dim:
             flat = quasi_flat_check(model, orbits, tol)
             details["single_point_flatness"] = flat.passed
@@ -442,28 +587,70 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     return CheckReport("stationarity", passed, checked, tuple(witnesses), details)
 
 
+def _convolution_term(table, word, mids):
+    """phi(i_1 k_1 ... i_m k_m) * phi(k_1 j_1 ... k_m j_m) for the word
+    (i_1 j_1) ... (i_m j_m) and the middle tuple k."""
+    left = tuple((i, k) for (i, _), k in zip(word, mids))
+    right = tuple((k, j) for (_, j), k in zip(word, mids))
+    return table[left] * table[right]
+
+
+def _has_negative_zero(x) -> bool:
+    """Whether x is complex with a real or imaginary part of -0.0."""
+    return isinstance(x, complex) and any(
+        part == 0 and math.copysign(1.0, part) < 0 for part in (x.real, x.imag))
+
+
 def convolution_idempotency(state: StateOnWords, tol=None) -> CheckReport:
     """Whether the state equals its own convolution square on every word up
-    to the bound."""
-    n = state.n
+    to the bound.
+
+    The square at a word of length m sums one _convolution_term per middle
+    tuple in [n]^m, in increasing order.  Only the terms whose two factors
+    are nonzero are added, found by matching the column tuples of the nonzero
+    words with the row tuples of the nonzero words, in the same order; a word
+    with no such term takes the first term of the full sum.  The terms left
+    out are zero, but they could still change how the sum prints, so the sum
+    is brought to the full sum's form: a Cyc is lifted to the order that
+    every term of the full sum gives it, and a float sum with a -0.0 part,
+    whose sign the zero terms decide, is recomputed over every middle tuple."""
+    table = state.table
+    by_rows, orders = {}, {}
+    for word, v in table.items():
+        rows = tuple(i for i, _ in word)
+        cols = tuple(j for _, j in word)
+        if v:
+            by_rows.setdefault(rows, []).append((cols, v))
+        order = v.order if isinstance(v, Cyc) else 1
+        orders[0, rows] = math.lcm(orders.get((0, rows), 1), order)
+        orders[1, cols] = math.lcm(orders.get((1, cols), 1), order)
+    sums = {}
+    for rows, lefts in by_rows.items():
+        lefts.sort(key=lambda pair: pair[0])
+        for mids, a in lefts:
+            for cols, b in by_rows.get(mids, ()):
+                word = tuple(zip(rows, cols))
+                term = a * b
+                sums[word] = term if word not in sums else sums[word] + term
     witnesses = []
     checked = 0
     for word in state.words_by_length():
-        m = len(word)
         checked += 1
-        if m == 0:
-            conv = state.table[()] * state.table[()]
-        else:
+        conv = sums.get(word)
+        if conv is None:
+            conv = _convolution_term(table, word, (0,) * len(word))
+        if isinstance(conv, Cyc):
+            conv = conv.lift(math.lcm(orders[0, tuple(i for i, _ in word)],
+                                      orders[1, tuple(j for _, j in word)]))
+        elif _has_negative_zero(conv):
             conv = None
-            for mids in itertools.product(range(n), repeat=m):
-                left = tuple((word[a][0], mids[a]) for a in range(m))
-                right = tuple((mids[a], word[a][1]) for a in range(m))
-                term = state.table[left] * state.table[right]
+            for mids in itertools.product(range(state.n), repeat=len(word)):
+                term = _convolution_term(table, word, mids)
                 conv = term if conv is None else conv + term
-        if not scalars_equal(conv, state.table[word], tol):
+        if not scalars_equal(conv, table[word], tol):
             witnesses.append({
                 "word": _word_label(word),
-                "state": str(state.table[word]),
+                "state": str(table[word]),
                 "convolution": str(conv),
             })
     return CheckReport("convolution_idempotency", not witnesses, checked,

@@ -112,6 +112,7 @@ def files(tmp_path_factory):
         }),
         "model_z3": put("model_z3.json", sz.model_to_json(model3)),
         "fiber_d4": put("fiber_d4.json", sz.model_to_json(fiber)),
+        "model_d4": put("model_d4.json", sz.model_to_json(modeld)),
         "broken_model": put("broken_model.json", {
             "n": 2, "dim": 1, "points": [{
                 "label": "pt", "weight": "1",
@@ -420,6 +421,21 @@ GOLDEN_REPORTS = {
         "92820ed3bfde362b0923de495232430e01cac5feb35e189aa81d498e881ec0fc",
     ("dual-flat-check", "--input", "flat_bad.json"):
         "7e3ede6a1dbc62ed94921fd82a58b9ae75adb58424679dc8e323702e234ec784",
+    ("stationarity", "--model", "model_z3.json", "--group", "z3.json",
+     "--max-word-len", "3"):
+        "ed91f005cc2e8cff21de2f5e248d1fff0fa7e1ecad365a69e9313a33bd3b6ba3",
+    ("stationarity", "--model", "fiber_d4.json", "--group", "d4.json",
+     "--max-word-len", "3"):
+        "24a019837a5ecf42d891c0696774ab78892e88bb58bd1042732dc7e4e4bcdd2b",
+    ("stationarity", "--model", "model_d4.json", "--group", "d4.json",
+     "--max-word-len", "4"):
+        "dde255c653e3174187bdca95e9f9c48dd1900ff48d7a7e2a1ff866d366b4d6b4",
+    ("stationarity", "--model", "model_z3.json", "--group", "z3.json",
+     "--max-word-len", "3", "--float"):
+        "426a9d405b5ab0a68e73af2ea5387816f100d0af7164bbe91534949f581f5d3f",
+    ("stationarity", "--model", "fiber_d4.json", "--group", "d4.json",
+     "--max-word-len", "3", "--float"):
+        "c0708847750f69aa3e5d29688ff6e7803aced4202f5103c6730ceee275d54945",
 }
 
 

@@ -1,4 +1,5 @@
 """Magic-unitary models: construction, verification, states, and flatness."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from magicmodels.magic import (
     orbits_from_source,
     quasi_flat_check,
     regular_rep,
+    shortest_difference,
     single_fiber,
     stationarity_check,
     verify_magic,
@@ -147,15 +149,21 @@ def test_dual_reference_stationarity_order_two(m2):
     assert st.passed, st.witnesses[:2]
 
 
+def block_model_and_reference(factors):
+    """The block model of a finite abelian group's regular representation
+    and the dual reference of that group."""
+    group = FinAbelian(factors)
+    reg = regular_rep(group)
+    gens = [(group.generator(i), k) for i, k in enumerate(factors)]
+    return (bichon_build(factors, [reg[g] for g, _ in gens]),
+            DualWordReference.from_block_generators(group, gens))
+
+
 @pytest.mark.parametrize("factors", [[2, 2], [4]])
 def test_float_stationarity_against_dual_reference(factors):
     """Float words of a block model compare with the exact Cyc values of its
     dual reference, and check as many words as the exact run."""
-    group = FinAbelian(factors)
-    reg = regular_rep(group)
-    gens = [(group.generator(i), k) for i, k in enumerate(factors)]
-    model = bichon_build(factors, [reg[g] for g, _ in gens])
-    ref = DualWordReference.from_block_generators(group, gens)
+    model, ref = block_model_and_reference(factors)
     exact = stationarity_check(ref, model, word_len=3)
     assert exact.passed and exact.checked == 4369
     approx = stationarity_check(ref, model.to_float(), word_len=3, tol=1e-9)
@@ -468,3 +476,217 @@ def test_fixed_point_matrix_sums_weighted_traces_in_point_order(family_models, m
                 term = f.ntrace() * (w if mode == "exact" else complex(w))
                 total = term if total is None else total + term
             assert (type(q.entry(i, j)), repr(q.entry(i, j))) == (type(total), repr(total))
+
+
+# -- exact stationarity by automaton equivalence --------------------------------
+
+@pytest.fixture(scope="module")
+def d4_s4_models():
+    """The D4 and S4 family models of criterion 3's search, with their groups."""
+    d4 = pg(4, [(1, 2, 3, 4)], [(1, 3)])
+    s4 = pg(4, [(1, 2)], [(1, 2, 3, 4)])
+    return [(g, classical_model_from_family(g, latin_family_search(g, 4)))
+            for g in (d4, s4)]
+
+
+def test_automaton_certifies_family_and_block_models_at_all_lengths(d4_s4_models):
+    for group, model in d4_s4_models:
+        assert shortest_difference(group, model) is None
+    for factors in ([2, 2], [4]):
+        model, ref = block_model_and_reference(factors)
+        assert shortest_difference(ref, model) is None
+
+
+def bounded_failing_words(group, model, bound):
+    """The words up to the bound on which the two word tables differ, in
+    length-major order."""
+    ref = StateOnWords.from_group(group, model.n, bound)
+    state = StateOnWords.from_model(model, bound)
+    return [w for w in state.words_by_length()
+            if not scalars_equal(ref.table[w], state.table[w])]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["D4", "S4"])
+def test_automaton_witness_is_a_shortest_bounded_witness(d4_s4_models, which):
+    group, model = d4_s4_models[which]
+    for x in range(model.n_points):
+        fiber = single_fiber(model, x)
+        shortest = shortest_difference(group, fiber)
+        failing = bounded_failing_words(group, fiber, 3)
+        assert (shortest is None) == (not failing), x
+        if shortest is not None:
+            assert len(shortest) == len(failing[0]) and shortest in failing, x
+        report = stationarity_check(group, fiber, word_len=3)
+        assert report.passed == (not failing)
+        assert [w["word"] for w in report.witnesses] == [
+            " ".join(f"u[{i + 1},{j + 1}]" for i, j in w) for w in failing]
+    if which == 0:
+        ident = single_fiber(model, list(group.elements).index(group.identity))
+        assert shortest_difference(group, ident) == ((0, 0), (1, 1))
+        assert stationarity_check(group, ident, word_len=2).witnesses[0]["word"] == \
+            "u[1,1] u[2,2]"
+
+
+@pytest.mark.parametrize("planted", [((0, 0),), ((0, 0), (1, 1), (2, 2))])
+def test_automaton_and_tables_disagreeing_raise(d4_s4_models, monkeypatch, planted):
+    """A witness the tables do not confirm, on a failing fiber (first bounded
+    witness of length 2) and on a passing model, raises Inconsistent."""
+    group, model = d4_s4_models[0]
+    ident = single_fiber(model, list(group.elements).index(group.identity))
+    monkeypatch.setattr(magic, "shortest_difference", lambda *args: planted)
+    for m in (ident, model):
+        with pytest.raises(Inconsistent, match="automaton search and the word tables"):
+            stationarity_check(group, m, word_len=3)
+
+
+def test_exact_stationarity_builds_no_table_when_the_states_agree(d4_s4_models, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("word table built")
+
+    for name in ("from_model", "from_group", "from_dual"):
+        monkeypatch.setattr(StateOnWords, name, classmethod(refuse))
+    group, model = d4_s4_models[0]
+    report = stationarity_check(group, model, word_len=4)
+    assert report.passed and report.checked == 69905 and not report.witnesses
+    block, ref = block_model_and_reference([2, 2])
+    report = stationarity_check(ref, block, word_len=3)
+    assert report.passed and report.checked == 4369
+    with pytest.raises(RuntimeError, match="word table built"):
+        stationarity_check(group, model.to_float(), word_len=2)
+    with pytest.raises(RuntimeError, match="word table built"):
+        stationarity_check(ref, block.to_float(), word_len=2)
+
+
+# -- word tables of the references against their unpruned recursions -----------
+
+@pytest.mark.parametrize("factors", [[2, 2], [4]])
+def test_dual_table_matches_unpruned_recursion(factors, monkeypatch):
+    _, ref = block_model_and_reference(factors)
+    want = {}
+
+    def rec(word, acc):
+        want[word] = acc.at_identity()
+        if len(word) < 3:
+            for i in range(ref.n):
+                for j in range(ref.n):
+                    rec(word + ((i, j),), acc * ref.coords[(i, j)])
+
+    rec((), AlgebraElement.one(ref.group))
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    got = StateOnWords.from_dual(ref, 3).table
+    assert list(got) == list(want)
+    assert [(type(v), repr(v)) for v in got.values()] == \
+        [(type(v), repr(v)) for v in want.values()]
+    assert len(calls) < 4368
+
+
+def test_group_table_matches_haar_word_classical(d4):
+    table = StateOnWords.from_group(d4, 4, 3).table
+    assert len(table) == 4369
+    for word, value in table.items():
+        want = haar_word_classical(d4, [(i + 1, j + 1) for i, j in word])
+        assert (type(value), value) == (type(want), want), word
+
+
+# -- the sparse convolution square against the nested loop over middle tuples --
+
+def nested_loop_idempotency(state, tol=None):
+    """convolution_idempotency as a sum over every middle tuple, zero terms
+    included."""
+    n = state.n
+    witnesses = []
+    checked = 0
+    for word in state.words_by_length():
+        m = len(word)
+        checked += 1
+        if m == 0:
+            conv = state.table[()] * state.table[()]
+        else:
+            conv = None
+            for mids in itertools.product(range(n), repeat=m):
+                left = tuple((word[a][0], mids[a]) for a in range(m))
+                right = tuple((mids[a], word[a][1]) for a in range(m))
+                term = state.table[left] * state.table[right]
+                conv = term if conv is None else conv + term
+        if not scalars_equal(conv, state.table[word], tol):
+            witnesses.append({
+                "word": magic._word_label(word),
+                "state": str(state.table[word]),
+                "convolution": str(conv),
+            })
+    return magic.CheckReport("convolution_idempotency", not witnesses, checked,
+                             tuple(witnesses))
+
+
+def assert_same_idempotency(state):
+    got, want = convolution_idempotency(state), nested_loop_idempotency(state)
+    assert got == want
+    return got
+
+
+def reflection_fiber_point(group):
+    """Criterion 4's reflection fiber: the first point outside the family."""
+    members = latin_family_search(group, 4).members
+    return next(x for x, g in enumerate(group.elements) if g not in members)
+
+
+def test_sparse_idempotency_matches_nested_loop_on_family_models(d4_s4_models):
+    """Each model at length 3, each of its single fibers at length 2 (over
+    all of them at length 3 the nested loop takes about 54 s), and criterion
+    4's reflection fiber at length 3."""
+    failing = 0
+    for group, model in d4_s4_models:
+        assert assert_same_idempotency(StateOnWords.from_model(model, 3)).passed
+        for x in range(model.n_points):
+            rep = assert_same_idempotency(StateOnWords.from_model(single_fiber(model, x), 2))
+            failing += not rep.passed
+    assert failing
+    d4, model = d4_s4_models[0]
+    refl = single_fiber(model, reflection_fiber_point(d4))
+    assert not assert_same_idempotency(StateOnWords.from_model(refl, 3)).passed
+
+
+def test_sparse_idempotency_matches_nested_loop_on_cyc_and_float_states(d4_s4_models):
+    for factors in ([2], [3], [2, 2]):
+        model, _ = block_model_and_reference(factors)
+        assert assert_same_idempotency(StateOnWords.from_model(model, 2)).passed
+    d4, model = d4_s4_models[0]
+    refl = reflection_fiber_point(d4)
+    float_model = model.to_float()
+    assert assert_same_idempotency(StateOnWords.from_model(float_model, 2)).passed
+    rep = assert_same_idempotency(StateOnWords.from_model(single_fiber(float_model, refl), 2))
+    assert not rep.passed
+
+
+def test_sparse_idempotency_keeps_the_form_zero_terms_give():
+    """Zero terms left out of the sum still decide two things about how it
+    prints: a Cyc zero of order 4 lifts z3^2 to order 12, and a float 0j
+    term turns the imaginary part -0.0 of (-1/2)^2 into 0.0."""
+    zero4 = zeta(4) - zeta(4)
+    cyc_state = StateOnWords(2, 1, {(): 1, ((0, 0),): zeta(3), ((0, 1),): zero4,
+                                    ((1, 0),): 1, ((1, 1),): 0})
+    rep = assert_same_idempotency(cyc_state)
+    assert rep.witnesses[0]["convolution"] != repr(zeta(3) * zeta(3))
+    float_state = StateOnWords(2, 1, {(): 1 + 0j, ((0, 0),): -0.5 + 0j, ((0, 1),): 0j,
+                                      ((1, 0),): 1 + 0j, ((1, 1),): 0j})
+    rep = assert_same_idempotency(float_state)
+    assert rep.witnesses[0]["convolution"] == "(0.25+0j)"
+
+
+def test_sparse_idempotency_adds_in_increasing_middle_tuple():
+    """The square at u[1,2] sums 1 * 0.1, 0.1 * 2 and 0.3 * 1 in this order;
+    float addition in another order would print 0.6."""
+    table = {(): 1 + 0j}
+    table.update({((i, j),): 0j for i in range(3) for j in range(3)})
+    table.update({((0, 0),): 1 + 0j, ((0, 1),): 0.1 + 0j, ((1, 1),): 2 + 0j,
+                  ((0, 2),): 0.3 + 0j, ((2, 1),): 1 + 0j})
+    rep = assert_same_idempotency(StateOnWords(3, 1, table))
+    assert {"word": "u[1,2]", "state": "(0.1+0j)",
+            "convolution": "(0.6000000000000001+0j)"} in rep.witnesses
