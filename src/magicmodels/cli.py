@@ -199,6 +199,8 @@ def _parse_dual_input(payload):
     if not (isinstance(sizes, list) and sizes
             and all(isinstance(s, int) and s >= 1 for s in sizes)):
         raise sz.BadInput("sizes must be a nonempty list of positive integers")
+    if not isinstance(payload["generators"], list):
+        raise sz.BadInput("generators must be a list of matrices")
     gens = [sz.matrix_from_json(m) for m in payload["generators"]]
     return sizes, gens
 
@@ -219,6 +221,8 @@ def _parse_cyclic_input(payload, config):
     for fieldname in ("factors", "rep_generators", "auto_images", "k"):
         if fieldname not in payload:
             raise sz.BadInput(f"cyclic input needs a {fieldname} field")
+    if not isinstance(payload["rep_generators"], list):
+        raise sz.BadInput("rep_generators must be a list of matrices")
     group = sz.abelian_from_json({"factors": payload["factors"]})
     gens = [sz.matrix_from_json(m) for m in payload["rep_generators"]]
     auto = sz.abelian_auto_from_images(group, payload["auto_images"])
@@ -297,11 +301,15 @@ def _parse_flat_input(payload):
     k = payload["k"]
     if not (isinstance(k, int) and k >= 1):
         raise sz.BadInput("k must be a positive integer")
-    fibers = [[sz.matrix_from_json(m) for m in per_gen]
-              for per_gen in payload["generators"]]
-    if not fibers or not all(fibers):
+    gens = payload["generators"]
+    if not (isinstance(gens, list) and gens
+            and all(isinstance(per_gen, list) and per_gen for per_gen in gens)):
         raise sz.BadInput("generators must be nonempty fiber lists")
+    fibers = [[sz.matrix_from_json(m) for m in per_gen] for per_gen in gens]
     labels = payload.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == len(fibers[0])):
+        raise sz.BadInput("labels must be a list with one label per point")
     return fibers, k, labels
 
 

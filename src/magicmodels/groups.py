@@ -62,6 +62,14 @@ class Perm:
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _of(cls, images: tuple) -> "Perm":
+        """A Perm from a tuple already known to be a permutation of 1..n,
+        without validation: for products and inverses of valid Perms."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm values are immutable")
 
@@ -88,13 +96,14 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if self.degree != other.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
-        return Perm(self.images[i - 1] for i in other.images)
+        images = self.images
+        return Perm._of(tuple([images[i - 1] for i in other.images]))
 
     def inv(self) -> "Perm":
         images = [0] * self.degree
-        for i, v in enumerate(self.images):
-            images[v - 1] = i + 1
-        return Perm(images)
+        for i, v in enumerate(self.images, start=1):
+            images[v - 1] = i
+        return Perm._of(tuple(images))
 
     def order(self) -> int:
         k, p = 1, self
@@ -459,12 +468,26 @@ def abelian_dual(group: FinAbelian) -> list[CharacterOf]:
 
 
 def extend_generator_map(group, generator_images, target_mul, target_identity):
-    """Extend gen_i -> generator_images[i] to a map on all of group by
-    breadth-first propagation along the stored generator words, then verify
-    multiplicativity on the full multiplication table.
+    """Extend gen_i -> generator_images[i] to a homomorphism f on all of group.
 
-    The group must expose .elements, .words, .mul;  raises NotWellDefined if
-    the assignment is inconsistent."""
+    f is built along the stored generator words: f(e) = target_identity and
+    f(g_w1 ... g_wk) = images[w1] ... images[wk].  It is then checked on
+    generator steps only, f(a g_i) = f(a) f(g_i) for every element a and
+    generator g_i, with f(g_i) the word-derived value; that is |G| |S|
+    products, not |G|^2.  The verdict equals the full-table check
+    f(ab) = f(a) f(b) for all a, b: the full check contains every generator
+    step (b = g_i), and conversely, by induction on the length of the stored
+    word of b, either b = e and f(ae) = f(a) = f(a) f(e), or b = b' g_i with
+    b' shorter and f(ab) = f(ab') f(g_i) = f(a) f(b') f(g_i) = f(a) f(b),
+    using the step at ab', the hypothesis at b' and the step at b'.  This
+    needs only an associative target_mul with target_identity as identity.
+
+    Finally f must send each listed generator to its own assigned image,
+    which fails when the list repeats a generator with different images or
+    contains the identity with a non-identity image.
+
+    The group must expose .elements, .words, .generators and .mul; raises
+    NotWellDefined if the assignment does not extend to a homomorphism."""
     if len(generator_images) != len(group.generators):
         raise ValueError("need one image per generator")
     mapping = {}
@@ -473,11 +496,16 @@ def extend_generator_map(group, generator_images, target_mul, target_identity):
         for gi in word:
             value = target_mul(value, generator_images[gi])
         mapping[element] = value
+    steps = [(g, mapping[g]) for g in group.generators]
     for a in group.elements:
         fa = mapping[a]
-        for b in group.elements:
-            if mapping[group.mul(a, b)] != target_mul(fa, mapping[b]):
+        for g, fg in steps:
+            if mapping[group.mul(a, g)] != target_mul(fa, fg):
                 raise NotWellDefined("generator assignment is not multiplicative")
+    for i, ((_, fg), image) in enumerate(zip(steps, generator_images), start=1):
+        if fg != image:
+            raise NotWellDefined(
+                f"generator assignment is not well defined at generator {i}")
     return mapping
 
 

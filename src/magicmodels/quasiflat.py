@@ -127,40 +127,49 @@ def latin_family_search(group: PermGroup, size: int):
     """Lexicographically first family found by backtracking over the group's
     elements in enumeration order, normalized to sigma_1 = identity; or an
     exhaustive NoFamily certificate.  The explored count is the number of
-    candidate placements tested."""
+    candidate placements tested.
+
+    Each element c gets a bitmask clash[c] over element indices, marking every
+    element that agrees with c at some point; it is the union of the
+    (point, image) buckets c lies in.  A candidate conflicts with the chosen
+    members exactly when clash[c] meets the bitmask of their indices, so the
+    test is one AND.  Candidate order and the explored count are those of
+    the plain point-by-point comparison."""
     blocks = orbit_blocks(group)
     sizes = {len(b) for b in blocks}
     if sizes != {size}:
         raise NotQuasiTransitive(
             f"orbit sizes {sorted(sizes)} do not all equal {size}")
     elements = list(group.elements)
-    degree = group.degree
+    n = len(elements)
+    buckets = [[0] * (group.degree + 1) for _ in range(group.degree)]
+    for c, s in enumerate(elements):
+        for bucket, v in zip(buckets, s.images):
+            bucket[v] |= 1 << c
+    clash = []
+    for s in elements:
+        mask = 0
+        for bucket, v in zip(buckets, s.images):
+            mask |= bucket[v]
+        clash.append(mask)
     explored = 0
     chosen = [0]
 
-    def conflicts(candidate) -> bool:
-        for m in range(1, degree + 1):
-            v = candidate(m)
-            for idx in chosen:
-                if elements[idx](m) == v:
-                    return True
-        return False
-
-    def extend(start: int):
+    def extend(start: int, taken: int):
         nonlocal explored
         if len(chosen) == size:
             return True
-        for c in range(start, len(elements)):
+        for c in range(start, n):
             explored += 1
-            if conflicts(elements[c]):
+            if clash[c] & taken:
                 continue
             chosen.append(c)
-            if extend(c + 1):
+            if extend(c + 1, taken | 1 << c):
                 return True
             chosen.pop()
         return False
 
-    found = extend(1)
+    found = extend(1, 1)
     if found:
         fam = LatinFamily(group, size,
                           tuple(elements[c] for c in chosen))

@@ -7,6 +7,7 @@ precision is lost; bare JSON numbers always mean float mode.  Every *_to_json /
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,13 +53,24 @@ def _rational(text: str) -> Fraction:
         raise BadInput(f"bad rational string {text!r}") from exc
 
 
+def _finite(v) -> float:
+    """A JSON number as a float; NaN, the infinities and integers beyond the
+    float range are input errors."""
+    try:
+        x = float(v)
+    except OverflowError as exc:
+        raise BadInput("number is out of the float range") from exc
+    _expect(math.isfinite(x), f"non-finite number {v!r}")
+    return x
+
+
 def scalar_from_json(v):
     if isinstance(v, str):
         return _rational(v)
     if isinstance(v, bool):
         raise BadInput("booleans are not scalars")
     if isinstance(v, (int, float)):
-        return float(v)
+        return _finite(v)
     if isinstance(v, dict) and "order" in v:
         _expect(isinstance(v.get("coeffs"), list), "cyclotomic needs a coeffs list")
         order = v["order"]
@@ -70,7 +82,7 @@ def scalar_from_json(v):
     if isinstance(v, dict) and "re" in v:
         _expect(isinstance(v.get("re"), (int, float)) and isinstance(v.get("im"), (int, float)),
                 "complex scalar needs numeric re and im")
-        return complex(v["re"], v["im"])
+        return complex(_finite(v["re"]), _finite(v["im"]))
     raise BadInput(f"unrecognized scalar payload {v!r}")
 
 
@@ -129,6 +141,7 @@ def group_to_json(g: PermGroup) -> dict:
 
 def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
     _expect(isinstance(v, dict) and "generators" in v, "group needs a generators field")
+    _expect(isinstance(v["generators"], list), "group generators must be a list")
     gens = [perm_from_json(p) for p in v["generators"]]
     degree = v.get("degree")
     if degree is not None:
@@ -152,12 +165,14 @@ def abelian_from_json(v) -> FinAbelian:
 def abelian_auto_from_images(group: FinAbelian, images) -> AutoMap:
     """Automorphism of a finite abelian group from images of the canonical
     generators, each given as an element tuple."""
-    _expect(len(images) == len(group.factors), "need one image per canonical generator")
+    _expect(isinstance(images, list) and len(images) == len(group.factors),
+            "need one image per canonical generator")
     imgs = []
     for img in images:
-        _expect(isinstance(img, (list, tuple)) and len(img) == len(group.factors),
+        _expect(isinstance(img, (list, tuple)) and len(img) == len(group.factors)
+                and all(isinstance(a, int) for a in img),
                 "each image must be an element tuple")
-        imgs.append(tuple(int(a) % f for a, f in zip(img, group.factors)))
+        imgs.append(tuple(a % f for a, f in zip(img, group.factors)))
 
     def fn(elem):
         out = group.identity
@@ -258,7 +273,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise BadInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert
         raise BadInput(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -23,6 +23,16 @@ def _group_payload(degree, *cycle_sets):
     return {"degree": degree, "generators": [list(p.images) for p in gens]}
 
 
+# Generators of the classical benchmark groups, unrelabelled: G216 and G360
+# have no Latin family of size 6, and the four star transpositions of S5 are
+# uniform.
+G216 = [[2, 3, 6, 1, 4, 5, 12, 9, 10, 8, 7, 11],
+        [1, 6, 3, 2, 5, 4, 11, 10, 7, 12, 9, 8]]
+G360 = [[3, 2, 6, 1, 4, 5, 8, 11, 10, 12, 9, 7],
+        [1, 3, 5, 2, 6, 4, 7, 8, 9, 10, 11, 12]]
+S5_STAR = [[2, 1, 3, 4, 5], [3, 2, 1, 4, 5], [4, 2, 3, 1, 5], [5, 2, 3, 4, 1]]
+
+
 def _scalar_model(scalar):
     """A one-point 1 x 1 model of dimension 1 whose entry is the scalar."""
     return {"n": 1, "dim": 1, "points": [
@@ -61,6 +71,9 @@ def files(tmp_path_factory):
         "s3z2": put("s3z2.json",
                     _group_payload(5, [(1, 2)], [(1, 3)], [(4, 5)])),
         "t12": put("t12.json", _group_payload(3, [(1, 2)])),
+        "g216": put("g216.json", {"degree": 12, "generators": G216}),
+        "g360": put("g360.json", {"degree": 12, "generators": G360}),
+        "s5star": put("s5star.json", {"degree": 5, "generators": S5_STAR}),
         "dual_z2": put("dual_z2.json", {
             "sizes": [2],
             "generators": [sz.matrix_to_json(CMatrix.exact([[0, 1], [1, 0]]))],
@@ -345,6 +358,62 @@ def test_bad_cyclotomic_coefficient_is_input_error(files, capsys, model, text):
     assert "Traceback" not in cap.err
 
 
+def _fuzz_model(entry):
+    return ('{"n": 1, "dim": 1, "points": [{"label": "a", "weight": "1", '
+            '"entries": [[{"mode": "float", "rows": [[%s]]}]]}]}' % entry)
+
+
+# Malformed inputs, one file each: (command, flag, file text).  thoma-check
+# and stationarity take a second file, the Z3 group.
+FUZZ_PAYLOADS = [
+    ("magic-verify", "--model", _fuzz_model("NaN")),
+    ("magic-verify", "--model", _fuzz_model("Infinity")),
+    ("magic-verify", "--model", _fuzz_model("-Infinity")),
+    ("magic-verify", "--model", _fuzz_model('{"re": NaN, "im": 0}')),
+    ("magic-verify", "--model", _fuzz_model('{"re": 0, "im": -Infinity}')),
+    ("magic-verify", "--model", _fuzz_model("1" + "0" * 400)),
+    ("magic-verify", "--model", _fuzz_model("1" + "0" * 5000)),
+    ("magic-verify", "--model", "[" * 100000),
+    ("magic-verify", "--model", ""),
+    ("magic-verify", "--model", '{"n": 1, "dim": 1, "points": "abc"}'),
+    ("magic-verify", "--model", '{"n": 1, "dim": 2, "points": [{"weight": "1", '
+                                '"entries": [[{"rows": [["1"]]}]]}]}'),
+    ("orbits", "--group", '{"generators": 5}'),
+    ("orbits", "--group", "[]"),
+    ("orbits", "--group", '{"generators": [[2, 1], [2, 3, 1]]}'),
+    ("latin-search", "--group", '{"generators": [[1, 1]]}'),
+    ("uniform-check", "--group", '{"generators": [], "degree": 3}'),
+    ("dual-build", "--input", '{"sizes": [2], "generators": 7}'),
+    ("cyclic-build", "--input", '{"factors": [5], "rep_generators": 3, '
+                                '"auto_images": [[4]], "k": 2}'),
+    ("cyclic-build", "--input", '{"factors": [5], "rep_generators": [{"rows": [["1"]]}], '
+                                '"auto_images": [["x"]], "k": 2}'),
+    ("cyclic-verify", "--input", '{"factors": [5], "rep_generators": [{"rows": [["1"]]}], '
+                                 '"auto_images": 4, "k": 2}'),
+    ("dual-flat-check", "--input", '{"k": 2, "generators": [5]}'),
+    ("dual-flat-check", "--input", '{"k": 2, "generators": [[{"rows": [["1", "0"], '
+                                   '["0", "1"]]}]], "labels": 5}'),
+    ("thoma-check", "--group", '{"generators": [[2, 3, 1]], "degree": 0}'),
+    ("stationarity", "--model", _fuzz_model("NaN")),
+]
+
+
+def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
+    # In process, a raw exception would leave dispatch and fail the test
+    # where the command line would print a traceback.
+    second = {"thoma-check": ["--lambda", files["z3"]],
+              "stationarity": ["--group", files["z3"]]}
+    for i, (command, flag, text) in enumerate(FUZZ_PAYLOADS):
+        path = tmp_path / f"fuzz{i}.json"
+        path.write_text(text)
+        argv = [command, flag, str(path), *second.get(command, [])]
+        code, report, cap = run_cli(capsys, *argv)
+        assert code == 2 and report["status"] == "error", argv
+        assert "Traceback" not in cap.err, argv
+        if "NaN" in text or "Infinity" in text:
+            assert report["error"]["type"] == "BadInput", argv
+
+
 def test_reports_are_byte_identical(files, capsys):
     _, _, first = run_cli(capsys, "uniform-check", "--group", files["s3z2"])
     _, _, second = run_cli(capsys, "uniform-check", "--group", files["s3z2"])
@@ -436,6 +505,12 @@ GOLDEN_REPORTS = {
     ("stationarity", "--model", "fiber_d4.json", "--group", "d4.json",
      "--max-word-len", "3", "--float"):
         "c0708847750f69aa3e5d29688ff6e7803aced4202f5103c6730ceee275d54945",
+    ("latin-search", "--group", "g216.json", "--size", "6"):
+        "2685608da053e8a92d5f801b42ea38d1b0eafaa65509b7db7c423bd0aef6892f",
+    ("latin-search", "--group", "g360.json", "--size", "6"):
+        "4908fc98f09928de5c6a8de58d4964c675393a31aeb54445d7d8110d8969827d",
+    ("uniform-check", "--group", "s5star.json"):
+        "4247592537140944a303e9c6b7356e727196db915e81a94f71c70c1c341ddbe6",
 }
 
 

@@ -1,3 +1,6 @@
+import random
+from operator import mul
+
 import pytest
 
 from magicmodels.cyclotomic import Cyc, zeta
@@ -7,8 +10,8 @@ from magicmodels.errors import (
 )
 from magicmodels.groups import (
     AutoMap, FinAbelian, Perm, PermGroup, TableGroup, abelian_dual,
-    abelianization, extend_automorphism, is_normal, orbit_blocks,
-    quotient_data, semidirect,
+    abelianization, extend_automorphism, extend_generator_map, is_normal,
+    orbit_blocks, quotient_data, semidirect,
 )
 from conftest import pg
 
@@ -173,6 +176,114 @@ def test_extend_automorphism_rejects_bad_images(s3):
     a3 = s3.subgroup([Perm.from_cycles(3, [(1, 2, 3)])])
     with pytest.raises(NotInGroup):
         extend_automorphism(a3, [Perm.from_cycles(3, [(1, 2)])])
+
+
+def test_extend_automorphism_rejects_repeated_generator_with_two_images():
+    # s is listed twice; the identity map would be accepted while the
+    # image t of the second copy is silently dropped
+    s = Perm.from_cycles(3, [(1, 2)])
+    t = Perm.from_cycles(3, [(1, 3)])
+    group = PermGroup.from_generators([s, s, t])
+    with pytest.raises(NotWellDefined, match="at generator 2"):
+        extend_automorphism(group, [s, t, t])
+    assert extend_automorphism(group, [s, s, t]).is_identity()
+    swap = extend_automorphism(group, [t, t, s])
+    assert swap(s) == t and swap(t) == s
+
+
+def test_extend_automorphism_rejects_identity_generator_with_image():
+    e = Perm.identity(3)
+    r = Perm.from_cycles(3, [(1, 2, 3)])
+    group = PermGroup.from_generators([e, r])
+    with pytest.raises(NotWellDefined, match="at generator 1"):
+        extend_automorphism(group, [r, r])
+    assert extend_automorphism(group, [e, r.inv()])(r) == r.inv()
+
+
+def full_table_generator_map(group, generator_images, target_mul, target_identity):
+    """The extension checked on every product a b, followed by the same
+    per-generator image check: the reference for the generator-step check."""
+    if len(generator_images) != len(group.generators):
+        raise ValueError("need one image per generator")
+    mapping = {}
+    for element, word in zip(group.elements, group.words):
+        value = target_identity
+        for gi in word:
+            value = target_mul(value, generator_images[gi])
+        mapping[element] = value
+    for a in group.elements:
+        for b in group.elements:
+            if mapping[group.mul(a, b)] != target_mul(mapping[a], mapping[b]):
+                raise NotWellDefined("generator assignment is not multiplicative")
+    for i, (g, image) in enumerate(zip(group.generators, generator_images), start=1):
+        if mapping[g] != image:
+            raise NotWellDefined(
+                f"generator assignment is not well defined at generator {i}")
+    return mapping
+
+
+def _outcome(fn, *args):
+    try:
+        return "map", fn(*args)
+    except NotWellDefined as exc:
+        return type(exc).__name__, str(exc)
+
+
+S5_STAR = [Perm.from_cycles(5, [(1, k)]) for k in (2, 3, 4, 5)]
+
+
+GENERATOR_MAP_CASES = {
+    "S3": (pg(3, [(1, 2)], [(1, 2, 3)]), 60),
+    "D4": (pg(4, [(1, 2, 3, 4)], [(1, 3)]), 60),
+    "S4": (pg(4, [(1, 2)], [(1, 2, 3, 4)]), 40),
+    "S4 with a repeat and the identity": (PermGroup.from_generators(
+        [Perm.from_cycles(4, [(1, 2)]), Perm.identity(4),
+         Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(1, 2)])]), 40),
+    "S5 star": (PermGroup.from_generators(S5_STAR), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_MAP_CASES))
+def test_generator_steps_decide_like_the_full_table(name):
+    group, trials = GENERATOR_MAP_CASES[name]
+    rng = random.Random(name)
+    elements = list(group.elements)
+    n_gens = len(group.generators)
+    assignments = [list(group.generators), [group.identity] * n_gens]
+    # every transposition of two generators, then random images
+    for a in range(n_gens):
+        for b in range(a + 1, n_gens):
+            swapped = list(group.generators)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            assignments.append(swapped)
+    assignments += [[rng.choice(elements) for _ in range(n_gens)]
+                    for _ in range(trials)]
+    verdicts = set()
+    for images in assignments:
+        got = _outcome(extend_generator_map, group, images, mul, group.identity)
+        want = _outcome(full_table_generator_map, group, images, mul, group.identity)
+        assert got == want
+        verdicts.add(got[1] if got[0] != "map" else "map")
+    assert "map" in verdicts and len(verdicts) > 1
+    if "repeat" in name:
+        assert any("well defined at generator" in v for v in verdicts)
+
+
+def test_unchecked_products_equal_validated_ones():
+    rng = random.Random(5)
+    for degree in (1, 2, 5, 9):
+        for _ in range(20):
+            s = Perm(rng.sample(range(1, degree + 1), degree))
+            t = Perm(rng.sample(range(1, degree + 1), degree))
+            product = s * t
+            assert product == Perm(s(t(i)) for i in range(1, degree + 1))
+            assert type(product.images) is tuple
+            inverse = s.inv()
+            assert inverse == Perm(sorted(range(1, degree + 1), key=s))
+            assert type(inverse.images) is tuple
+            assert (s * inverse).is_identity() and (inverse * s).is_identity()
+    with pytest.raises(ValueError, match="not a permutation"):
+        Perm((2, 3, 3))
 
 
 def test_semidirect_structure():

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pg
 from magicmodels.cyclotomic import zeta
 from magicmodels.errors import (
     InvalidFamily, NotFiniteOrder, NotQuasiTransitive, NotUnitary, ShapeMismatch,
 )
-from magicmodels.groups import Perm
+from magicmodels.groups import Perm, PermGroup, orbit_blocks
 from magicmodels.magic import (
     StateOnWords,
     convolution_idempotency,
@@ -43,6 +45,102 @@ def is_valid_family(group, size, members):
     except InvalidFamily:
         return False
     return True
+
+
+def pointwise_family_search(group, size):
+    """The search with the plain point-by-point conflict test: the reference
+    for the bitmask search.  Returns (members or None, explored)."""
+    elements = list(group.elements)
+    explored = 0
+    chosen = [0]
+
+    def conflicts(candidate):
+        for m in range(1, group.degree + 1):
+            v = candidate(m)
+            for idx in chosen:
+                if elements[idx](m) == v:
+                    return True
+        return False
+
+    def extend(start):
+        nonlocal explored
+        if len(chosen) == size:
+            return True
+        for c in range(start, len(elements)):
+            explored += 1
+            if conflicts(elements[c]):
+                continue
+            chosen.append(c)
+            if extend(c + 1):
+                return True
+            chosen.pop()
+        return False
+
+    found = extend(1)
+    return (tuple(elements[c] for c in chosen) if found else None), explored
+
+
+def assert_search_matches_reference(group, size):
+    res = latin_family_search(group, size)
+    members, explored = pointwise_family_search(group, size)
+    if members is None:
+        assert isinstance(res, NoFamily)
+        assert res.explored == explored
+    else:
+        assert isinstance(res, LatinFamily)
+        assert res.members == members
+    return res
+
+
+G216 = [[2, 3, 6, 1, 4, 5, 12, 9, 10, 8, 7, 11],
+        [1, 6, 3, 2, 5, 4, 11, 10, 7, 12, 9, 8]]
+G360 = [[3, 2, 6, 1, 4, 5, 8, 11, 10, 12, 9, 7],
+        [1, 3, 5, 2, 6, 4, 7, 8, 9, 10, 11, 12]]
+RELABEL = [5, 11, 2, 8, 1, 12, 7, 3, 10, 4, 9, 6]
+
+
+def _relabelled(gens, pi):
+    """pi g pi^-1 for each generator."""
+    out = []
+    for g in gens:
+        images = [0] * len(g)
+        for i, v in enumerate(g):
+            images[pi[i] - 1] = pi[v - 1]
+        out.append(images)
+    return out
+
+
+SEARCH_CASES = {
+    "klein6": (pg(6, [(1, 2), (3, 4)], [(1, 2), (5, 6)]), 2),
+    "Z3": (pg(3, [(1, 2, 3)]), 3),
+    "V4": (pg(4, [(1, 2), (3, 4)], [(1, 3), (2, 4)]), 4),
+    "D4": (pg(4, [(1, 2, 3, 4)], [(1, 3)]), 4),
+    "S4": (pg(4, [(1, 2)], [(1, 2, 3, 4)]), 4),
+    "G216": (PermGroup.from_generators(G216), 6),
+    "G360": (PermGroup.from_generators(G360), 6),
+    "G216 relabelled": (PermGroup.from_generators(_relabelled(G216, RELABEL)), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_CASES))
+def test_bitmask_search_matches_pointwise_search(name):
+    group, size = SEARCH_CASES[name]
+    res = assert_search_matches_reference(group, size)
+    if name.startswith("G"):
+        assert res.explored == {216: 142091, 360: 343999}[group.order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(1, n + 1)), min_size=1, max_size=3)))
+def test_bitmask_search_matches_pointwise_search_on_random_groups(gens):
+    group = PermGroup.from_generators(gens)
+    sizes = {len(b) for b in orbit_blocks(group)}
+    if len(sizes) != 1:
+        with pytest.raises(NotQuasiTransitive):
+            latin_family_search(group, max(sizes))
+        return
+    assert_search_matches_reference(group, sizes.pop())
 
 
 def test_klein_degree_six_has_no_family(klein6):

@@ -71,6 +71,15 @@ def test_scalar_bad_inputs():
         scalar_from_json([1, 2])
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_non_finite_numbers_are_input_errors(text):
+    value = json.loads(text)
+    for payload in (value, {"re": value, "im": 0}, {"re": 0, "im": value}):
+        with pytest.raises(BadInput):
+            scalar_from_json(payload)
+    assert scalar_from_json({"re": 1e308, "im": -0.5}) == complex(1e308, -0.5)
+
+
 def test_matrix_round_trip_exact_and_float():
     m = CMatrix.exact([[F(1, 2), zeta(3, 1)], [0, -1]])
     assert matrix_from_json(matrix_to_json(m)) == m
