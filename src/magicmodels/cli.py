@@ -197,7 +197,7 @@ def _parse_dual_input(payload):
         raise sz.BadInput("dual-build input needs sizes and generators")
     sizes = payload["sizes"]
     if not (isinstance(sizes, list) and sizes
-            and all(isinstance(s, int) and s >= 1 for s in sizes)):
+            and all(sz._is_int(s) and s >= 1 for s in sizes)):
         raise sz.BadInput("sizes must be a nonempty list of positive integers")
     if not isinstance(payload["generators"], list):
         raise sz.BadInput("generators must be a list of matrices")
@@ -227,7 +227,7 @@ def _parse_cyclic_input(payload, config):
     gens = [sz.matrix_from_json(m) for m in payload["rep_generators"]]
     auto = sz.abelian_auto_from_images(group, payload["auto_images"])
     k = payload["k"]
-    if not (isinstance(k, int) and k >= 1):
+    if not (sz._is_int(k) and k >= 1):
         raise sz.BadInput("k must be a positive integer")
     return CyclicModelData(group, abelian_rep(group, gens), auto, k)
 
@@ -299,7 +299,7 @@ def _parse_flat_input(payload):
     if not isinstance(payload, dict) or "k" not in payload or "generators" not in payload:
         raise sz.BadInput("dual-flat-check input needs k and generators")
     k = payload["k"]
-    if not (isinstance(k, int) and k >= 1):
+    if not (sz._is_int(k) and k >= 1):
         raise sz.BadInput("k must be a positive integer")
     gens = payload["generators"]
     if not (isinstance(gens, list) and gens

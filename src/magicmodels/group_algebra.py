@@ -36,15 +36,9 @@ class AlgebraElement:
     def one(cls, group) -> "AlgebraElement":
         return cls(group, {group.identity: 1})
 
-    def coefficient(self, element):
-        return self.coeffs.get(element, 0)
-
     def at_identity(self):
         """The coefficient of the identity, i.e. the Haar state on a dual."""
         return self.coeffs.get(self.group.identity, 0)
-
-    def support(self):
-        return set(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

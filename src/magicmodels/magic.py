@@ -7,19 +7,20 @@ reference Haar state, either counting permutations (classical reference) or
 extracting the identity coefficient in a group algebra (dual reference).
 
 Both states are weighted automata over the letters u_ij.  An exact verdict is
-decided by automaton equivalence (shortest_difference), which builds no word
-table; the witnesses of a failing check are enumerated from the word tables
-only then.  A float check stays a bounded comparison of the word tables.
+decided by automaton equivalence (shortest_difference).  The witnesses of a
+failing check, and every float verdict, come from one depth-first walk that
+reads each word into both automata at once and stops below a word on which
+both states are zero.  Only the convolution square reads a table of the
+model state's values (StateOnWords).
 """
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Cyc, zeta
+from .cyclotomic import zeta
 from .errors import (
     Inconsistent,
     ModeMismatch,
@@ -233,11 +234,7 @@ def quasi_flat_check(model: FiberModel, orbits: OrbitStructure, tol=None) -> Che
 def haar_word_classical(group: PermGroup, word) -> Fraction:
     """Haar integral of u_{i1 j1} ... u_{im jm} over a classical permutation
     group: the proportion of elements with sigma(j_a) = i_a for all a."""
-    count = 0
-    for sigma in group.elements:
-        if all(sigma(j) == i for i, j in word):
-            count += 1
-    return Fraction(count, group.order)
+    return _read(_GroupWords(group), [(i - 1, j - 1) for i, j in word])
 
 
 class DualWordReference:
@@ -279,12 +276,7 @@ class DualWordReference:
 
     def haar(self, word):
         """Identity coefficient of the product of the word's coordinates."""
-        acc = AlgebraElement.one(self.group)
-        for i, j in word:
-            acc = acc * self.coords[(i, j)]
-            if acc.is_zero():
-                break
-        return acc.at_identity()
+        return _read(_DualWords(self), word)
 
 
 def _point_weights(model: FiberModel) -> tuple:
@@ -407,6 +399,17 @@ def _reference_words(reference, n: int):
     raise TypeError("reference must be a PermGroup or DualWordReference")
 
 
+def _read(words, word):
+    """The automaton's value on one word of 0-based letters; reading stops at
+    a zero state, whose value every extension shares."""
+    state = words.start
+    for letter in word:
+        if words.is_zero(state):
+            break
+        state = words.step(state, letter)
+    return words.value(state)
+
+
 def _word_table(words, n: int, bound: int) -> dict:
     """The automaton's value on every word up to the bound, in depth-first
     order.  Below a zero state no step is taken: every extension gets the
@@ -441,9 +444,6 @@ class StateOnWords:
         self.bound = bound
         self.table = table
 
-    def value(self, word):
-        return self.table[tuple(word)]
-
     def words_by_length(self):
         """All words in length-major, lexicographic order."""
         letters = _letters(self.n)
@@ -454,14 +454,6 @@ class StateOnWords:
     @classmethod
     def from_model(cls, model: FiberModel, bound: int) -> "StateOnWords":
         return cls(model.n, bound, _word_table(_ModelWords(model), model.n, bound))
-
-    @classmethod
-    def from_group(cls, group: PermGroup, n: int, bound: int) -> "StateOnWords":
-        return cls(n, bound, _word_table(_GroupWords(group), n, bound))
-
-    @classmethod
-    def from_dual(cls, ref: DualWordReference, bound: int) -> "StateOnWords":
-        return cls(ref.n, bound, _word_table(_DualWords(ref), ref.n, bound))
 
 
 def _word_label(word) -> str:
@@ -532,47 +524,61 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
     return None
 
 
+def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> list:
+    """(word, model value, reference value) for every word up to the bound on
+    which the two states differ beyond tol, in length-major lexicographic
+    order.  Each word is read into both automata at once, depth first; below
+    a word on which both states are zero every value on both sides is zero,
+    so no extension of it can differ, and none is read."""
+    letters = _letters(n)
+    differing = []
+
+    def walk(word, p, r):
+        a, b = mod.value(p), ref.value(r)
+        if not scalars_equal(b, a, tol):
+            differing.append((word, a, b))
+        if len(word) < bound and not (mod.is_zero(p) and ref.is_zero(r)):
+            for letter in letters:
+                walk(word + (letter,), mod.step(p, letter), ref.step(r, letter))
+
+    walk((), mod.start, ref.start)
+    differing.sort(key=lambda found: (len(found[0]), found[0]))
+    return differing
+
+
 def stationarity_check(reference, model: FiberModel, word_len: int = 3,
                        tol=None) -> CheckReport:
     """Compare the model state with the reference Haar state on every word up
-    to the bound.  The reference is a classical permutation group or a
-    DualWordReference.
+    to the bound; checked counts every such word.  The reference is a
+    classical permutation group or a DualWordReference.
 
     An exact model is decided by shortest_difference up to the bound.  When
-    the states agree, the report passes with every word counted, and no word
-    table is built.  Otherwise the word tables list the witnesses in
-    length-major order, and the automaton's word must be one of them, as
-    long as the first (or, past the bound, the tables must agree); any other
-    outcome raises Inconsistent.  A float model is compared on the tables
-    alone, since a rank decision under a tolerance is no proof.
+    the states agree, the report passes and no word is read.  Otherwise the
+    joint walk of _differing_words lists the witnesses in length-major order,
+    and the automaton's word must be one of them, as long as the first (or,
+    past the bound, the walk must find none); any other outcome raises
+    Inconsistent.  A float model is compared by the walk alone, since a rank
+    decision under a tolerance is no proof.
 
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
     rank-one property of in-block entries is forced; that implication is
     re-checked, its verdict is details["single_point_flatness"], and a
     violation raises Inconsistent."""
-    _reference_words(reference, model.n)  # rejects a bad reference in either mode
+    ref = _reference_words(reference, model.n)
     exact = model.mode == "exact"
     shortest = shortest_difference(reference, model, word_len) if exact else None
-    witnesses = []
-    if exact and shortest is None:
-        checked = sum((model.n * model.n) ** m for m in range(word_len + 1))
-    else:
-        if isinstance(reference, PermGroup):
-            ref_state = StateOnWords.from_group(reference, model.n, word_len)
-        else:
-            ref_state = StateOnWords.from_dual(reference, word_len)
-        model_state = StateOnWords.from_model(model, word_len)
-        failing = [word for word in model_state.words_by_length()
-                   if not scalars_equal(ref_state.table[word], model_state.table[word], tol)]
-        checked = len(model_state.table)
+    checked = sum((model.n * model.n) ** m for m in range(word_len + 1))
+    differing = []
+    if not exact or shortest is not None:
+        differing = _differing_words(_ModelWords(model), ref, model.n, word_len, tol)
+        failing = [word for word, _, _ in differing]
         if shortest is not None and (
                 bool(failing) != (len(shortest) <= word_len)
                 or failing and (len(failing[0]) != len(shortest) or shortest not in failing)):
             raise Inconsistent("the automaton search and the word tables disagree")
-        witnesses = [{"word": _word_label(word),
-                      "reference": str(ref_state.table[word]),
-                      "model": str(model_state.table[word])} for word in failing]
+    witnesses = tuple({"word": _word_label(word), "reference": str(b), "model": str(a)}
+                      for word, a, b in differing)
     passed = not witnesses
     details = {}
     if (passed and word_len >= 2 and model.n_points == 1
@@ -584,46 +590,37 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
             if not flat.passed:
                 raise Inconsistent(
                     "stationary single-point model failed the forced rank-one property")
-    return CheckReport("stationarity", passed, checked, tuple(witnesses), details)
+    return CheckReport("stationarity", passed, checked, witnesses, details)
 
 
-def _convolution_term(table, word, mids):
-    """phi(i_1 k_1 ... i_m k_m) * phi(k_1 j_1 ... k_m j_m) for the word
-    (i_1 j_1) ... (i_m j_m) and the middle tuple k."""
-    left = tuple((i, k) for (i, _), k in zip(word, mids))
-    right = tuple((k, j) for (_, j), k in zip(word, mids))
-    return table[left] * table[right]
-
-
-def _has_negative_zero(x) -> bool:
-    """Whether x is complex with a real or imaginary part of -0.0."""
-    return isinstance(x, complex) and any(
-        part == 0 and math.copysign(1.0, part) < 0 for part in (x.real, x.imag))
+def _full_convolution(table, word, n: int):
+    """The convolution square at the word (i_1 j_1) ... (i_m j_m): the sum of
+    phi(i_1 k_1 ... i_m k_m) * phi(k_1 j_1 ... k_m j_m) over every middle
+    tuple k in [n]^m, zero terms included, added in increasing order."""
+    total = None
+    for mids in itertools.product(range(n), repeat=len(word)):
+        term = (table[tuple((i, k) for (i, _), k in zip(word, mids))]
+                * table[tuple((k, j) for (_, j), k in zip(word, mids))])
+        total = term if total is None else total + term
+    return total
 
 
 def convolution_idempotency(state: StateOnWords, tol=None) -> CheckReport:
     """Whether the state equals its own convolution square on every word up
     to the bound.
 
-    The square at a word of length m sums one _convolution_term per middle
-    tuple in [n]^m, in increasing order.  Only the terms whose two factors
-    are nonzero are added, found by matching the column tuples of the nonzero
-    words with the row tuples of the nonzero words, in the same order; a word
-    with no such term takes the first term of the full sum.  The terms left
-    out are zero, but they could still change how the sum prints, so the sum
-    is brought to the full sum's form: a Cyc is lifted to the order that
-    every term of the full sum gives it, and a float sum with a -0.0 part,
-    whose sign the zero terms decide, is recomputed over every middle tuple."""
+    The verdict adds only the terms of the square whose two factors are
+    nonzero, found by matching the column tuples of the nonzero words with
+    the row tuples of the nonzero words, in increasing middle tuple.  The
+    terms left out are zero: they change no exact value, and at most the sign
+    of a float zero, which scalars_equal does not see.  A witness prints the
+    full sum of _full_convolution."""
     table = state.table
-    by_rows, orders = {}, {}
+    by_rows = {}
     for word, v in table.items():
-        rows = tuple(i for i, _ in word)
-        cols = tuple(j for _, j in word)
         if v:
-            by_rows.setdefault(rows, []).append((cols, v))
-        order = v.order if isinstance(v, Cyc) else 1
-        orders[0, rows] = math.lcm(orders.get((0, rows), 1), order)
-        orders[1, cols] = math.lcm(orders.get((1, cols), 1), order)
+            by_rows.setdefault(tuple(i for i, _ in word), []).append(
+                (tuple(j for _, j in word), v))
     sums = {}
     for rows, lefts in by_rows.items():
         lefts.sort(key=lambda pair: pair[0])
@@ -636,22 +633,11 @@ def convolution_idempotency(state: StateOnWords, tol=None) -> CheckReport:
     checked = 0
     for word in state.words_by_length():
         checked += 1
-        conv = sums.get(word)
-        if conv is None:
-            conv = _convolution_term(table, word, (0,) * len(word))
-        if isinstance(conv, Cyc):
-            conv = conv.lift(math.lcm(orders[0, tuple(i for i, _ in word)],
-                                      orders[1, tuple(j for _, j in word)]))
-        elif _has_negative_zero(conv):
-            conv = None
-            for mids in itertools.product(range(state.n), repeat=len(word)):
-                term = _convolution_term(table, word, mids)
-                conv = term if conv is None else conv + term
-        if not scalars_equal(conv, table[word], tol):
+        if not scalars_equal(sums.get(word, 0), table[word], tol):
             witnesses.append({
                 "word": _word_label(word),
                 "state": str(table[word]),
-                "convolution": str(conv),
+                "convolution": str(_full_convolution(table, word, state.n)),
             })
     return CheckReport("convolution_idempotency", not witnesses, checked,
                        tuple(witnesses))

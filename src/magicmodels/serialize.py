@@ -28,6 +28,12 @@ def _expect(cond: bool, msg: str):
         raise BadInput(msg)
 
 
+def _is_int(v) -> bool:
+    """Whether a JSON value is an integer: true and false are not, though a
+    Python bool is an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 # -- scalars ----------------------------------------------------------------
 
 def scalar_to_json(x):
@@ -54,8 +60,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _finite(v) -> float:
-    """A JSON number as a float; NaN, the infinities and integers beyond the
-    float range are input errors."""
+    """A JSON number as a float; booleans, NaN, the infinities and integers
+    beyond the float range are input errors."""
+    _expect(not isinstance(v, bool), "booleans are not scalars")
     try:
         x = float(v)
     except OverflowError as exc:
@@ -67,14 +74,12 @@ def _finite(v) -> float:
 def scalar_from_json(v):
     if isinstance(v, str):
         return _rational(v)
-    if isinstance(v, bool):
-        raise BadInput("booleans are not scalars")
     if isinstance(v, (int, float)):
         return _finite(v)
     if isinstance(v, dict) and "order" in v:
         _expect(isinstance(v.get("coeffs"), list), "cyclotomic needs a coeffs list")
         order = v["order"]
-        _expect(isinstance(order, int) and order >= 1, "cyclotomic order must be a positive integer")
+        _expect(_is_int(order) and order >= 1, "cyclotomic order must be a positive integer")
         _expect(len(v["coeffs"]) == order, "cyclotomic coeffs length must equal the order")
         _expect(all(isinstance(c, str) for c in v["coeffs"]),
                 "cyclotomic coeffs must be rational strings")
@@ -125,7 +130,7 @@ def perm_to_json(p: Perm) -> list:
 
 
 def perm_from_json(v) -> Perm:
-    _expect(isinstance(v, list) and all(isinstance(i, int) for i in v),
+    _expect(isinstance(v, list) and all(_is_int(i) for i in v),
             "permutation must be a list of 1-based images")
     try:
         return Perm(tuple(v))
@@ -145,8 +150,9 @@ def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
     gens = [perm_from_json(p) for p in v["generators"]]
     degree = v.get("degree")
     if degree is not None:
-        _expect(isinstance(degree, int) and degree >= 1, "degree must be a positive integer")
+        _expect(_is_int(degree) and degree >= 1, "degree must be a positive integer")
     _expect(bool(gens) or degree is not None, "empty generator list needs an explicit degree")
+    _expect(degree is not None or gens[0].degree >= 1, "generators must have degree at least 1")
     return PermGroup.from_generators(gens, degree=degree, cap=cap)
 
 
@@ -157,7 +163,7 @@ def abelian_to_json(g: FinAbelian) -> dict:
 def abelian_from_json(v) -> FinAbelian:
     _expect(isinstance(v, dict) and isinstance(v.get("factors"), list),
             "abelian group needs a factors list")
-    _expect(all(isinstance(n, int) and n >= 1 for n in v["factors"]),
+    _expect(all(_is_int(n) and n >= 1 for n in v["factors"]),
             "factors must be positive integers")
     return FinAbelian(v["factors"])
 
@@ -170,7 +176,7 @@ def abelian_auto_from_images(group: FinAbelian, images) -> AutoMap:
     imgs = []
     for img in images:
         _expect(isinstance(img, (list, tuple)) and len(img) == len(group.factors)
-                and all(isinstance(a, int) for a in img),
+                and all(_is_int(a) for a in img),
                 "each image must be an element tuple")
         imgs.append(tuple(a % f for a, f in zip(img, group.factors)))
 
@@ -206,8 +212,8 @@ def model_from_json(v) -> FiberModel:
     for field in ("n", "dim", "points"):
         _expect(field in v, f"model needs a {field} field")
     n, dim, points = v["n"], v["dim"], v["points"]
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _expect(_is_int(n) and n >= 1, "n must be a positive integer")
+    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     _expect(isinstance(points, list) and points, "points must be a nonempty list")
     labels, weights, grids = [], [], []
     for pt in points:
@@ -250,7 +256,7 @@ def square_from_json(v) -> SparseLatinSquare:
             "cells must form a square grid")
     for row in cells:
         for c in row:
-            _expect(c is None or isinstance(c, int), "cells hold symbols or null")
+            _expect(c is None or _is_int(c), "cells hold symbols or null")
     return SparseLatinSquare(tuple(tuple(row) for row in cells))
 
 

@@ -37,3 +37,12 @@ def test_merged_model_types_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"magicmodels.{module}"), name)
     assert not hasattr(magicmodels, name)
     assert not hasattr(magicmodels.FiberModel, "entry_fn")
+
+
+@pytest.mark.parametrize("cls, name", [
+    ("AlgebraElement", "support"), ("AlgebraElement", "coefficient"),
+    ("StateOnWords", "from_group"), ("StateOnWords", "from_dual"),
+    ("StateOnWords", "value"),
+])
+def test_removed_members_are_gone(cls, name):
+    assert not hasattr(getattr(magicmodels, cls), name)

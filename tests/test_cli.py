@@ -397,6 +397,30 @@ FUZZ_PAYLOADS = [
     ("stationarity", "--model", _fuzz_model("NaN")),
 ]
 
+# JSON booleans where an integer or a number belongs, and a degree-0 group:
+# each must be BadInput.
+BAD_INTEGER_PAYLOADS = [
+    ("magic-verify", "--model", '{"n": true, "dim": true, "points": [{"weight": "1", '
+                                '"entries": [[{"rows": [["1"]]}]]}]}'),
+    ("magic-verify", "--model", '{"n": 1, "dim": true, "points": [{"weight": "1", '
+                                '"entries": [[{"rows": [["1"]]}]]}]}'),
+    ("magic-verify", "--model", _fuzz_model('{"order": true, "coeffs": ["1"]}')),
+    ("magic-verify", "--model", _fuzz_model('{"re": true, "im": 0}')),
+    ("dual-build", "--input", '{"sizes": [true, true], "generators": '
+                              '[{"rows": [["1"]]}, {"rows": [["1"]]}]}'),
+    ("dual-flat-check", "--input", '{"k": true, "generators": [[{"rows": [["1"]]}]]}'),
+    ("cyclic-build", "--input", '{"factors": [true], "rep_generators": [{"rows": [["1"]]}], '
+                                '"auto_images": [[0]], "k": 1}'),
+    ("cyclic-build", "--input", '{"factors": [1], "rep_generators": [{"rows": [["1"]]}], '
+                                '"auto_images": [[0]], "k": true}'),
+    ("cyclic-build", "--input", '{"factors": [1], "rep_generators": [{"rows": [["1"]]}], '
+                                '"auto_images": [[true]], "k": 1}'),
+    ("orbits", "--group", '{"generators": [[true]]}'),
+    ("orbits", "--group", '{"generators": [[1]], "degree": true}'),
+    ("orbits", "--group", '{"generators": [[]]}'),
+]
+FUZZ_PAYLOADS += BAD_INTEGER_PAYLOADS
+
 
 def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
     # In process, a raw exception would leave dispatch and fail the test
@@ -410,7 +434,7 @@ def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
         code, report, cap = run_cli(capsys, *argv)
         assert code == 2 and report["status"] == "error", argv
         assert "Traceback" not in cap.err, argv
-        if "NaN" in text or "Infinity" in text:
+        if "NaN" in text or "Infinity" in text or (command, flag, text) in BAD_INTEGER_PAYLOADS:
             assert report["error"]["type"] == "BadInput", argv
 
 

@@ -1,4 +1,5 @@
 """Magic-unitary models: construction, verification, states, and flatness."""
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from magicmodels.magic import (
 )
 from magicmodels.matrices import CMatrix, scalars_equal, spectral_projection
 from magicmodels.quasiflat import classical_model_from_family, latin_family_search
+from magicmodels.serialize import check_to_json, render_json
 
 F = Fraction
 
@@ -180,9 +182,10 @@ def m4():
 def test_dual_reference_state_matches_model_state(m4):
     ref = DualWordReference.from_block_generators(FinAbelian([4]), [((1,), 4)])
     s_model = StateOnWords.from_model(m4, 2)
-    s_dual = StateOnWords.from_dual(ref, 2)
+    s_dual = dense_reference_table(ref, 4, 2)
+    assert len(s_dual) == len(s_model.table) == 273
     for w in s_model.words_by_length():
-        assert scalars_equal(s_model.table[w], s_dual.table[w]), w
+        assert scalars_equal(s_model.table[w], s_dual[w]), w
 
 
 def test_classical_cyclic_reference_accepts_rotation_model(m4):
@@ -272,7 +275,8 @@ def test_reflection_fiber_fails_idempotency(rotation_model):
 
 
 def test_group_state_is_idempotent(s3):
-    assert convolution_idempotency(StateOnWords.from_group(s3, 3, 2)).passed
+    assert convolution_idempotency(
+        StateOnWords(3, 2, dense_reference_table(s3, 3, 2))).passed
 
 
 def test_stationary_state_is_idempotent(m2, m4):
@@ -298,6 +302,64 @@ def test_orbit_source_rejects_non_group_input():
 
 
 # -- the pruned word-state table against the full recursion ------------------
+
+def words_up_to(n, bound):
+    """Every word of 0-based letters up to the bound, length-major and
+    lexicographic."""
+    letters = [(i, j) for i in range(n) for j in range(n)]
+    return [w for m in range(bound + 1) for w in itertools.product(letters, repeat=m)]
+
+
+def dense_reference_table(reference, n, bound):
+    """Reference Haar-state table by recursing through every word, dead
+    prefixes included: the share of group elements g with g(j) = i for every
+    letter (i, j), or the identity coefficient of the product of a dual
+    reference's coordinates."""
+    table = {}
+    classical = isinstance(reference, PermGroup)
+
+    def rec(word, state):
+        table[word] = F(len(state), reference.order) if classical else state.at_identity()
+        if len(word) < bound:
+            for i in range(n):
+                for j in range(n):
+                    if classical:
+                        nxt = [g for g in state if g(j + 1) == i + 1]
+                    else:
+                        nxt = state * reference.coords[(i, j)]
+                    rec(word + ((i, j),), nxt)
+
+    rec((), list(reference.elements) if classical else AlgebraElement.one(reference.group))
+    return table
+
+
+def dense_differing(reference, model, bound, tol=None):
+    """(word, model value, reference value) on which the two dense tables
+    differ, length-major."""
+    ref = dense_reference_table(reference, model.n, bound)
+    state = dense_state_table(model, bound)
+    assert len(ref) == len(state)
+    return [(w, state[w], ref[w]) for w in words_up_to(model.n, bound)
+            if not scalars_equal(ref[w], state[w], tol)]
+
+
+def assert_walk_matches_dense(reference, model, bound, tol=None):
+    """The joint walk's words, values and value types, and the check's
+    witnesses and count, against the dense tables; returns the report."""
+    want = dense_differing(reference, model, bound, tol)
+    got = magic._differing_words(magic._ModelWords(model),
+                                 magic._reference_words(reference, model.n),
+                                 model.n, bound, tol)
+    typed = [(w, type(a), repr(a), type(b), repr(b)) for w, a, b in got]
+    assert typed == [(w, type(a), repr(a), type(b), repr(b)) for w, a, b in want]
+    report = stationarity_check(reference, model, bound, tol)
+    assert list(report.witnesses) == [
+        {"word": " ".join(f"u[{i + 1},{j + 1}]" for i, j in w) or "1",
+         "reference": str(b), "model": str(a)} for w, a, b in want]
+    assert report.passed == (not want)
+    assert report.checked == len(words_up_to(model.n, bound))
+    return report
+
 
 def dense_state_table(model, bound):
     """Word-state table by recursing through every word, dead prefixes included."""
@@ -357,18 +419,19 @@ def test_pruned_state_table_matches_full_recursion(family_models, mode):
             [(type(v), repr(v)) for v in want.values()]
 
 
-def test_failing_model_witnesses_match_full_recursion(family_models):
-    _, (d4, failing) = family_models
-    report = stationarity_check(d4, failing, word_len=3)
-    ref = StateOnWords.from_group(d4, failing.n, 3)
-    full = dense_state_table(failing, 3)
-    want = [{"word": " ".join(f"u[{i + 1},{j + 1}]" for i, j in word) or "1",
-             "reference": str(ref.table[word]), "model": str(full[word])}
-            for word in ref.words_by_length()
-            if not scalars_equal(ref.table[word], full[word])]
-    assert not report.passed and want
-    assert list(report.witnesses) == want
-    assert report.checked == len(full)
+def test_failing_model_witnesses_match_full_recursion(d4_s4_models):
+    """Witnesses, values and value types of the joint walk, and the check's
+    witnesses, on every single fiber of the D4 and S4 family models at length
+    3, in both modes."""
+    for group, model in d4_s4_models:
+        for tol in (None, 1e-9):
+            failing = 0
+            for x in range(model.n_points):
+                fiber = single_fiber(model, x)
+                if tol is not None:
+                    fiber = fiber.to_float()
+                failing += not assert_walk_matches_dense(group, fiber, 3, tol).passed
+            assert failing
 
 
 # -- one spectral kernel: block entries, dual coordinates, integrated traces ---
@@ -498,12 +561,9 @@ def test_automaton_certifies_family_and_block_models_at_all_lengths(d4_s4_models
 
 
 def bounded_failing_words(group, model, bound):
-    """The words up to the bound on which the two word tables differ, in
+    """The words up to the bound on which the two dense tables differ, in
     length-major order."""
-    ref = StateOnWords.from_group(group, model.n, bound)
-    state = StateOnWords.from_model(model, bound)
-    return [w for w in state.words_by_length()
-            if not scalars_equal(ref.table[w], state.table[w])]
+    return [w for w, _, _ in dense_differing(group, model, bound)]
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["D4", "S4"])
@@ -543,8 +603,8 @@ def test_exact_stationarity_builds_no_table_when_the_states_agree(d4_s4_models, 
     def refuse(*args):
         raise RuntimeError("word table built")
 
-    for name in ("from_model", "from_group", "from_dual"):
-        monkeypatch.setattr(StateOnWords, name, classmethod(refuse))
+    monkeypatch.setattr(StateOnWords, "from_model", classmethod(refuse))
+    monkeypatch.setattr(magic, "_differing_words", refuse)
     group, model = d4_s4_models[0]
     report = stationarity_check(group, model, word_len=4)
     assert report.passed and report.checked == 69905 and not report.witnesses
@@ -557,21 +617,19 @@ def test_exact_stationarity_builds_no_table_when_the_states_agree(d4_s4_models, 
         stationarity_check(ref, block.to_float(), word_len=2)
 
 
-# -- word tables of the references against their unpruned recursions -----------
+# -- the joint walk and the reference states against their dense recursions ----
 
 @pytest.mark.parametrize("factors", [[2, 2], [4]])
 def test_dual_table_matches_unpruned_recursion(factors, monkeypatch):
-    _, ref = block_model_and_reference(factors)
-    want = {}
-
-    def rec(word, acc):
-        want[word] = acc.at_identity()
-        if len(word) < 3:
-            for i in range(ref.n):
-                for j in range(ref.n):
-                    rec(word + ((i, j),), acc * ref.coords[(i, j)])
-
-    rec((), AlgebraElement.one(ref.group))
+    """DualWordReference.haar on every word against the unpruned recursion;
+    the walk of a float check multiplies fewer group-algebra elements than
+    the recursion's 4,368."""
+    model, ref = block_model_and_reference(factors)
+    want = dense_reference_table(ref, ref.n, 3)
+    words = words_up_to(ref.n, 3)
+    assert len(words) == len(want) == 4369
+    got = [ref.haar(w) for w in words]
+    assert [(type(v), repr(v)) for v in got] == [(type(want[w]), repr(want[w])) for w in words]
     calls = []
     mul = AlgebraElement.__mul__
 
@@ -580,19 +638,58 @@ def test_dual_table_matches_unpruned_recursion(factors, monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
-    got = StateOnWords.from_dual(ref, 3).table
-    assert list(got) == list(want)
-    assert [(type(v), repr(v)) for v in got.values()] == \
-        [(type(v), repr(v)) for v in want.values()]
+    assert stationarity_check(ref, model.to_float(), 3, tol=1e-9).passed
     assert len(calls) < 4368
 
 
 def test_group_table_matches_haar_word_classical(d4):
-    table = StateOnWords.from_group(d4, 4, 3).table
+    table = dense_reference_table(d4, 4, 3)
     assert len(table) == 4369
     for word, value in table.items():
         want = haar_word_classical(d4, [(i + 1, j + 1) for i, j in word])
         assert (type(value), value) == (type(want), want), word
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_walk_matches_dense_tables_on_block_models(mode):
+    """Each block model against its own dual reference (passing) and against
+    the other one (failing, 432 witnesses at length 3)."""
+    tol = None if mode == "exact" else 1e-9
+    (m22, r22), (m4, r4) = block_model_and_reference([2, 2]), block_model_and_reference([4])
+    for model, ref, failing in ((m22, r22, 0), (m4, r4, 0), (m4, r22, 432), (m22, r4, 432)):
+        if mode == "float":
+            model = model.to_float()
+        report = assert_walk_matches_dense(ref, model, 3, tol)
+        assert len(report.witnesses) == failing
+
+
+# sha256 of render_json(check_to_json(stationarity_check(ref, model, 3, tol)))
+# for a block model against the other block model's dual reference, pinned
+# when the witnesses still came from two word tables.
+GOLDEN_DUAL_FAILURES = {
+    ("Z4 model", "Z2xZ2 reference", "exact"):
+        "35263eabb2275e88cce990ecc234012a674e6452c708dd626f3c3651fc804685",
+    ("Z4 model", "Z2xZ2 reference", "float"):
+        "289263cdeb0932d59babf49f44ac79b785548886209542844afc8379cfa09735",
+    ("Z2xZ2 model", "Z4 reference", "exact"):
+        "3e247bedefdcec73983319ca008e39d569c971fecd7e657147899fe34e2a9b20",
+    ("Z2xZ2 model", "Z4 reference", "float"):
+        "ebe14d3c51bb8f0b685aa0cf64243159fff68e970cdc41e0bd7da5747c2408be",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DUAL_FAILURES), ids=" ".join)
+def test_dual_reference_failure_is_byte_identical(case):
+    blocks = {"Z4": block_model_and_reference([4]), "Z2xZ2": block_model_and_reference([2, 2])}
+    model = blocks[case[0].split()[0]][0]
+    ref = blocks[case[1].split()[0]][1]
+    tol = None
+    if case[2] == "float":
+        model, tol = model.to_float(), 1e-9
+    report = stationarity_check(ref, model, 3, tol)
+    assert len(report.witnesses) == 432 and report.witnesses[0]["word"] == "u[1,1]"
+    out = render_json(check_to_json(report))
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DUAL_FAILURES[case]
 
 
 # -- the sparse convolution square against the nested loop over middle tuples --
@@ -663,6 +760,28 @@ def test_sparse_idempotency_matches_nested_loop_on_cyc_and_float_states(d4_s4_mo
     assert assert_same_idempotency(StateOnWords.from_model(float_model, 2)).passed
     rep = assert_same_idempotency(StateOnWords.from_model(single_fiber(float_model, refl), 2))
     assert not rep.passed
+
+
+def test_idempotency_verdict_reads_only_the_sparse_sum(d4_s4_models, monkeypatch):
+    """The full sum over every middle tuple is taken once per witness and
+    never for a word that passes."""
+    calls = []
+    full = magic._full_convolution
+
+    def counted(*args):
+        calls.append(args[1])
+        return full(*args)
+
+    monkeypatch.setattr(magic, "_full_convolution", counted)
+    d4, model = d4_s4_models[0]
+    assert convolution_idempotency(StateOnWords.from_model(model, 3)).passed
+    assert not calls
+    refl = single_fiber(model, reflection_fiber_point(d4))
+    for state in (StateOnWords.from_model(refl, 2), StateOnWords.from_model(refl.to_float(), 2)):
+        calls.clear()
+        rep = convolution_idempotency(state)
+        assert not rep.passed
+        assert [magic._word_label(w) for w in calls] == [w["word"] for w in rep.witnesses]
 
 
 def test_sparse_idempotency_keeps_the_form_zero_terms_give():
