@@ -336,7 +336,7 @@ class _ModelWords:
         return _weighted_ntrace(self.weights, prods, self.zero)
 
     def is_zero(self, prods) -> bool:
-        return all(p is None for p in prods)
+        return not any(prods)  # a CMatrix has no __bool__, so it is truthy
 
     def coordinates(self, prods) -> list:
         return [((x, r, c), v) for x, p in enumerate(prods) if p is not None
@@ -399,14 +399,16 @@ def _reference_words(reference, n: int):
     raise TypeError("reference must be a PermGroup or DualWordReference")
 
 
+def _advance(words, state, letter):
+    """One more letter read; a zero state is kept, since its extensions share its value."""
+    return state if words.is_zero(state) else words.step(state, letter)
+
+
 def _read(words, word):
-    """The automaton's value on one word of 0-based letters; reading stops at
-    a zero state, whose value every extension shares."""
+    """The automaton's value on one word of 0-based letters."""
     state = words.start
     for letter in word:
-        if words.is_zero(state):
-            break
-        state = words.step(state, letter)
+        state = _advance(words, state, letter)
     return words.value(state)
 
 
@@ -520,7 +522,7 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
         vec = dict(mod.coordinates(p) + ref.coordinates(r))
         if _enlarges_span(basis, vec) and (max_len is None or len(word) < max_len):
             for letter in letters:
-                queue.append((word + (letter,), mod.step(p, letter), ref.step(r, letter)))
+                queue.append((word + (letter,), _advance(mod, p, letter), _advance(ref, r, letter)))
     return None
 
 
@@ -539,7 +541,7 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
             differing.append((word, a, b))
         if len(word) < bound and not (mod.is_zero(p) and ref.is_zero(r)):
             for letter in letters:
-                walk(word + (letter,), mod.step(p, letter), ref.step(r, letter))
+                walk(word + (letter,), _advance(mod, p, letter), _advance(ref, r, letter))
 
     walk((), mod.start, ref.start)
     differing.sort(key=lambda found: (len(found[0]), found[0]))

@@ -8,6 +8,7 @@ mix silently; converting is explicit via to_float().
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
@@ -128,7 +129,11 @@ class CMatrix:
 
     @classmethod
     def identity(cls, n: int, mode: str = "exact") -> "CMatrix":
-        return cls.diagonal([1] * n, mode)
+        if n < 1 or mode not in ("exact", "float"):
+            return cls.diagonal([1] * n, mode)  # raises as the constructor does
+        one, zero = (1, 0) if mode == "exact" else (1 + 0j, 0j)
+        row = (zero,) * n
+        return cls._of(mode, tuple(row[:i] + (one,) + row[i + 1:] for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries, mode: str = "exact") -> "CMatrix":
@@ -313,7 +318,8 @@ class CMatrix:
     def is_identity(self, tol=None) -> bool:
         if self.rows != self.cols:
             return False
-        return self.close_to(CMatrix.identity(self.rows, self.mode), tol)
+        return self.is_diagonal(tol) and all(
+            scalars_equal(row[i], 1, tol) for i, row in enumerate(self.data))
 
     def is_diagonal(self, tol=None) -> bool:
         if self.mode == "exact":
@@ -339,7 +345,8 @@ class CMatrix:
     def is_unitary(self, tol=None) -> bool:
         if self.rows != self.cols:
             return False
-        return (self * self.adjoint()).is_identity(tol) and (self.adjoint() * self).is_identity(tol)
+        adj = self.adjoint()
+        return (self * adj).is_identity(tol) and (adj * self).is_identity(tol)
 
     def max_abs(self) -> float:
         return max(abs(complex(x)) for row in self.data for x in row)
@@ -435,6 +442,11 @@ def spectral_projection(u: CMatrix, k: int, a: int, tol=None) -> CMatrix:
     return _fourier_sum(_powers(u, k), a)
 
 
+@lru_cache(maxsize=None)
+def _float_roots(k: int) -> tuple:
+    return tuple(complex(zeta(k, e)) for e in range(k))
+
+
 def _traces_and_multiplicities(u: CMatrix, k: int, tol=None) -> tuple:
     """The power traces (Tr U^b) for b < k of a unitary with U^k = 1 (already
     checked), and the eigenvalue multiplicities derived from them."""
@@ -451,9 +463,10 @@ def _traces_and_multiplicities(u: CMatrix, k: int, tol=None) -> tuple:
             if m is None:
                 raise Inconsistent("spectral multiplicity is not an integer")
         else:
+            roots = _float_roots(k)
             total = 0j
             for b, t in enumerate(traces):
-                total += complex(zeta(k, (-a * b) % k)) * t
+                total += roots[(-a * b) % k] * t
             total /= k
             m = round(total.real)
             lim = (EPS if tol is None else tol) * n * k

@@ -514,6 +514,8 @@ GOLDEN_REPORTS = {
         "92820ed3bfde362b0923de495232430e01cac5feb35e189aa81d498e881ec0fc",
     ("dual-flat-check", "--input", "flat_bad.json"):
         "7e3ede6a1dbc62ed94921fd82a58b9ae75adb58424679dc8e323702e234ec784",
+    ("dual-flat-check", "--input", "flat_bad.json", "--float"):
+        "0630d3980ece225845e26ac07255cc7b644bf58a4a68deca6f3ac26a35420131",
     ("stationarity", "--model", "model_z3.json", "--group", "z3.json",
      "--max-word-len", "3"):
         "ed91f005cc2e8cff21de2f5e248d1fff0fa7e1ecad365a69e9313a33bd3b6ba3",
@@ -535,6 +537,12 @@ GOLDEN_REPORTS = {
         "4908fc98f09928de5c6a8de58d4964c675393a31aeb54445d7d8110d8969827d",
     ("uniform-check", "--group", "s5star.json"):
         "4247592537140944a303e9c6b7356e727196db915e81a94f71c70c1c341ddbe6",
+    # The suite reads no input; its payload and criterion 11's determinism
+    # check are pinned together.
+    ("suite", "--seed", "1"):
+        "3e4240f11f92bf9ec62ccb5f123ce6d83268ea948c0b8d95682fdbd549156e65",
+    ("suite", "--seed", "3"):
+        "c886a03de5736b5f0759e8828c40928d986c572aa6346ba2f9a19a429d666825",
 }
 
 

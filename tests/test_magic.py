@@ -692,6 +692,19 @@ def test_dual_reference_failure_is_byte_identical(case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DUAL_FAILURES[case]
 
 
+def test_walk_keeps_a_zero_reference_state(monkeypatch):
+    # Stepping every reference state took 1,680 group-algebra products here;
+    # a zero accumulator is kept instead of multiplied.
+    model = block_model_and_reference([4])[0].to_float()
+    ref = block_model_and_reference([2, 2])[1]
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    assert len(stationarity_check(ref, model, 3, 1e-9).witnesses) == 432
+    assert len(calls) <= 912
+
+
 # -- the sparse convolution square against the nested loop over middle tuples --
 
 def nested_loop_idempotency(state, tol=None):

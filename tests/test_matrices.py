@@ -275,3 +275,72 @@ def test_close_to_matches_entrywise_scalars_equal(pair, tol):
                for ra, rb in zip(a.data, b.data) for x, y in zip(ra, rb))
     assert a.close_to(b, tol) is want
     assert b.close_to(a, tol) is want
+
+
+# -- identity predicates against the route through a built identity matrix --
+
+def old_is_identity(m, tol=None):
+    return m.rows == m.cols and m.close_to(CMatrix.diagonal([1] * m.rows, m.mode), tol)
+
+
+def old_is_unitary(m, tol=None):
+    return (m.rows == m.cols and old_is_identity(m * m.adjoint(), tol)
+            and old_is_identity(m.adjoint() * m, tol))
+
+
+CYC4_ONE = Cyc(4, (0, 0, -1, 0))        # -z4^2
+CYC4_ZERO = Cyc(4, (1, 0, 1, 0))        # 1 + z4^2
+IDENTITY_CASES = [
+    CMatrix.exact([[1, 0], [0, 1]]),
+    CMatrix.exact([[1, 0], [0, 2]]),
+    CMatrix.exact([[1, 1], [0, 1]]),
+    CMatrix.exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]),
+    CMatrix.exact([[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1)]]),
+    CMatrix.exact([[CYC4_ONE, CYC4_ZERO], [Cyc.from_rational(0), zeta(4, 2) * zeta(4, 2)]]),
+    CMatrix.exact([[CYC4_ONE, zeta(4)], [CYC4_ZERO, CYC4_ONE]]),
+    CMatrix.exact([[zeta(4), 0], [0, zeta(4, 3)]]),
+    CMatrix.floating([[1 + 1e-12, 1e-12j], [-1e-12, 1 - 1e-12j]]),
+    CMatrix.floating([[1 + 1e-6, 0], [0, 1]]),
+    CMatrix.floating([[1, 1e-6j], [0, 1]]),
+    CMatrix.floating([[-0.0, 1], [1, 0]]),
+    CMatrix.exact([[1, 0, 0], [0, 1, 0]]),
+    CMatrix.floating([[1], [0]]),
+    shift(3),
+    shift(3).scale(zeta(4)),
+    shift(3).scale(2),
+    shift(4).to_float(),
+    (shift(4) + CMatrix.identity(4)).to_float(),
+]
+
+
+@pytest.mark.parametrize("m", IDENTITY_CASES, ids=range(len(IDENTITY_CASES)))
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-9, 1e-5])
+def test_identity_predicates_match_the_built_identity_route(m, tol):
+    assert m.is_identity(tol) == old_is_identity(m, tol)
+    assert m.is_unitary(tol) == old_is_unitary(m, tol)
+
+
+def test_identity_predicate_verdicts():
+    assert [m.is_identity() for m in IDENTITY_CASES[:8]] == [
+        True, False, False, True, False, True, False, False]
+    assert IDENTITY_CASES[8].is_identity() and not IDENTITY_CASES[8].is_identity(0.0)
+    assert not IDENTITY_CASES[9].is_identity() and IDENTITY_CASES[9].is_identity(1e-5)
+    assert not IDENTITY_CASES[12].is_identity() and not IDENTITY_CASES[12].is_unitary()
+    assert shift(3).scale(zeta(4)).is_unitary() and not shift(3).scale(2).is_unitary()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_identity_matches_the_diagonal_constructor(n, mode):
+    built, old = CMatrix.identity(n, mode), CMatrix.diagonal([1] * n, mode)
+    assert (built.rows, built.cols, built.mode) == (old.rows, old.cols, old.mode)
+    assert built.data == old.data
+    assert [type(x) for row in built.data for x in row] == [
+        type(x) for row in old.data for x in row]
+
+
+def test_identity_rejects_what_the_constructor_rejects():
+    with pytest.raises(ShapeMismatch):
+        CMatrix.identity(0)
+    with pytest.raises(ValueError):
+        CMatrix.identity(2, "bogus")
