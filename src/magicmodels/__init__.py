@@ -14,9 +14,8 @@ from .errors import (
     NotUnitary, NotWellDefined, OrderMismatch, ShapeMismatch,
 )
 from .groups import (
-    AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, SemidirectGroup,
-    TableGroup, abelian_dual, abelianization, extend_automorphism,
-    orbit_blocks, semidirect,
+    AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,
+    abelian_dual, abelianization, extend_automorphism, orbit_blocks,
 )
 from .group_algebra import AlgebraElement, delta
 from .induced import (

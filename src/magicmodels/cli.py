@@ -8,6 +8,7 @@ bytes); a one-line human summary goes to standard error.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -44,12 +45,14 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_word_len < 1:
             raise ValueError("max word length must be at least 1")
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ValueError("seed must be in [0, 2**32)")
 
     def echo(self) -> dict:
         return {

@@ -1,6 +1,11 @@
 """Cyclic matrix models: cycle-fill entries over a finite group with an
 order-K automorphism, half-liberation relation checks, the semidirect-product
 stationarity certificate, and the K-symmetry conjugation invariant.
+
+`CyclicModelData` builds the powers sigma^0, ..., sigma^(K-1) of the
+automorphism once, while it checks that sigma^K = id.  The model fibers and
+the crossed-product and star rules of L x| Z_K all read sigma^t from that one
+table.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from .errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from .groups import AutoMap, semidirect
+from .groups import AutoMap
 from .magic import CheckReport, FiberModel
 from .matrices import CMatrix, scalars_equal
 
@@ -58,16 +63,23 @@ def cycle_fill(xs):
 
 class CyclicModelData:
     """A finite group L, a unitary representation v given on every element,
-    and an automorphism of order dividing K."""
+    and an automorphism sigma of order dividing K.  `powers` holds
+    sigma^0, ..., sigma^(K-1); sigma^t is powers[t % K] for every integer t."""
 
     def __init__(self, group, rep: dict, auto: AutoMap, k: int):
         if k < 1:
             raise ValueError("K must be positive")
-        if not auto.power(k).is_identity():
+        powers = [AutoMap.identity(group)]
+        step = auto
+        while not step.is_identity() and len(powers) < k:
+            powers.append(step)
+            step = step.compose(auto)
+        if not step.is_identity() or k % len(powers):
             raise InvalidAutomorphism(f"automorphism order does not divide {k}")
         self.group = group
         self.auto = auto
         self.k = k
+        self.powers = tuple(powers) * (k // len(powers))
         self.rep = dict(rep)
         elements = list(group.elements)
         missing = [g for g in elements if g not in self.rep]
@@ -112,14 +124,14 @@ def build_cyclic_model(data: CyclicModelData) -> FiberModel:
     elements = list(data.group.elements)
     n, k = data.dim, data.k
     weights = [Fraction(1, len(elements))] * len(elements)
-    powers = [data.auto.power(t + 1) for t in range(k)]
     entries = []
     for i in range(n):
         row = []
         for j in range(n):
             fibers = []
             for g in elements:
-                vals = [data.rep[powers[r](g)].entry(i, j) for r in range(k)]
+                vals = [data.rep[data.powers[r % k](g)].entry(i, j)
+                        for r in range(1, k + 1)]
                 fibers.append(cycle_fill(vals) if data.mode == "exact"
                               else cycle_fill(vals).to_float())
             row.append(tuple(fibers))
@@ -201,61 +213,53 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
     return CheckReport("half_liberation", not witnesses, checked, tuple(witnesses))
 
 
-def _rho_fiber(data: CyclicModelData, g, i: int, h) -> CMatrix:
-    """Fiber at h of the image of the basis element delta_g tau^i: row r
-    carries [h = sigma^(-r)(g)] on the cyclic diagonal c = r - i."""
-    k = data.k
-    rows = [[0] * k for _ in range(k)]
-    for r in range(1, k + 1):
-        val = 1 if data.auto.power(-r)(g) == h else 0
-        if val:
-            c = (r - 1 - i) % k
-            rows[r - 1][c] = 1
-    return CMatrix.exact(rows)
-
-
 def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     """The basis delta_g tau^i of functions on L x| Z_K, multiplied with the
     crossed-product structure constants, maps to cyclic-diagonal matrix
-    functions on L.  Certifies that the map is a *-homomorphism and that the
-    normalized trace-average of each image equals the group integral."""
-    group = data.group
-    k = data.k
-    sd = semidirect(group, data.auto, k)
-    elements = list(group.elements)
+    functions on L: the fiber at h of the image of delta_g tau^i carries
+    [h = sigma^(-r)(g)] in row r - 1 on the cyclic diagonal c = r - 1 - i,
+    for r = 1, ..., K.  Certifies that the map is a *-homomorphism and that
+    the normalized trace-average of each image equals the group integral.
+    Every sigma^t is read from the power table `data.powers`."""
+    elements = list(data.group.elements)
+    k, powers = data.k, data.powers
     basis = [(g, i) for g in elements for i in range(k)]
-    fibers = {b: {h: _rho_fiber(data, b[0], b[1], h) for h in elements}
-              for b in basis}
+    zero = CMatrix.zeros(k, k)
+    fibers = {}
+    for g, i in basis:
+        hits = {}
+        for r in range(k):
+            h = powers[(-r - 1) % k](g)
+            if h not in hits:
+                hits[h] = [[0] * k for _ in range(k)]
+            hits[h][r][(r - i) % k] = 1
+        fibers[(g, i)] = {h: CMatrix.exact(hits[h]) if h in hits else zero
+                          for h in elements}
     witnesses = []
     checked = 0
-
-    def mul_basis(b1, b2):
-        (g, i), (h, j) = b1, b2
-        if h != data.auto.power(-i)(g):
-            return None
-        return (g, (i + j) % k)
-
-    def star_basis(b):
-        g, i = b
-        return (data.auto.power(-i)(g), (-i) % k)
-
+    # Crossed-product rule: (g, i)(h, j) = (g, i + j) when h = sigma^(-i)(g),
+    # and 0 otherwise.
     for b1 in basis:
+        g, i = b1
+        partner = powers[-i % k](g)
         for b2 in basis:
             checked += 1
-            prod = mul_basis(b1, b2)
-            for h in elements:
-                lhs = fibers[b1][h] * fibers[b2][h]
-                rhs = (CMatrix.zeros(k, k) if prod is None else fibers[prod][h])
-                if lhs != rhs:
+            h, j = b2
+            prod = fibers[(g, (i + j) % k)] if h == partner else None
+            for x in elements:
+                rhs = zero if prod is None else prod[x]
+                if fibers[b1][x] * fibers[b2][x] != rhs:
                     witnesses.append({"kind": "not_multiplicative",
                                       "left": str(b1), "right": str(b2),
-                                      "point": str(h)})
+                                      "point": str(x)})
                     break
+    # Star rule: (g, i)* = (sigma^(-i)(g), -i).
     for b in basis:
         checked += 1
-        bs = star_basis(b)
+        g, i = b
+        star = fibers[(powers[-i % k](g), -i % k)]
         for h in elements:
-            if fibers[b][h].adjoint() != fibers[bs][h]:
+            if fibers[b][h].adjoint() != star[h]:
                 witnesses.append({"kind": "star_mismatch", "element": str(b),
                                   "point": str(h)})
                 break
@@ -268,10 +272,11 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
             total = t if total is None else total + t
         model_side = total * Fraction(1, len(elements))
         haar = None
-        for (x, t) in sd.elements:
-            val = zeta(k, (t * i) % k) if x == g else 0
-            haar = val if haar is None else haar + val
-        haar_side = haar * Fraction(1, sd.order)
+        for x in elements:
+            for t in range(k):
+                val = zeta(k, (t * i) % k) if x == g else 0
+                haar = val if haar is None else haar + val
+        haar_side = haar * Fraction(1, len(elements) * k)
         if not scalars_equal(model_side, haar_side):
             witnesses.append({"kind": "not_stationary", "element": str(b),
                               "model": str(model_side), "haar": str(haar_side)})

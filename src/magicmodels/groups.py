@@ -1,5 +1,5 @@
 """Finite group machinery: permutation groups, abelian groups, characters,
-automorphisms, quotients and semidirect products.
+automorphisms and quotients.
 
 Permutations act on 1-based points and compose like functions,
 (s * t)(i) = s(t(i)).  Group enumeration is breadth-first from the identity
@@ -31,7 +31,6 @@ __all__ = [
     "FinAbelian",
     "CharacterOf",
     "AutoMap",
-    "SemidirectGroup",
     "QuotientData",
     "TableGroup",
     "abelian_dual",
@@ -44,7 +43,6 @@ __all__ = [
     "is_normal",
     "orbit_blocks",
     "quotient_data",
-    "semidirect",
 ]
 
 DEFAULT_CAP = 20160
@@ -186,7 +184,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self.words = tuple(words)
-        self._index = {g: i for i, g in enumerate(self.elements)}
+        self._members = frozenset(self.elements)
 
     @classmethod
     def from_generators(cls, generators, degree: int | None = None,
@@ -207,16 +205,7 @@ class PermGroup:
         return self.elements[0]
 
     def __contains__(self, g: Perm) -> bool:
-        return g in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def index(self, g: Perm) -> int:
-        try:
-            return self._index[g]
-        except KeyError:
-            raise NotInGroup(f"{g!r} is not in the group") from None
+        return g in self._members
 
     def mul(self, a: Perm, b: Perm) -> Perm:
         return a * b
@@ -344,9 +333,6 @@ class TableGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def index(self, a: int) -> int:
-        return a
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
@@ -377,7 +363,6 @@ class FinAbelian:
         if any(d < 1 for d in self.factors):
             raise ValueError("factors must be positive")
         self.elements = tuple(itertools.product(*(range(d) for d in self.factors)))
-        self._index = {g: i for i, g in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -399,15 +384,6 @@ class FinAbelian:
 
     def power(self, a, k: int):
         return tuple((x * k) % d for x, d in zip(a, self.factors))
-
-    def index(self, a) -> int:
-        try:
-            return self._index[tuple(a)]
-        except KeyError:
-            raise NotInGroup(f"{a!r} is not an element") from None
-
-    def __contains__(self, a) -> bool:
-        return tuple(a) in self._index
 
     def __iter__(self):
         return iter(self.elements)
@@ -446,9 +422,6 @@ class CharacterOf:
         for a, x, d in zip(self.exponents, element, self.group.factors):
             total += a * x * (n // d)
         return zeta(n, total % n)
-
-    def table(self) -> dict:
-        return {g: self.value(g) for g in self.group.elements}
 
     def conj(self) -> "CharacterOf":
         return CharacterOf(self.group, self.group.inv(self.exponents))
@@ -581,76 +554,6 @@ def extend_automorphism(group: PermGroup, generator_images) -> AutoMap:
     if len(set(mapping.values())) != group.order:
         raise NotBijective("extension is not a bijection")
     return AutoMap(group, mapping)
-
-
-class SemidirectGroup:
-    """L x| Z_K for an automorphism action t . y = sigma^t(y).  Elements are
-    pairs (x, t); (x, t)(y, s) = (x * sigma^t(y), t + s mod K)."""
-
-    def __init__(self, base, auto: AutoMap, k: int):
-        if k < 1:
-            raise ValueError("K must be positive")
-        if not auto.power(k).is_identity():
-            raise OrderMismatch(f"automorphism order does not divide {k}")
-        self.base = base
-        self.auto = auto
-        self.k = k
-        self._powers = [auto.power(t) for t in range(k)]
-        self.elements = tuple(
-            (x, t) for x in base.elements for t in range(k)
-        )
-        self._index = {g: i for i, g in enumerate(self.elements)}
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self):
-        return (self.base.identity, 0)
-
-    def mul(self, a, b):
-        (x, t), (y, s) = a, b
-        return (self.base.mul(x, self._powers[t](y)), (t + s) % self.k)
-
-    def inv(self, a):
-        x, t = a
-        mt = (-t) % self.k
-        return (self._powers[mt](self.base.inv(x)), mt)
-
-    def index(self, a) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise NotInGroup(f"{a!r} is not an element") from None
-
-    def __contains__(self, a) -> bool:
-        return a in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def element_order(self, a) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in self.elements for b in self.elements
-        )
-
-    def __repr__(self):
-        return f"SemidirectGroup(|L|={len(self.base.elements)}, K={self.k})"
-
-
-def semidirect(base, auto: AutoMap, k: int) -> SemidirectGroup:
-    """The semidirect product of a finite group by Z_K acting through the
-    given automorphism; raises OrderMismatch unless sigma^K = id."""
-    return SemidirectGroup(base, auto, k)
 
 
 def _joined_blocks(n: int, pairs) -> tuple[tuple[int, ...], ...]:

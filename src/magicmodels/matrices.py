@@ -257,9 +257,6 @@ class CMatrix:
             tuple(scalar_conj(x) for x in col) for col in zip(*self.data)
         ))
 
-    def transpose(self) -> "CMatrix":
-        return CMatrix._of(self.mode, tuple(zip(*self.data)))
-
     def kron(self, other: "CMatrix") -> "CMatrix":
         self._check_mode(other)
         out = []

@@ -21,7 +21,7 @@ from magicmodels.acceptance import (
     run_suite,
 )
 
-RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 2.0, 5: 1.0, 6: 1.0, 7: 1.4}
+RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 2.0, 5: 1.0, 6: 0.25, 7: 1.4}
 
 
 def _run(number, fn, **kwargs):

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,19 @@ def test_merged_model_types_are_gone(module, name):
     assert not hasattr(magicmodels.FiberModel, "entry_fn")
 
 
-@pytest.mark.parametrize("cls, name", [
+@pytest.mark.parametrize("owner, name", [
     ("AlgebraElement", "support"), ("AlgebraElement", "coefficient"),
     ("StateOnWords", "from_group"), ("StateOnWords", "from_dual"),
     ("StateOnWords", "value"),
+    ("PermGroup", "index"), ("PermGroup", "__iter__"), ("TableGroup", "index"),
+    ("FinAbelian", "index"), ("FinAbelian", "__contains__"),
+    ("CharacterOf", "table"), ("CMatrix", "transpose"),
+    ("groups", "SemidirectGroup"), ("groups", "semidirect"),
 ])
-def test_removed_members_are_gone(cls, name):
-    assert not hasattr(getattr(magicmodels, cls), name)
+def test_removed_members_are_gone(owner, name):
+    """A removed member of a class or of a module; a removed module member
+    is gone from the package namespace too."""
+    container = getattr(magicmodels, owner)
+    assert not hasattr(container, name)
+    if isinstance(container, types.ModuleType):
+        assert not hasattr(magicmodels, name)

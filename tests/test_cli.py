@@ -148,6 +148,7 @@ def files(tmp_path_factory):
             {"order": 2, "coeffs": ["1/0", "0"]})),
         "bad_coeff_text": put("bad_coeff_text.json", _scalar_model(
             {"order": 2, "coeffs": ["abc", "0"]})),
+        "scalar_two": put("scalar_two.json", _scalar_model("2")),
         "not_json": str(root / "not.json"),
         "root": str(root),
     }
@@ -330,6 +331,18 @@ def test_usage_errors(files, capsys):
     assert dispatch(["latin-search", "--group", files["z3"],
                      "--tol", "-1"]) == 2
     capsys.readouterr()
+    # The 1 x 1 model with entry 2 is not magic; a tolerance that is not
+    # finite would certify it.
+    assert dispatch(["magic-verify", "--model", files["scalar_two"],
+                     "--float"]) == 1
+    capsys.readouterr()
+    for tol in ("inf", "nan"):
+        assert dispatch(["magic-verify", "--model", files["scalar_two"],
+                         "--float", "--tol", tol]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+    for seed in ("-1", "4294967296"):
+        assert dispatch(["suite", "--seed", seed]) == 2
+        assert "seed must be in" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_files(files, capsys):
@@ -537,6 +550,12 @@ GOLDEN_REPORTS = {
         "4908fc98f09928de5c6a8de58d4964c675393a31aeb54445d7d8110d8969827d",
     ("uniform-check", "--group", "s5star.json"):
         "4247592537140944a303e9c6b7356e727196db915e81a94f71c70c1c341ddbe6",
+    ("cyclic-verify", "--input", "cyclic_d5.json"):
+        "543bd1be20346abfab014ef617def3f4291fb1a948322f6eba20f0f1a071b1d6",
+    ("cyclic-verify", "--input", "cyclic_d5.json", "--float", "--tol", "1e-8"):
+        "598f2c620adad7c8cbd5120b56ed75e6b2f0edd15095e87b2eb79ca723777271",
+    ("cyclic-verify", "--input", "cyclic_d5_float.json"):
+        "f49a53a92aaec326aca117ddc0ac3bf87ee615f7b5cc4525ba85d94dabcf4950",
     # The suite reads no input; its payload and criterion 11's determinism
     # check are pinned together.
     ("suite", "--seed", "1"):

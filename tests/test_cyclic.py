@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from magicmodels.acceptance import _cyclic_models
 from magicmodels.cyclic import (
     CyclicModelData,
     abelian_rep,
@@ -16,7 +17,7 @@ from magicmodels.cyclic import (
 from magicmodels.cyclotomic import zeta
 from magicmodels.errors import InvalidAutomorphism, NotRepresentation
 from magicmodels.groups import AutoMap, FinAbelian
-from magicmodels.magic import bichon_build
+from magicmodels.magic import CheckReport, bichon_build
 from magicmodels.matrices import CMatrix, scalar_is_zero
 
 F = Fraction
@@ -150,3 +151,115 @@ def test_rejects_non_multiplicative_rep(dihedral_data):
     bad[(1,)] = CMatrix.identity(2)
     with pytest.raises(NotRepresentation):
         CyclicModelData(dihedral_data.group, bad, dihedral_data.auto, 2)
+
+
+def _legacy_semidirect_stationarity(data):
+    """The check as it read before the power table: sigma^(-r) from
+    AutoMap.power at every use, one fiber per basis element and point, and
+    the Haar side summed over the pairs (x, t) of L x| Z_K."""
+    elements = list(data.group.elements)
+    k = data.k
+
+    def rho_fiber(g, i, h):
+        rows = [[0] * k for _ in range(k)]
+        for r in range(1, k + 1):
+            if data.auto.power(-r)(g) == h:
+                rows[r - 1][(r - 1 - i) % k] = 1
+        return CMatrix.exact(rows)
+
+    pairs = [(x, t) for x in elements for t in range(k)]
+    basis = [(g, i) for g in elements for i in range(k)]
+    fibers = {b: {h: rho_fiber(b[0], b[1], h) for h in elements} for b in basis}
+    witnesses = []
+    checked = 0
+    for b1 in basis:
+        for b2 in basis:
+            checked += 1
+            (g, i), (h2, j) = b1, b2
+            prod = (g, (i + j) % k) if h2 == data.auto.power(-i)(g) else None
+            for h in elements:
+                lhs = fibers[b1][h] * fibers[b2][h]
+                rhs = CMatrix.zeros(k, k) if prod is None else fibers[prod][h]
+                if lhs != rhs:
+                    witnesses.append({"kind": "not_multiplicative",
+                                      "left": str(b1), "right": str(b2),
+                                      "point": str(h)})
+                    break
+    for b in basis:
+        checked += 1
+        g, i = b
+        bs = (data.auto.power(-i)(g), (-i) % k)
+        for h in elements:
+            if fibers[b][h].adjoint() != fibers[bs][h]:
+                witnesses.append({"kind": "star_mismatch", "element": str(b),
+                                  "point": str(h)})
+                break
+    for b in basis:
+        checked += 1
+        g, i = b
+        total = None
+        for h in elements:
+            t = fibers[b][h].ntrace()
+            total = t if total is None else total + t
+        model_side = total * Fraction(1, len(elements))
+        haar = None
+        for (x, t) in pairs:
+            val = zeta(k, (t * i) % k) if x == g else 0
+            haar = val if haar is None else haar + val
+        haar_side = haar * Fraction(1, len(pairs))
+        if model_side != haar_side:
+            witnesses.append({"kind": "not_stationary", "element": str(b),
+                              "model": str(model_side), "haar": str(haar_side)})
+    return CheckReport("semidirect_stationarity", not witnesses, checked,
+                       tuple(witnesses))
+
+
+def _z13_k3_data():
+    z13 = FinAbelian([13])
+    rep = abelian_rep(z13, [CMatrix.diagonal([zeta(13, 1), zeta(13, 3),
+                                              zeta(13, 9)])])
+    times3 = AutoMap.from_function(z13, lambda a: ((3 * a[0]) % 13,))
+    return CyclicModelData(z13, rep, times3, 3)
+
+
+def _trivial_twist_k2_data():
+    z3 = FinAbelian([3])
+    rep = abelian_rep(z3, [CMatrix.exact([[zeta(3, 1)]])])
+    return CyclicModelData(z3, rep, AutoMap.identity(z3), 2)
+
+
+@pytest.mark.parametrize("data", [
+    *(data for _, data in _cyclic_models()),
+    _z13_k3_data(),
+    _trivial_twist_k2_data(),
+], ids=["K1", "K2", "K3", "Z13-K3", "identity-K2"])
+def test_semidirect_stationarity_matches_the_legacy_loop(data):
+    report = semidirect_stationarity(data)
+    assert report == _legacy_semidirect_stationarity(data)
+    assert report.passed
+    assert report.checked == len(data.group.elements) ** 2 * data.k ** 2 \
+        + 2 * len(data.group.elements) * data.k
+
+
+@pytest.mark.parametrize("factors, multiplier, k", [
+    ([13], 3, 3), ([13], 3, 6), ([7], 2, 3), ([5], 4, 2), ([5], 1, 4),
+])
+def test_power_table_holds_every_power(factors, multiplier, k):
+    group = FinAbelian(factors)
+    auto = AutoMap.from_function(
+        group, lambda a: tuple((multiplier * x) % d for x, d in zip(a, factors)))
+    rep = {g: CMatrix.exact([[1]]) for g in group.elements}
+    data = CyclicModelData(group, rep, auto, k)
+    assert len(data.powers) == k
+    for t in range(-2 * k, 2 * k):
+        assert data.powers[t % k] == auto.power(t)
+
+
+@pytest.mark.parametrize("multiplier, k", [(3, 2), (3, 4), (12, 3), (2, 1)])
+def test_power_table_rejects_orders_not_dividing_k(multiplier, k):
+    z13 = FinAbelian([13])
+    auto = AutoMap.from_function(z13, lambda a: ((multiplier * a[0]) % 13,))
+    rep = {g: CMatrix.exact([[1]]) for g in z13.elements}
+    with pytest.raises(InvalidAutomorphism,
+                       match=f"^automorphism order does not divide {k}$"):
+        CyclicModelData(z13, rep, auto, k)

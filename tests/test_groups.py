@@ -11,7 +11,7 @@ from magicmodels.errors import (
 from magicmodels.groups import (
     AutoMap, FinAbelian, Perm, PermGroup, TableGroup, abelian_dual,
     abelianization, extend_automorphism, extend_generator_map, is_normal,
-    orbit_blocks, quotient_data, semidirect,
+    orbit_blocks, quotient_data,
 )
 from conftest import pg
 
@@ -284,32 +284,6 @@ def test_unchecked_products_equal_validated_ones():
             assert (s * inverse).is_identity() and (inverse * s).is_identity()
     with pytest.raises(ValueError, match="not a permutation"):
         Perm((2, 3, 3))
-
-
-def test_semidirect_structure():
-    g = FinAbelian([5])
-    inv = AutoMap.from_function(g, g.inv)
-    d5 = semidirect(g, inv, 2)
-    assert d5.order == 10
-    e = d5.identity
-    assert d5.mul(e, e) == e
-    # (x, 1)^2 = (x sigma(x), 0) = identity: reflections are involutions
-    for x in g:
-        r = (x, 1)
-        assert d5.mul(r, r) == e
-        assert d5.element_order(r) == 2
-    # rotations form Z5
-    assert d5.element_order(((1,), 0)) == 5
-    assert d5.inv(((2,), 1)) == ((2,), 1)
-    assert not d5.is_abelian()
-
-
-def test_semidirect_requires_matching_order():
-    g = FinAbelian([5])
-    inv = AutoMap.from_function(g, g.inv)
-    from magicmodels.errors import OrderMismatch
-    with pytest.raises(OrderMismatch):
-        semidirect(g, inv, 3)
 
 
 def test_orbit_blocks(klein6, s3):
