@@ -11,7 +11,7 @@ from .errors import (
     Inconsistent, InvalidAutomorphism, InvalidFamily, MagicModelsError,
     ModeMismatch, ModelInputError, NotBijective, NotFiniteOrder, NotInGroup,
     NotNormal, NotQuasiTransitive, NotRepresentation, NotSubgroup,
-    NotUnitary, NotWellDefined, OrderMismatch, ShapeMismatch,
+    NotUnitary, NotWellDefined, ShapeMismatch,
 )
 from .groups import (
     AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,

@@ -109,6 +109,8 @@ def abelian_rep(group, generator_images) -> dict:
     images = list(generator_images)
     if len(images) != len(group.factors):
         raise ShapeMismatch("need one image per cyclic factor")
+    if not images:
+        raise ShapeMismatch("need at least one generator image")
     rep = {}
     for g in group.elements:
         m = CMatrix.identity(images[0].rows, images[0].mode)

@@ -13,7 +13,6 @@ __all__ = [
     "DegreeMismatch",
     "NotSubgroup",
     "NotNormal",
-    "OrderMismatch",
     "NotWellDefined",
     "NotBijective",
     "DivisionByZero",
@@ -53,10 +52,6 @@ class NotSubgroup(ModelInputError):
 
 class NotNormal(ModelInputError):
     """Subgroup is not closed under conjugation by the ambient group."""
-
-
-class OrderMismatch(ModelInputError):
-    """An element or automorphism does not have the required order."""
 
 
 class NotWellDefined(ModelInputError):

@@ -21,7 +21,6 @@ from .errors import (
     NotNormal,
     NotSubgroup,
     NotWellDefined,
-    OrderMismatch,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "FinAbelian",
     "CharacterOf",
     "AutoMap",
-    "QuotientData",
     "TableGroup",
     "abelian_dual",
     "abelian_structure",
@@ -42,7 +40,6 @@ __all__ = [
     "generate",
     "is_normal",
     "orbit_blocks",
-    "quotient_data",
 ]
 
 DEFAULT_CAP = 20160
@@ -243,17 +240,6 @@ def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    """Coset representatives and multiplication table for G / L."""
-
-    representatives: tuple[Perm, ...]
-    table: tuple[tuple[int, ...], ...]
-
-    def as_table_group(self) -> "TableGroup":
-        return TableGroup(self.table)
-
-
 def _cosets(elements, sub_elements, mul) -> tuple[list, dict]:
     """Left cosets g H of the subgroup with the given elements: the
     representatives (first member of each coset in enumeration order) and
@@ -268,23 +254,6 @@ def _cosets(elements, sub_elements, mul) -> tuple[list, dict]:
         for h in sub_elements:
             coset_of[mul(g, h)] = idx
     return reps, coset_of
-
-
-def _quotient(ambient: PermGroup, sub: PermGroup) -> tuple[QuotientData, dict]:
-    """quotient_data, together with the coset index of every element."""
-    if not is_normal(sub, ambient):
-        raise NotNormal("subgroup is not normal, no quotient group")
-    reps, coset_of = _cosets(ambient.elements, sub.elements, ambient.mul)
-    table = tuple(
-        tuple(coset_of[a * b] for b in reps) for a in reps
-    )
-    return QuotientData(tuple(reps), table), coset_of
-
-
-def quotient_data(ambient: PermGroup, sub: PermGroup) -> QuotientData:
-    """Left coset representatives (first member of each coset in enumeration
-    order, identity first) and the induced multiplication table."""
-    return _quotient(ambient, sub)[0]
 
 
 class TableGroup:
@@ -423,17 +392,6 @@ class CharacterOf:
             total += a * x * (n // d)
         return zeta(n, total % n)
 
-    def conj(self) -> "CharacterOf":
-        return CharacterOf(self.group, self.group.inv(self.exponents))
-
-    def __mul__(self, other: "CharacterOf") -> "CharacterOf":
-        if other.group is not self.group and other.group.factors != self.group.factors:
-            raise ValueError("characters of different groups")
-        return CharacterOf(self.group, self.group.mul(self.exponents, other.exponents))
-
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
 
 def abelian_dual(group: FinAbelian) -> list[CharacterOf]:
     """All characters, in the same lexicographic order as the elements."""
@@ -531,15 +489,6 @@ class AutoMap:
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in self.mapping.items())
-
-    def order(self) -> int:
-        k, power = 1, self
-        while not power.is_identity():
-            power = power.compose(self)
-            k += 1
-            if k > len(self.mapping) ** 2:
-                raise OrderMismatch("automorphism order diverges")
-        return k
 
 
 def extend_automorphism(group: PermGroup, generator_images) -> AutoMap:
@@ -680,7 +629,10 @@ def abelianization(group: PermGroup):
     Returns (fin, proj) with fin a FinAbelian and proj a dict sending each
     group element to its exponent tuple."""
     derived = commutator_subgroup(group)
-    qd, coset_of = _quotient(group, derived)
-    fin, to_tuple, _ = abelian_structure(qd.as_table_group())
+    if not is_normal(derived, group):
+        raise NotNormal("subgroup is not normal, no quotient group")
+    reps, coset_of = _cosets(group.elements, derived.elements, group.mul)
+    quotient = TableGroup([[coset_of[a * b] for b in reps] for a in reps])
+    fin, to_tuple, _ = abelian_structure(quotient)
     proj = {g: to_tuple[coset_of[g]] for g in group.elements}
     return fin, proj

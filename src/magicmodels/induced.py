@@ -13,6 +13,7 @@ matrices on exponent vectors.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,7 +176,7 @@ class _IntMatrixAction:
         if self.lam.factors:
             torsion = [
                 (0,) * free + tail
-                for tail in _all_tuples(self.lam.factors)
+                for tail in itertools.product(*map(range, self.lam.factors))
             ]
             images = {self.apply(m, t) for t in torsion}
             if len(images) != len(torsion):
@@ -189,13 +190,6 @@ class _IntMatrixAction:
 
     def act(self, p, vec):
         return self.apply(self.matrices[p], vec)
-
-
-def _all_tuples(factors):
-    if not factors:
-        return [()]
-    rest = _all_tuples(factors[1:])
-    return [(x,) + t for x in range(factors[0]) for t in rest]
 
 
 class _SplitGamma:
@@ -298,28 +292,11 @@ class InducedModel:
     def size(self) -> int:
         return len(self.grid)
 
-    def matmul(self, other: "InducedModel") -> tuple:
-        n = self.size
-        return tuple(
-            tuple(
-                _sum_alg([self.grid[i][k] * other.grid[k][j] for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
     def diagonal_identity_average(self) -> Fraction:
         total = Fraction(0)
         for i in range(self.size):
             total += Fraction(self.grid[i][i].at_identity())
         return total / self.size
-
-
-def _sum_alg(items):
-    total = items[0]
-    for x in items[1:]:
-        total = total + x
-    return total
 
 
 def induce(data: VirtuallyAbelianData, g) -> InducedModel:

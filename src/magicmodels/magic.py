@@ -34,7 +34,6 @@ from .matrices import (
     CMatrix,
     _check_spectral_pre,
     _fourier_sum,
-    _powers,
     _scalar_div,
     scalars_equal,
 )
@@ -725,17 +724,17 @@ def bichon_build(sizes, generator_matrices, tol=None) -> FiberModel:
     mats = list(generator_matrices)
     dim = mats[0].rows
     mode = mats[0].mode
+    tables = []
     for k, u in zip(sizes, mats):
         if u.rows != dim or u.cols != dim or u.mode != mode:
             raise ShapeMismatch("generators must share dimension and mode")
-        _check_spectral_pre(u, k, tol, what="generator")
+        tables.append(_check_spectral_pre(u, k, tol, what="generator"))
     n = sum(sizes)
     zero = CMatrix.zeros(dim, dim, mode)
     ident = CMatrix.identity(dim, mode)
     grid = [[(zero,) for _ in range(n)] for _ in range(n)]
     offset = 0
-    for k, u in zip(sizes, mats):
-        powers = _powers(u, k)
+    for k, powers in zip(sizes, tables):
         projections = [_fourier_sum(powers, d) for d in range(k)]
         # Magic check of the block: every row and column of the circulant
         # holds each projection once and the entries off the blocks are

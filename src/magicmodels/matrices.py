@@ -257,14 +257,6 @@ class CMatrix:
             tuple(scalar_conj(x) for x in col) for col in zip(*self.data)
         ))
 
-    def kron(self, other: "CMatrix") -> "CMatrix":
-        self._check_mode(other)
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                out.append(tuple(a * b for a in ra for b in rb))
-        return CMatrix._of(self.mode, tuple(out))
-
     def trace(self):
         if self.rows != self.cols:
             raise ShapeMismatch("trace needs a square matrix")
@@ -398,12 +390,18 @@ class CMatrix:
         return f"CMatrix[{self.mode} {self.rows}x{self.cols}: {body}]"
 
 
-def _check_spectral_pre(u: CMatrix, k: int, tol=None, what: str = "matrix"):
-    """Raise unless U is unitary with U^k = 1; callers check its shape first."""
+def _check_spectral_pre(u: CMatrix, k: int, tol=None, what: str = "matrix") -> list:
+    """Raise unless U is unitary with U^k = 1; callers check its shape first.
+    Returns the power table U^0, ..., U^(k-1), each the previous one times U,
+    on which U^k = U^(k-1) U is checked."""
     if not u.is_unitary(tol):
         raise NotUnitary(f"{what} is not unitary")
-    if not u.power(k).is_identity(tol):
+    powers = [CMatrix.identity(u.rows, u.mode)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * u)
+    if not (powers[-1] * u).is_identity(tol):
         raise NotFiniteOrder(f"{what} does not satisfy U^{k} = 1")
+    return powers
 
 
 def _check_square_order(u: CMatrix, k: int):
@@ -411,14 +409,6 @@ def _check_square_order(u: CMatrix, k: int):
         raise ShapeMismatch("need a square matrix")
     if k < 1:
         raise ValueError("order must be positive")
-
-
-def _powers(u: CMatrix, k: int) -> list:
-    """U^0, ..., U^(k-1), each the previous one times U."""
-    powers = [CMatrix.identity(u.rows, u.mode)]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * u)
-    return powers
 
 
 def _fourier_sum(powers: list, a: int) -> CMatrix:
@@ -435,8 +425,7 @@ def _fourier_sum(powers: list, a: int) -> CMatrix:
 def spectral_projection(u: CMatrix, k: int, a: int, tol=None) -> CMatrix:
     """Projection onto the eigenspace of zeta_k^a for a unitary with U^k = 1."""
     _check_square_order(u, k)
-    _check_spectral_pre(u, k, tol)
-    return _fourier_sum(_powers(u, k), a)
+    return _fourier_sum(_check_spectral_pre(u, k, tol), a)
 
 
 @lru_cache(maxsize=None)
@@ -444,14 +433,16 @@ def _float_roots(k: int) -> tuple:
     return tuple(complex(zeta(k, e)) for e in range(k))
 
 
-def _traces_and_multiplicities(u: CMatrix, k: int, tol=None) -> tuple:
-    """The power traces (Tr U^b) for b < k of a unitary with U^k = 1 (already
-    checked), and the eigenvalue multiplicities derived from them."""
-    n = u.rows
-    traces = [p.trace() for p in _powers(u, k)]
+def _traces_and_multiplicities(powers: list, tol=None) -> tuple:
+    """The power traces (Tr U^b) for b < k from the checked power table
+    U^0, ..., U^(k-1) of a unitary with U^k = 1, and the eigenvalue
+    multiplicities derived from them."""
+    k = len(powers)
+    n, mode = powers[0].rows, powers[0].mode
+    traces = [p.trace() for p in powers]
     mults = []
     for a in range(k):
-        if u.mode == "exact":
+        if mode == "exact":
             total = Cyc.from_rational(0)
             for b, t in enumerate(traces):
                 total = total + zeta(k, (-a * b) % k) * t
@@ -481,5 +472,4 @@ def spectral_multiplicities(u: CMatrix, k: int, tol=None) -> tuple[int, ...]:
     """Eigenvalue multiplicities (m_0, ..., m_{k-1}) of a unitary with U^k = 1,
     where m_a counts the eigenvalue zeta_k^a."""
     _check_square_order(u, k)
-    _check_spectral_pre(u, k, tol)
-    return _traces_and_multiplicities(u, k, tol)[1]
+    return _traces_and_multiplicities(_check_spectral_pre(u, k, tol), tol)[1]

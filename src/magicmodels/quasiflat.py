@@ -15,7 +15,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .groups import Perm, PermGroup, abelianization, extend_automorphism, orbit_blocks
+from .groups import PermGroup, abelianization, extend_automorphism, orbit_blocks
 from .magic import (
     CheckReport,
     FiberModel,
@@ -98,24 +98,6 @@ class SparseLatinSquare:
             for j in range(1, n + 1):
                 cells[s(j) - 1][j - 1] = k
         return cls(cells)
-
-    def to_family(self, group: PermGroup, size: int) -> LatinFamily:
-        n = self.n
-        images = [[None] * n for _ in range(size)]
-        for i in range(n):
-            for j in range(n):
-                k = self.cells[i][j]
-                if k is not None:
-                    images[k - 1][j] = i + 1
-        members = []
-        for k, imgs in enumerate(images, start=1):
-            if any(v is None for v in imgs):
-                raise InvalidFamily(f"symbol {k} misses a column")
-            p = Perm(imgs)
-            if p not in group:
-                raise InvalidFamily(f"symbol {k} is not a group element")
-            members.append(p)
-        return LatinFamily(group, size, tuple(members))
 
 
 def derangement_scan(group: PermGroup) -> tuple:
@@ -298,8 +280,7 @@ def trace_vector_check(u: CMatrix, k: int, tol=None) -> CheckReport:
     and the eigenvalue `multiplicities`."""
     if u.rows != k:
         raise ShapeMismatch(f"need a {k} x {k} matrix for order {k}")
-    _check_spectral_pre(u, k, tol)
-    traces, mults = _traces_and_multiplicities(u, k, tol)
+    traces, mults = _traces_and_multiplicities(_check_spectral_pre(u, k, tol), tol)
     witnesses = tuple({"power": a, "trace": str(t)} for a, t in enumerate(traces)
                       if not scalars_equal(t, k if a == 0 else 0, tol))
     if (not witnesses) != all(m == 1 for m in mults):

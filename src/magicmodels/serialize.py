@@ -1,8 +1,9 @@
 """JSON encoding for every value the command line reads or writes.
 
 Exact scalars travel as strings ("p/q") or {"order", "coeffs"} objects so no
-precision is lost; bare JSON numbers always mean float mode.  Every *_to_json /
-*_from_json pair is inverse on its domain.
+precision is lost; bare JSON numbers always mean float mode.  Scalars,
+matrices, permutations and fiber models have both a *_to_json writer and a
+*_from_json reader, and reading back what was written gives the same value.
 """
 from __future__ import annotations
 
@@ -140,10 +141,6 @@ def perm_from_json(v) -> Perm:
         raise BadInput(str(exc)) from exc
 
 
-def group_to_json(g: PermGroup) -> dict:
-    return {"degree": g.degree, "generators": [perm_to_json(p) for p in g.generators]}
-
-
 def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
     _expect(isinstance(v, dict) and "generators" in v, "group needs a generators field")
     _expect(isinstance(v["generators"], list), "group generators must be a list")
@@ -154,10 +151,6 @@ def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
     _expect(bool(gens) or degree is not None, "empty generator list needs an explicit degree")
     _expect(degree is not None or gens[0].degree >= 1, "generators must have degree at least 1")
     return PermGroup.from_generators(gens, degree=degree, cap=cap)
-
-
-def abelian_to_json(g: FinAbelian) -> dict:
-    return {"factors": list(g.factors)}
 
 
 def abelian_from_json(v) -> FinAbelian:
@@ -246,18 +239,6 @@ def family_to_json(fam: LatinFamily) -> dict:
 
 def square_to_json(sq: SparseLatinSquare) -> dict:
     return {"degree": len(sq.cells), "cells": [list(row) for row in sq.cells]}
-
-
-def square_from_json(v) -> SparseLatinSquare:
-    _expect(isinstance(v, dict) and isinstance(v.get("cells"), list),
-            "sparse square needs a cells grid")
-    cells = v["cells"]
-    _expect(all(isinstance(row, list) and len(row) == len(cells) for row in cells),
-            "cells must form a square grid")
-    for row in cells:
-        for c in row:
-            _expect(c is None or _is_int(c), "cells hold symbols or null")
-    return SparseLatinSquare(tuple(tuple(row) for row in cells))
 
 
 def check_to_json(report) -> dict:

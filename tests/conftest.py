@@ -1,5 +1,10 @@
+import contextlib
+import io
+import json
+
 import pytest
 
+from magicmodels.cli import dispatch
 from magicmodels.groups import Perm, PermGroup
 
 
@@ -31,3 +36,13 @@ def klein4():
 @pytest.fixture
 def klein6():
     return pg(6, [(1, 2), (3, 4)], [(1, 2), (5, 6)])
+
+
+@pytest.fixture(scope="session")
+def suite_run():
+    """The `suite` command at its default seed 0, run once per session:
+    its exit code and its parsed JSON report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(["suite"])
+    return code, json.loads(out.getvalue())

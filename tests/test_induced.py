@@ -49,13 +49,17 @@ def test_monomial_structure(s3_a3):
 
 
 def test_multiplicative_exhaustive(s3_a3, d4_z4):
+    """induce(g) induce(h) = induce(gh) over the subgroup's group algebra,
+    checked at every character: the characters of an abelian subgroup
+    separate the elements of its group algebra."""
     for data in (s3_a3, d4_z4):
         gamma = data.gamma
-        for g in gamma.elements:
-            mg = induce(data, g)
-            for h in gamma.elements:
-                mh = induce(data, h)
-                assert mg.matmul(mh) == induce(data, gamma.mul(g, h)).grid
+        _, _, chars = data.char_structure()
+        for chi in chars:
+            at = {g: evaluate_at_character(induce(data, g), chi) for g in gamma.elements}
+            for g in gamma.elements:
+                for h in gamma.elements:
+                    assert at[g] * at[h] == at[gamma.mul(g, h)]
 
 
 def test_identity_average_is_delta(s3_a3):

@@ -68,12 +68,9 @@ def test_arithmetic_and_adjoint():
     assert a.scale(Fraction(1, 2)).entry(1, 1) == 2
 
 
-def test_kron_and_blocks():
+def test_from_blocks():
     a = CMatrix.exact([[1, 0], [0, -1]])
     b = CMatrix.exact([[0, 1], [1, 0]])
-    k = a.kron(b)
-    assert k.rows == 4
-    assert k.entry(0, 1) == 1 and k.entry(2, 3) == -1
     blk = CMatrix.from_blocks([[a, CMatrix.zeros(2, 2)],
                                [CMatrix.zeros(2, 2), b]])
     assert blk.rows == 4 and blk.entry(2, 3) == 1

@@ -1,4 +1,5 @@
-"""JSON round trips for scalars, matrices, groups, models, and certificates."""
+"""JSON encodings: round trips for scalars, matrices, permutations and
+models, and the one-way encodings of groups, Latin data and certificates."""
 import json
 from fractions import Fraction
 
@@ -14,10 +15,8 @@ from magicmodels.serialize import (
     BadInput,
     abelian_auto_from_images,
     abelian_from_json,
-    abelian_to_json,
     family_to_json,
     group_from_json,
-    group_to_json,
     matrix_from_json,
     matrix_to_json,
     model_from_json,
@@ -27,7 +26,6 @@ from magicmodels.serialize import (
     render_json,
     scalar_from_json,
     scalar_to_json,
-    square_from_json,
     square_to_json,
 )
 
@@ -105,8 +103,7 @@ def test_matrix_mode_mismatch_rejected():
 def test_perm_and_group_round_trips(d4):
     p = Perm.from_cycles(4, [(1, 2, 3, 4)])
     assert perm_from_json(perm_to_json(p)) == p
-    payload = group_to_json(d4)
-    back = group_from_json(payload)
+    back = group_from_json({"degree": 4, "generators": [[2, 3, 4, 1], [3, 2, 1, 4]]})
     assert back.degree == d4.degree
     assert set(back.elements) == set(d4.elements)
     with pytest.raises(BadInput):
@@ -119,7 +116,7 @@ def test_perm_and_group_round_trips(d4):
 
 def test_abelian_round_trip_and_auto_images():
     g = FinAbelian([2, 4])
-    assert abelian_from_json(abelian_to_json(g)).factors == g.factors
+    assert abelian_from_json({"factors": [2, 4]}).factors == g.factors
     auto = abelian_auto_from_images(g, [[1, 0], [0, 3]])
     assert auto((1, 1)) == (1, 3)
     assert auto((0, 2)) == (0, 2)
@@ -131,7 +128,7 @@ def test_abelian_round_trip_and_auto_images():
 
 def test_model_round_trip_preserves_certification():
     m = bichon_build([2, 2], [
-        CMatrix.exact([[1, 0], [0, -1]]).kron(CMatrix.identity(1)),
+        CMatrix.exact([[1, 0], [0, -1]]),
         CMatrix.exact([[-1, 0], [0, 1]]),
     ])
     payload = json.loads(json.dumps(model_to_json(m)))
@@ -164,10 +161,7 @@ def test_family_and_square_round_trip(klein4):
     assert payload["size"] == 4
     assert len(payload["members"]) == 4
     sq = SparseLatinSquare.from_family(fam)
-    back = square_from_json(json.loads(json.dumps(square_to_json(sq))))
-    assert back.cells == sq.cells
-    with pytest.raises(BadInput):
-        square_from_json({"cells": [[1, None], [None]]})
+    assert square_to_json(sq) == {"degree": 4, "cells": [list(row) for row in sq.cells]}
 
 
 def test_render_json_is_deterministic():
