@@ -11,6 +11,11 @@ zero tests and inversion reduce the numerators modulo the n-th cyclotomic
 polynomial, which gives the canonical coordinates in the field Q(z); a zero
 verdict is kept on the (immutable) value.  Values of different orders are
 combined by lifting both to the least common multiple order.
+
+At a fixed order the (num, den) pair is a canonical form of the exact
+coefficient vector modulo z^n - 1.  The integer product kernel of matrices.py
+relies on it: it sums the vectors of many products as integers and builds one
+value at the end, which equals the value that adding them one by one builds.
 """
 from __future__ import annotations
 

@@ -4,11 +4,22 @@ Exact matrices hold int, Fraction or Cyc entries and every comparison is
 literal equality in the field.  Float matrices hold complex entries and every
 comparison is entrywise within a tolerance (default EPS).  The two modes never
 mix silently; converting is explicit via to_float().
+
+An exact product whose factors have only Cyc entries of one order n > 1 among
+their nonzero entries runs on integers: each factor is held once as a common
+denominator and, per nonzero entry, the nonzero coefficients of its numerator
+vector, and each product entry is one cyclic convolution of those vectors
+modulo z^n - 1, turned into a single Cyc at the end.  A Cyc of a fixed order
+stores the exact coefficient vector modulo z^n - 1 in a canonical (num, den)
+form, and the terms of an exact sum may be added in any order, so every entry
+equals, in type, order, numerators and denominator, what adding the Cyc terms
+one by one gives.  Every other product adds the terms one by one.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
@@ -71,7 +82,7 @@ def _scalar_div(a, b):
 class CMatrix:
     """A rectangular matrix in one arithmetic mode ("exact" or "float")."""
 
-    __slots__ = ("rows", "cols", "mode", "data", "_nonzero")
+    __slots__ = ("rows", "cols", "mode", "data", "_nonzero", "_cyclic")
 
     def __init__(self, mode: str, data):
         if mode not in ("exact", "float"):
@@ -95,18 +106,20 @@ class CMatrix:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "_nonzero", None)
+        object.__setattr__(self, "_cyclic", None)
 
     @classmethod
     def _of(cls, mode: str, rows: tuple) -> "CMatrix":
         """Wrap a nonempty tuple of equal-length row tuples whose entries are
         already of the mode's types, as arithmetic on valid matrices leaves
         them; skips the per-entry checks of the public constructor."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]))
-        object.__setattr__(m, "mode", mode)
-        object.__setattr__(m, "data", rows)
-        object.__setattr__(m, "_nonzero", None)
+        m = _new(cls)
+        _set_rows(m, len(rows))
+        _set_cols(m, len(rows[0]))
+        _set_mode(m, mode)
+        _set_data(m, rows)
+        _set_nonzero(m, None)
+        _set_cyclic(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -210,8 +223,28 @@ class CMatrix:
             else:
                 rows = tuple(tuple((j, x) for j, x in enumerate(row) if not abs(x) <= EPS)
                              for row in self.data)
-            object.__setattr__(self, "_nonzero", rows)
+            _set_nonzero(self, rows)
         return rows
+
+    def _cyclic_rows(self):
+        """The integer form of an exact matrix whose nonzero entries are all
+        Cyc values of one order n > 1: (n, d, rows), where d is the lcm of
+        their denominators and each row holds, per nonzero entry in column
+        order, (column, pairs) with pairs the (power, coefficient) pairs of
+        the nonzero numerators over d.  False for any other matrix.  Built
+        on first use and kept."""
+        form = self._cyclic
+        if form is None:
+            form = False
+            rows = self._nonzero_rows()
+            for row in rows:
+                if row:
+                    first = row[0][1]
+                    if type(first) is Cyc and first.order > 1:
+                        form = _cyclic_form(rows, first.order)
+                    break
+            _set_cyclic(self, form)
+        return form
 
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         """Matrix product, accumulated row by row over nonzero entries only.
@@ -220,14 +253,24 @@ class CMatrix:
         a[i][k] * b[k][j] for each k, in increasing order, at which both
         factors are nonzero.  Those are the same terms in the same order as
         the dense triple loop that tests every pair, so every value and its
-        Python type are identical to that loop's."""
+        Python type are identical to that loop's.
+
+        When the nonzero entries of both factors are Cyc values of one order
+        n > 1, the terms of an entry are summed as integer vectors instead
+        (see _cyclic_product), with the same result: the entry is a Cyc of
+        order n if it has a term, else the int 0."""
         if not isinstance(other, CMatrix):
             return NotImplemented
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = 0 if self.mode == "exact" else 0j
         width = other.cols
+        if self.mode == "exact":
+            fa = self._cyclic_rows()
+            fb = fa and other._cyclic_rows()
+            if fb and fb[0] == fa[0]:
+                return CMatrix._of("exact", _cyclic_product(fa, fb, width))
+        zero = 0 if self.mode == "exact" else 0j
         b_rows = other._nonzero_rows()
         out = []
         for a_row in self._nonzero_rows():
@@ -388,6 +431,58 @@ class CMatrix:
             ", ".join(repr(x) for x in row) for row in self.data
         )
         return f"CMatrix[{self.mode} {self.rows}x{self.cols}: {body}]"
+
+
+# CMatrix.__setattr__ refuses every assignment, so arithmetic results and the
+# cached row forms are filled in through the slot descriptors, bound once
+# here: a product sets six slots, and this costs less than six
+# object.__setattr__ calls.
+_new = object.__new__
+_set_rows = CMatrix.rows.__set__
+_set_cols = CMatrix.cols.__set__
+_set_mode = CMatrix.mode.__set__
+_set_data = CMatrix.data.__set__
+_set_nonzero = CMatrix._nonzero.__set__
+_set_cyclic = CMatrix._cyclic.__set__
+
+
+def _cyclic_form(rows: tuple, order: int):
+    """CMatrix._cyclic_rows from the nonzero rows, or False unless every
+    entry is a Cyc of the given order."""
+    entries = [x for row in rows for _, x in row]
+    if not all(type(x) is Cyc and x.order == order for x in entries):
+        return False
+    den = lcm(*[x.den for x in entries])
+    return (order, den, tuple(tuple(
+        (j, [(a, c * (den // x.den)) for a, c in enumerate(x.num) if c])
+        for j, x in row) for row in rows))
+
+
+def _cyclic_product(fa: tuple, fb: tuple, width: int) -> tuple:
+    """The rows of the product of two matrices in the integer form of
+    CMatrix._cyclic_rows, of one order n and denominators da and db.  Entry
+    (i, j) sums a(z) b(z) modulo z^n - 1 over its terms as one integer vector
+    and becomes Cyc._of(n, vector, da * db), which normalises it as Cyc
+    arithmetic does; an entry with no term is the int 0."""
+    n, da, a_rows = fa
+    _, db, b_rows = fb
+    den = da * db
+    out = []
+    for a_row in a_rows:
+        acc = [None] * width
+        for k, a in a_row:
+            for j, b in b_rows[k]:
+                v = acc[j]
+                if v is None:
+                    v = acc[j] = [0] * n
+                for s, c in a:
+                    for t, d in b:
+                        t += s
+                        if t >= n:
+                            t -= n
+                        v[t] += c * d
+        out.append(tuple(0 if v is None else Cyc._of(n, tuple(v), den) for v in acc))
+    return tuple(out)
 
 
 def _check_spectral_pre(u: CMatrix, k: int, tol=None, what: str = "matrix") -> list:

@@ -4,6 +4,8 @@ Exact scalars travel as strings ("p/q") or {"order", "coeffs"} objects so no
 precision is lost; bare JSON numbers always mean float mode.  Scalars,
 matrices, permutations and fiber models have both a *_to_json writer and a
 *_from_json reader, and reading back what was written gives the same value.
+Reports and artifacts are written by render_json, which gives the bytes of
+json.dumps with indent=2 and sorted keys from a string-joining renderer.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclotomic import Cyc
 from .errors import ModelInputError
@@ -271,4 +274,64 @@ def dump_json(value, path: str):
 
 
 def render_json(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(value, indent=2, sort_keys=True) plus a
+    newline.  With an indent, json encodes through its pure-Python generator
+    encoder; this renderer builds the same text by joining strings."""
+    return _render(value, "") + "\n"
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    """A dict key as json writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _render(v, pad: str) -> str:
+    """One value at indentation pad, tested in json's order; containers put
+    each member on its own line, two spaces deeper, and dicts sort their
+    items by the original keys."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        body = [_quote(x) if type(x) is str else _render(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        body = [_quote(_key_text(k)) + ": " + _render(x, inner) for k, x in sorted(v.items())]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")

@@ -496,7 +496,30 @@ GOLDEN_ARTIFACTS = {
 }
 
 
-def test_build_artifacts_keep_their_bytes(capsys, tmp_path):
+@pytest.fixture
+def rendered(monkeypatch):
+    """Records, for each value rendered through serialize.render_json, its
+    text and the text of json.dumps with indent=2 and sorted keys, taken
+    when it is rendered (the suite extends its payload afterwards)."""
+    calls = []
+    real = sz.render_json
+
+    def spy(value):
+        text = real(value)
+        calls.append((text, json.dumps(value, indent=2, sort_keys=True) + "\n"))
+        return text
+
+    monkeypatch.setattr(sz, "render_json", spy)
+    return calls
+
+
+def assert_rendered_as_json_dumps(calls):
+    assert calls
+    for text, want in calls:
+        assert text == want
+
+
+def test_build_artifacts_keep_their_bytes(capsys, tmp_path, rendered):
     shift = [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)]
     inputs = {
         "dual-build": {"sizes": [4],
@@ -511,6 +534,7 @@ def test_build_artifacts_keep_their_bytes(capsys, tmp_path):
         code, _, _ = run_cli(capsys, command, "--input", str(src), "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS[command]
+    assert_rendered_as_json_dumps(rendered)
 
 
 # sha256 of the stdout of check commands: a change to the result types or to
@@ -570,8 +594,9 @@ GOLDEN_REPORTS = {
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
-def test_reports_keep_their_bytes(files, capsys, monkeypatch, argv):
+def test_reports_keep_their_bytes(files, capsys, monkeypatch, rendered, argv):
     monkeypatch.chdir(files["root"])
     dispatch(list(argv))
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv], out
+    assert_rendered_as_json_dumps(rendered)

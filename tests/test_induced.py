@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from magicmodels.cyclotomic import Cyc
-from magicmodels.errors import FreePartPresent, Inconsistent, NotNormal, NotSubgroup
-from magicmodels.groups import Perm, PermGroup
+from magicmodels.errors import NotNormal
+from magicmodels.groups import Perm
 from magicmodels.induced import (
     VirtuallyAbelianData, check_stationarity, evaluate_at_character,
     frobenius_trace, induce,

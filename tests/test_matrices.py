@@ -341,3 +341,147 @@ def test_identity_rejects_what_the_constructor_rejects():
         CMatrix.identity(0)
     with pytest.raises(ValueError):
         CMatrix.identity(2, "bogus")
+
+
+# -- the single-order integer kernel against the Cyc-by-Cyc loop ----------------
+
+def cyc_loop_product(a, b):
+    """The exact product as it is summed without the integer kernel: entry
+    (i, j) starts at the int 0 and adds the Cyc, Fraction or int term
+    a[i][k] * b[k][j] for each k, in increasing order, where both are nonzero."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.data]
+    out = []
+    for row in a.data:
+        acc = [0] * b.cols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def stored_keys(rows):
+    """Type and stored form of each entry: a Cyc's order, numerators and
+    denominator, any other value itself."""
+    return [[(type(x), x.order, x.num, x.den) if isinstance(x, Cyc) else (type(x), x)
+             for x in row] for row in rows]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the products that run on the integer kernel."""
+    from magicmodels import matrices
+    calls = []
+    real = matrices._cyclic_product
+
+    def spy(fa, fb, width):
+        calls.append(fa[0])
+        return real(fa, fb, width)
+
+    monkeypatch.setattr(matrices, "_cyclic_product", spy)
+    return calls
+
+
+def assert_matches_loop(a, b):
+    prod = a * b
+    assert (prod.rows, prod.cols, prod.mode) == (a.rows, b.cols, "exact")
+    assert stored_keys(prod.data) == stored_keys(cyc_loop_product(a, b))
+    return prod
+
+
+def c8(*coeffs):
+    return Cyc(8, list(coeffs) + [0] * (8 - len(coeffs)))
+
+
+def test_kernel_keeps_denominators(kernel_calls):
+    f = Fraction
+    a = CMatrix.exact([[c8(f(1, 2), f(1, 3)), c8(0, 0, f(3, 4))],
+                       [c8(0, f(-5, 6)), c8(f(1, 8), 0, 0, 0, 0, 0, 0, f(7, 2))]])
+    b = CMatrix.exact([[c8(f(2, 3), 0, 1), c8(0, f(1, 10))],
+                       [c8(f(4, 9)), c8(0, 0, 0, 0, 0, 0, 0, f(1, 6))]])
+    prod = assert_matches_loop(a, b)
+    assert kernel_calls == [8]
+    assert {x.den for row in prod.data for x in row} - {1}
+
+
+def test_kernel_keeps_cancelled_terms_as_order_n_zeros(kernel_calls):
+    z4, z3 = zeta(4), Cyc(3, (1, 0, 0))
+    prod = assert_matches_loop(CMatrix.exact([[z4, z4]]),
+                               CMatrix.exact([[z4], [-z4]]))
+    (x,), = prod.data
+    assert isinstance(x, Cyc) and x.order == 4 and x.num == (0, 0, 0, 0) and x.den == 1
+    # 1 + z3 + z3^2 keeps its unreduced numerators and is zero only in the field.
+    prod = assert_matches_loop(CMatrix.exact([[z3, zeta(3), zeta(3, 2)]]),
+                               CMatrix.exact([[z3], [z3], [z3]]))
+    (x,), = prod.data
+    assert isinstance(x, Cyc) and x.order == 3 and x.num == (1, 1, 1) and x.is_zero()
+    assert kernel_calls == [4, 3]
+
+
+def test_kernel_leaves_entries_without_terms_the_int_zero(kernel_calls):
+    z5 = zeta(5)
+    # A zero row, a zero column, a Cyc zero of the order and one of another
+    # order: none of them is a term, and none stops the kernel.
+    a = CMatrix.exact([[z5, 0, Cyc(5, (1, 1, 1, 1, 1))],
+                       [0, 0, 0],
+                       [Cyc(4, (1, 0, 1, 0)), zeta(5, 3), 0]])
+    b = CMatrix.exact([[zeta(5, 2), 0], [0, 0], [z5, 0]])
+    prod = assert_matches_loop(a, b)
+    assert kernel_calls == [5]
+    assert [[type(x) for x in row] for row in prod.data] == [[Cyc, int], [int, int], [int, int]]
+
+
+def test_kernel_on_rectangular_shapes(kernel_calls):
+    rng = random.Random(7)
+    for rows, inner, cols in ((1, 4, 3), (3, 1, 2), (2, 3, 5), (5, 2, 1)):
+        a = CMatrix.exact([[zeta(6, rng.randrange(6)) * rng.choice((-2, -1, 1, 2))
+                            for _ in range(inner)] for _ in range(rows)])
+        b = CMatrix.exact([[zeta(6, rng.randrange(6)) for _ in range(cols)]
+                           for _ in range(inner)])
+        assert_matches_loop(a, b)
+    assert kernel_calls == [6] * 4
+
+
+Q = Cyc.from_rational
+LOOP_CASES = {
+    "two orders in a factor": ([[zeta(3), zeta(4)]], [[zeta(3)], [zeta(3)]]),
+    "one order per factor": ([[zeta(8), zeta(8, 3)]], [[zeta(4)], [zeta(4, 3)]]),
+    "an order-1 Cyc": ([[zeta(8), Q(Fraction(1, 2))]], [[zeta(8)], [zeta(8, 5)]]),
+    "order 1 only": ([[Q(3), Q(Fraction(-1, 4))]], [[Q(2)], [Q(5)]]),
+    "an int": ([[zeta(8), 2]], [[zeta(8)], [zeta(8, 7)]]),
+    "a Fraction": ([[zeta(8), zeta(8, 2)]], [[Fraction(1, 3)], [zeta(8)]]),
+    "rationals only": ([[1, Fraction(1, 2)], [0, 3]], [[Fraction(2, 3), 0], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("a, b", list(LOOP_CASES.values()), ids=list(LOOP_CASES))
+def test_other_exact_products_keep_the_loop(kernel_calls, a, b):
+    assert_matches_loop(CMatrix.exact(a), CMatrix.exact(b))
+    assert kernel_calls == []
+
+
+def test_float_products_keep_the_loop(kernel_calls):
+    a = CMatrix.exact([[zeta(8), zeta(8, 3)], [0, zeta(8, 2)]]).to_float()
+    prod = a * a
+    assert prod.data == tuple(tuple(row) for row in dense_product(a, a))
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("order", [3, 4, 8, 13])
+def test_kernel_matches_loop_seeded_sweep(kernel_calls, order):
+    rng = random.Random(f"kernel:{order}")
+
+    def scalar():
+        if rng.random() < 0.3:
+            return 0
+        den = rng.choice([1, 1, 2, 3, 6, 12])
+        return Cyc(order, [Fraction(rng.randint(-3, 3), den) if rng.random() < 0.5 else 0
+                           for _ in range(order)])
+
+    for _ in range(25):
+        rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+        a = CMatrix.exact([[scalar() for _ in range(inner)] for _ in range(rows)])
+        b = CMatrix.exact([[scalar() for _ in range(cols)] for _ in range(inner)])
+        assert_matches_loop(a, b)
+    assert kernel_calls and set(kernel_calls) == {order}

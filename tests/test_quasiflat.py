@@ -1,6 +1,5 @@
 """Family search over sparse Latin patterns and uniformity certificates."""
 import itertools
-import random
 from fractions import Fraction
 
 import pytest

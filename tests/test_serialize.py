@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pg
 from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.groups import FinAbelian, Perm
 from magicmodels.magic import bichon_build, verify_magic
@@ -170,3 +169,36 @@ def test_render_json_is_deterministic():
     assert out == render_json({"a": {"x": None, "y": "1/2"}, "b": [1, 2]})
     assert out.endswith("\n")
     assert json.loads(out) == value
+
+
+class Real(float):
+    pass
+
+
+RENDER_EDGES = [
+    "plain", "é ü ☃ \U0001f600", "tab\tnew\nline \x00\x1f \"quoted\" back\\slash",
+    -0.0, 0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf"),
+    0, -7, 10 ** 40, True, False, None,
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[1, [2, []]]]],
+    (1, (2, "x"), []), [(), ((),)],
+    {1: "one", -2: "minus two", 10: "ten"},
+    {True: 1, False: 0}, {None: "none"}, {1.5: "x", -0.0: "y", float("inf"): "z"},
+    {"b": 1, "a": {"d": [1, 2.5, None], "c": ("t", True)}, "é": "\x7f"},
+    Real(2.5), [Real(-0.0), Real(1e-7)], {"r": Real(3.0)},
+]
+
+
+@pytest.mark.parametrize("value", RENDER_EDGES, ids=range(len(RENDER_EDGES)))
+def test_render_json_writes_the_bytes_of_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"a": object()}, [1, {2, 3}], Fraction(1, 2), b"bytes", 1j, {(1, 2): "tuple key"},
+    {1: "int", "a": "str"},
+])
+def test_render_json_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        render_json(value)
