@@ -175,6 +175,10 @@ class Real(float):
     pass
 
 
+class Whole(int):
+    pass
+
+
 RENDER_EDGES = [
     "plain", "é ü ☃ \U0001f600", "tab\tnew\nline \x00\x1f \"quoted\" back\\slash",
     -0.0, 0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf"),
@@ -184,7 +188,7 @@ RENDER_EDGES = [
     {1: "one", -2: "minus two", 10: "ten"},
     {True: 1, False: 0}, {None: "none"}, {1.5: "x", -0.0: "y", float("inf"): "z"},
     {"b": 1, "a": {"d": [1, 2.5, None], "c": ("t", True)}, "é": "\x7f"},
-    Real(2.5), [Real(-0.0), Real(1e-7)], {"r": Real(3.0)},
+    Real(2.5), [Real(-0.0), Real(1e-7)], {"r": Real(3.0)}, [Whole(5)], {Whole(2): Whole(-3)},
 ]
 
 
