@@ -227,7 +227,9 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     k, powers = data.k, data.powers
     basis = [(g, i) for g in elements for i in range(k)]
     zero = CMatrix.zeros(k, k)
-    fibers = {}
+    # The fiber of delta_g tau^i at h, kept only on its support, the points
+    # h = sigma^(-r-1)(g); it is the zero matrix everywhere else.
+    support = {}
     for g, i in basis:
         hits = {}
         for r in range(k):
@@ -235,22 +237,25 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
             if h not in hits:
                 hits[h] = [[0] * k for _ in range(k)]
             hits[h][r][(r - i) % k] = 1
-        fibers[(g, i)] = {h: CMatrix.exact(hits[h]) if h in hits else zero
-                          for h in elements}
+        support[(g, i)] = {h: CMatrix.exact(rows) for h, rows in hits.items()}
     witnesses = []
     checked = 0
     # Crossed-product rule: (g, i)(h, j) = (g, i + j) when h = sigma^(-i)(g),
-    # and 0 otherwise.
+    # and 0 otherwise.  A product with a factor off its support is zero.
     for b1 in basis:
         g, i = b1
         partner = powers[-i % k](g)
+        left = support[b1]
         for b2 in basis:
             checked += 1
             h, j = b2
-            prod = fibers[(g, (i + j) % k)] if h == partner else None
+            right = support[b2]
+            prod = support[(g, (i + j) % k)] if h == partner else {}
             for x in elements:
-                rhs = zero if prod is None else prod[x]
-                if fibers[b1][x] * fibers[b2][x] != rhs:
+                rhs = prod.get(x, zero)
+                fl, fr = left.get(x), right.get(x)
+                lhs = zero if fl is None or fr is None else fl * fr
+                if lhs != rhs:
                     witnesses.append({"kind": "not_multiplicative",
                                       "left": str(b1), "right": str(b2),
                                       "point": str(x)})
@@ -259,9 +264,9 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     for b in basis:
         checked += 1
         g, i = b
-        star = fibers[(powers[-i % k](g), -i % k)]
+        star = support[(powers[-i % k](g), -i % k)]
         for h in elements:
-            if fibers[b][h].adjoint() != star[h]:
+            if support[b].get(h, zero).adjoint() != star.get(h, zero):
                 witnesses.append({"kind": "star_mismatch", "element": str(b),
                                   "point": str(h)})
                 break
@@ -270,7 +275,7 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
         g, i = b
         total = None
         for h in elements:
-            t = fibers[b][h].ntrace()
+            t = support[b].get(h, zero).ntrace()
             total = t if total is None else total + t
         model_side = total * Fraction(1, len(elements))
         haar = None

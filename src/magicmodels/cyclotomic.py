@@ -6,10 +6,13 @@ with z = exp(2*pi*i/n), a polynomial taken modulo z^n - 1 but not modulo the
 n-th cyclotomic polynomial.  The pair is normalised so that gcd(d, c_0, ...,
 c_(n-1)) = 1, so the rational coefficients c_a/d (read through `coeffs`) are
 exactly those of the unreduced vector that arithmetic produced; serialized
-models write that vector.  Arithmetic works on the integers alone.  Equality,
-zero tests and inversion reduce the numerators modulo the n-th cyclotomic
-polynomial, which gives the canonical coordinates in the field Q(z); a zero
-verdict is kept on the (immutable) value.  Values of different orders are
+models write that vector.  Arithmetic works on the integers alone.  Only
+equality, zero tests and output (repr, as_fraction, reduced and the returned
+inverse) reduce the numerators modulo the n-th cyclotomic polynomial, which
+gives the canonical coordinates in the field Q(z); a zero verdict is kept on
+the (immutable) value.  Inversion multiplies Galois conjugates: 1/x is the
+product of the conjugates z -> z^a of x, a a unit mod n other than 1, divided
+by the rational norm, x times that product.  Values of different orders are
 combined by lifting both to the least common multiple order.
 
 At a fixed order the (num, den) pair is a canonical form of the exact
@@ -82,22 +85,6 @@ def _reduce(order: int, coeffs) -> tuple:
             for j in range(deg):
                 work[base + j] -= c * phi[j]
     return tuple(work[:deg])
-
-
-def _poly_divmod(a: list, b: list):
-    # Division in Q[x]; b need not be monic.  Inputs are not modified.
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for i in range(len(r) - len(b), -1, -1):
-        c = Fraction(r[i + len(b) - 1]) / lead
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
-    while len(r) > 1 and not r[-1]:
-        r.pop()
-    return q, r
 
 
 class Cyc:
@@ -294,45 +281,30 @@ class Cyc:
             return self * other.inv()
         return NotImplemented
 
-    def conj(self) -> "Cyc":
-        """Complex conjugate, i.e. z -> z^(n-1) on the stored basis."""
+    def _galois(self, a: int) -> "Cyc":
+        """The Galois conjugate z -> z^a, for a coprime to the order."""
         n = self.order
         num = [0] * n
-        for a, c in enumerate(self.num):
+        for k, c in enumerate(self.num):
             if c:
-                num[(-a) % n] = c
+                num[a * k % n] = c
         return Cyc._of(n, tuple(num), self.den)
 
+    def conj(self) -> "Cyc":
+        """Complex conjugate, the Galois conjugate z -> z^(-1)."""
+        return self._galois(-1)
+
     def inv(self) -> "Cyc":
+        """1/x as the product of the other Galois conjugates of x over the
+        rational norm N(x), x times that product, in reduced coordinates."""
+        if self.is_zero():
+            raise DivisionByZero("cannot invert zero")
         n = self.order
-        a = list(_reduce(n, self.num))
-        while len(a) > 1 and not a[-1]:
-            a.pop()
-        if not any(a):
-            raise DivisionByZero("cannot invert zero")
-        phi = list(cyclotomic_poly(n))
-        # Extended Euclid in Q[x] on the numerators: maintain r = u * a
-        # (mod phi); the inverse of a/den is den * u / r.
-        r0, u0 = phi, [Fraction(0)]
-        r1, u1 = [Fraction(c) for c in a], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            u_next = list(u0) + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, uj in enumerate(u1):
-                        u_next[i + j] -= qi * uj
-            while len(u_next) > 1 and not u_next[-1]:
-                u_next.pop()
-            r0, u0, r1, u1 = r1, u1, rem, u_next
-        g = Fraction(r1[0])
-        if not g:
-            raise DivisionByZero("cannot invert zero")
-        co = [0] * n
-        for i, c in enumerate(u1):
-            if c:
-                co[i] = c * self.den / g
-        return Cyc(n, co)
+        rest = Cyc.zeta(n, 0)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                rest = rest * self._galois(a)
+        return rest.reduced() / (self * rest).as_fraction()
 
     # -- predicates and conversions -----------------------------------------
 

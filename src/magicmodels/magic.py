@@ -33,8 +33,8 @@ from .groups import PermGroup, _joined_blocks, orbit_blocks
 from .matrices import (
     CMatrix,
     _check_spectral_pre,
+    _enlarges_span,
     _fourier_sum,
-    _scalar_div,
     scalars_equal,
 )
 
@@ -461,33 +461,6 @@ def _word_label(word) -> str:
     if not word:
         return "1"
     return " ".join(f"u[{i + 1},{j + 1}]" for i, j in word)
-
-
-def _minus(vec: dict, c, row: dict) -> dict:
-    """vec - c * row, keeping the nonzero entries only."""
-    out = dict(vec)
-    for k, x in row.items():
-        out[k] = out.get(k, 0) - c * x
-    return {k: x for k, x in out.items() if x}
-
-
-def _enlarges_span(basis: dict, vec: dict) -> bool:
-    """Whether the sparse vector vec lies outside the span of basis; if it
-    does, it joins the basis.  basis maps each pivot key to its row, a sparse
-    vector that is 1 at its pivot and 0 at every other pivot (reduced
-    row-echelon form), so vec is reduced by one row per pivot it holds."""
-    for p in [k for k in vec if k in basis]:
-        vec = _minus(vec, vec[p], basis[p])
-    if not vec:
-        return False
-    pivot, head = next(iter(vec.items()))
-    inv = _scalar_div(1, head)
-    row = {k: x * inv for k, x in vec.items()}
-    for q, other in basis.items():
-        if pivot in other:
-            basis[q] = _minus(other, other[pivot], row)
-    basis[pivot] = row
-    return True
 
 
 def shortest_difference(reference, model: FiberModel, max_len=None):

@@ -14,6 +14,12 @@ stores the exact coefficient vector modulo z^n - 1 in a canonical (num, den)
 form, and the terms of an exact sum may be added in any order, so every entry
 equals, in type, order, numerators and denominator, what adding the Cyc terms
 one by one gives.  Every other product adds the terms one by one.
+
+Exact linear algebra has one row-echelon routine, _enlarges_span: it keeps a
+sparse reduced row-echelon basis and tells whether a new sparse vector
+enlarges its span, inverting each pivot with Cyc.inv or as a Fraction.
+CMatrix.rank counts the rows that do, and the automaton search of
+magic.shortest_difference keeps the word vectors that do.
 """
 from __future__ import annotations
 
@@ -23,7 +29,6 @@ from math import lcm
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
-    DivisionByZero,
     Inconsistent,
     ModeMismatch,
     NotFiniteOrder,
@@ -68,15 +73,31 @@ def scalars_equal(a, b, tol=None):
     return a == b
 
 
-def _scalar_div(a, b):
-    if isinstance(a, complex) or isinstance(b, complex):
-        return complex(a) / complex(b)
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        a = a if isinstance(a, Cyc) else Cyc.from_rational(a)
-        return a / b if isinstance(b, Cyc) else a * (Fraction(1) / Fraction(b))
-    if b == 0:
-        raise DivisionByZero("cannot divide by zero")
-    return Fraction(a) / Fraction(b)
+def _minus(vec: dict, c, row: dict) -> dict:
+    """vec - c * row, keeping the nonzero entries only."""
+    out = dict(vec)
+    for k, x in row.items():
+        out[k] = out.get(k, 0) - c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _enlarges_span(basis: dict, vec: dict) -> bool:
+    """Whether the exact sparse vector vec lies outside the span of basis; if
+    it does, it joins the basis.  basis maps each pivot key to its row, a
+    sparse vector that is 1 at its pivot and 0 at every other pivot (reduced
+    row-echelon form), so vec is reduced by one row per pivot it holds."""
+    for p in [k for k in vec if k in basis]:
+        vec = _minus(vec, vec[p], basis[p])
+    if not vec:
+        return False
+    pivot, head = next(iter(vec.items()))
+    inv = head.inv() if isinstance(head, Cyc) else 1 / Fraction(head)
+    row = {k: x * inv for k, x in vec.items()}
+    for q, other in basis.items():
+        if pivot in other:
+            basis[q] = _minus(other, other[pivot], row)
+    basis[pivot] = row
+    return True
 
 
 class CMatrix:
@@ -384,45 +405,34 @@ class CMatrix:
         return max(abs(complex(x)) for row in self.data for x in row)
 
     def rank(self, tol=None) -> int:
-        """Rank by Gaussian elimination; float mode zeroes entries below
+        """Rank: in exact mode, the number of nonzero rows that enlarge the
+        span of the rows before them (_enlarges_span); in float mode, by
+        Gaussian elimination that zeroes entries below
         tol * rows * max|entry|."""
+        if self.mode == "exact":
+            basis = {}
+            return sum(_enlarges_span(basis, dict(row)) for row in self._nonzero_rows())
         work = [list(row) for row in self.data]
-        if self.mode == "float":
-            threshold = (EPS if tol is None else tol) * self.rows * max(self.max_abs(), 1.0)
-        else:
-            threshold = None
+        threshold = (EPS if tol is None else tol) * self.rows * max(self.max_abs(), 1.0)
         rank = 0
-        row = 0
         for col in range(self.cols):
-            pivot = None
-            if self.mode == "float":
-                best, best_abs = None, threshold
-                for r in range(row, self.rows):
-                    a = abs(work[r][col])
-                    if a > best_abs:
-                        best, best_abs = r, a
-                pivot = best
-            else:
-                for r in range(row, self.rows):
-                    if not scalar_is_zero(work[r][col]):
-                        pivot = r
-                        break
-            if pivot is None:
+            best, best_abs = None, threshold
+            for r in range(rank, self.rows):
+                a = abs(work[r][col])
+                if a > best_abs:
+                    best, best_abs = r, a
+            if best is None:
                 continue
-            work[row], work[pivot] = work[pivot], work[row]
-            inv_head = work[row][col]
-            for r in range(row + 1, self.rows):
-                if self.mode == "float":
-                    if abs(work[r][col]) <= threshold:
-                        continue
-                elif scalar_is_zero(work[r][col]):
+            work[rank], work[best] = work[best], work[rank]
+            head = work[rank]
+            for r in range(rank + 1, self.rows):
+                if abs(work[r][col]) <= threshold:
                     continue
-                factor = _scalar_div(work[r][col], inv_head)
+                factor = work[r][col] / head[col]
                 for c in range(col, self.cols):
-                    work[r][c] = work[r][c] - factor * work[row][c]
+                    work[r][c] = work[r][c] - factor * head[c]
             rank += 1
-            row += 1
-            if row == self.rows:
+            if rank == self.rows:
                 break
         return rank
 

@@ -40,9 +40,18 @@ def _is_int(v) -> bool:
 
 # -- scalars ----------------------------------------------------------------
 
+def _ratio_text(c: int, den: int) -> str:
+    """str(Fraction(c, den)) for ints c and den > 0."""
+    g = math.gcd(c, den)
+    if g == den:
+        return str(c // den)
+    return f"{c // g}/{den // g}"
+
+
 def scalar_to_json(x):
     if isinstance(x, Cyc):
-        return {"order": x.order, "coeffs": [str(c) for c in x.coeffs]}
+        den = x.den
+        return {"order": x.order, "coeffs": [_ratio_text(c, den) for c in x.num]}
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     if isinstance(x, complex):
@@ -61,6 +70,16 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"bad rational string {text!r}") from exc
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic(order: int, coeffs: tuple) -> Cyc:
+    """The Cyc of a checked order and tuple of coefficient strings.  A model
+    file holds only a few distinct values, so each is built once and shared
+    (Cyc values are immutable)."""
+    values = [_rational(c) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in values])
+    return Cyc._of(order, tuple([c.numerator * (den // c.denominator) for c in values]), den)
 
 
 def _finite(v) -> float:
@@ -87,7 +106,7 @@ def scalar_from_json(v):
         _expect(len(v["coeffs"]) == order, "cyclotomic coeffs length must equal the order")
         _expect(all(isinstance(c, str) for c in v["coeffs"]),
                 "cyclotomic coeffs must be rational strings")
-        return Cyc(order, [_rational(c) for c in v["coeffs"]])
+        return _cyclotomic(order, tuple(v["coeffs"]))
     if isinstance(v, dict) and "re" in v:
         _expect(isinstance(v.get("re"), (int, float)) and isinstance(v.get("im"), (int, float)),
                 "complex scalar needs numeric re and im")

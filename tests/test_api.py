@@ -55,6 +55,7 @@ def test_merged_model_types_are_gone(module, name):
     ("serialize", "square_from_json"), ("serialize", "abelian_to_json"),
     ("serialize", "group_to_json"), ("induced", "_sum_alg"),
     ("induced", "_all_tuples"), ("errors", "OrderMismatch"),
+    ("cyclotomic", "_poly_divmod"), ("matrices", "_scalar_div"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member
@@ -64,3 +65,11 @@ def test_removed_members_are_gone(owner, name):
     assert not hasattr(container, name)
     if isinstance(container, types.ModuleType):
         assert not hasattr(magicmodels, name)
+
+
+def test_one_exact_row_echelon_routine():
+    """Exact rank and the automaton search share the row-echelon routine of
+    matrices.py."""
+    from magicmodels import magic, matrices
+    assert magic._enlarges_span is matrices._enlarges_span
+    assert not hasattr(magic, "_minus")

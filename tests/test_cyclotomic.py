@@ -366,3 +366,31 @@ def test_complex_of_cyc_is_to_complex(pair):
     a, _ = pair
     assert type(complex(a)) is complex
     assert _bits(complex(a)) == _bits(a.to_complex())
+
+
+def _stored(x):
+    """(order, num, den) of a Cyc, or of the Cyc holding a RefCyc's vector."""
+    if isinstance(x, RefCyc):
+        x = Cyc(x.order, x.coeffs)
+    return x.order, x.num, x.den
+
+
+@pytest.mark.parametrize("order", range(1, 14))
+def test_galois_inverse_and_conjugate_sweep(order):
+    """inv() multiplies Galois conjugates; it gives the reference's
+    extended-Euclid inverse, in the same reduced coordinates."""
+    rng = random.Random(order)
+    values = [zeta(order, a) for a in range(order)]
+    values += [Cyc(order, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                           if rng.random() < 0.6 else 0 for _ in range(order)])
+               for _ in range(25)]
+    for x in values:
+        ref = RefCyc(order, x.coeffs)
+        assert _stored(x.conj()) == _stored(ref.conj())
+        if ref.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inv()
+            continue
+        assert _stored(x.inv()) == _stored(ref.inv())
+        assert x * x.inv() == 1
+        assert (x * x.inv()).as_fraction() == 1

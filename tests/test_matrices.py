@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicmodels.cyclotomic import Cyc, zeta
+from magicmodels.cyclotomic import Cyc, cyc, zeta
 from magicmodels.errors import (
     ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
 )
@@ -485,3 +485,70 @@ def test_kernel_matches_loop_seeded_sweep(kernel_calls, order):
         b = CMatrix.exact([[scalar() for _ in range(cols)] for _ in range(inner)])
         assert_matches_loop(a, b)
     assert kernel_calls and set(kernel_calls) == {order}
+
+
+def _dense_rank(rows):
+    """Rank by fraction-free dense elimination over Cyc: a row below the
+    pivot row becomes head * row - entry * pivot_row, so no scalar is ever
+    inverted."""
+    work = [[cyc(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        head = work[rank]
+        for r in range(rank + 1, len(work)):
+            x = work[r][col]
+            if not x.is_zero():
+                work[r] = [head[col] * y - x * h for y, h in zip(work[r], head)]
+        rank += 1
+    return rank
+
+
+def _rank_scalar(rng):
+    pick = rng.randrange(6)
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return rng.randint(-3, 3)
+    if pick == 2:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    if pick == 3:
+        return rng.choice(UNREDUCED_ZEROS)
+    order = rng.choice([2, 3, 4, 5, 6, 12])
+    return zeta(order, rng.randrange(order)) * Fraction(rng.randint(-2, 2), rng.randint(1, 3)) \
+        + rng.randint(-1, 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_rank_matches_dense_elimination(seed):
+    """Seeded rectangular matrices with int, Fraction and mixed-order Cyc
+    entries, unreduced zeros among them, some built as products of thin
+    factors and some with repeated or scaled rows."""
+    rng = random.Random(seed)
+    for _ in range(15):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            inner = rng.randint(1, 3)
+            a = CMatrix.exact([[_rank_scalar(rng) for _ in range(inner)] for _ in range(rows)])
+            b = CMatrix.exact([[_rank_scalar(rng) for _ in range(cols)] for _ in range(inner)])
+            data = [list(row) for row in (a * b).data]
+        else:
+            data = [[_rank_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(rows), 2)
+            data[j] = [x * _rank_scalar(rng) for x in data[i]] if rng.random() < 0.5 \
+                else list(data[i])
+        m = CMatrix.exact(data)
+        assert m.rank() == _dense_rank(data) <= min(rows, cols)
+
+
+def test_exact_rank_edge_cases():
+    assert CMatrix.zeros(3, 4).rank() == 0
+    assert CMatrix.exact([[z for z in UNREDUCED_ZEROS]]).rank() == 0
+    assert CMatrix.exact([[zeta(3), zeta(4)], [zeta(12, 7), zeta(12, 6)]]).rank() == 1
+    assert CMatrix.exact([[zeta(3), 1], [1, zeta(3)]]).rank() == 2
+    assert CMatrix.identity(5).rank() == 5
+    assert CMatrix.exact([[1, 2, 3]] * 4).rank() == 1

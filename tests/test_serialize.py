@@ -206,3 +206,27 @@ def test_render_json_rejects_what_json_dumps_rejects(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         render_json(value)
+
+
+def test_cyc_coefficients_are_written_as_fraction_text():
+    values = [zeta(8, 3), zeta(12, 7) * F(-3, 4) + F(1, 6),
+              Cyc(5, (F(-1, 2), 0, 3, F(4, 6), F(-9, 3))), Cyc(1, (F(-7, 3),)),
+              Cyc(6, (0,) * 6), Cyc(3, (F(1, 2), F(1, 2), F(1, 2)))]
+    for x in values:
+        enc = scalar_to_json(x)
+        assert enc == {"order": x.order, "coeffs": [str(F(c, x.den)) for c in x.num]}
+        back = scalar_from_json(json.loads(json.dumps(enc)))
+        assert (back.order, back.num, back.den) == (x.order, x.num, x.den)
+        assert back == x
+
+
+def test_equal_cyc_payloads_read_as_equal_values():
+    payload = {"order": 4, "coeffs": ["1/2", "0", "-3/4", "2"]}
+    first, second = scalar_from_json(payload), scalar_from_json(dict(payload))
+    public = Cyc(4, [F(1, 2), 0, F(-3, 4), 2])
+    for x in (first, second):
+        assert (x.order, x.num, x.den) == (public.order, public.num, public.den)
+    with pytest.raises(BadInput):
+        scalar_from_json({"order": 4, "coeffs": ["1/2", "0", "x", "2"]})
+    with pytest.raises(BadInput):
+        scalar_from_json({"order": 4, "coeffs": ["1/2", "0", "1/0", "2"]})
