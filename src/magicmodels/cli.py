@@ -31,6 +31,9 @@ from .quasiflat import (
 
 EXIT_CODES = {"pass": 0, "fail": 1, "no-family": 1, "error": 2}
 
+# A cyclic model holds one dense K x K fiber per entry and point.
+_CYCLIC_K_MAX = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -232,6 +235,8 @@ def _parse_cyclic_input(payload, config):
     k = payload["k"]
     if not (sz._is_int(k) and k >= 1):
         raise sz.BadInput("k must be a positive integer")
+    if k > _CYCLIC_K_MAX:
+        raise sz.BadInput(f"k must be at most {_CYCLIC_K_MAX}")
     return CyclicModelData(group, abelian_rep(group, gens), auto, k)
 
 

@@ -3,6 +3,7 @@
 Each test prints a single pass/fail line for its criterion and enforces the
 runtime budget where one is stated (measured here, never stored in reports).
 """
+import random
 import time
 
 from magicmodels import acceptance
@@ -20,6 +21,7 @@ from magicmodels.acceptance import (
     criterion_11,
     run_suite,
 )
+from magicmodels.matrices import _float_roots, spectral_multiplicities
 
 RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 2.0, 5: 1.0, 6: 0.25, 7: 1.4}
 
@@ -66,6 +68,38 @@ def test_criterion_07_trace_vector_equivalence():
     result = _run(7, criterion_7, seed=0, samples=200)
     assert result["details"]["disagreements"] == 0
     assert result["details"]["exact_checked"] == 126
+
+
+def _draw(rng, k):
+    bits = [rng.randrange(2) for _ in range(k)]
+    roots = _float_roots(k)
+    eigs = [roots[(j * bits[j]) % k] for j in range(k)]
+    return bits, acceptance._random_conjugate(rng, eigs)
+
+
+def test_random_conjugates_are_unitary_with_the_pattern_spectrum():
+    rng = random.Random(5)
+    for k in range(2, 7):
+        for _ in range(40):
+            bits, u = _draw(rng, k)
+            assert u.mode == "float" and (u.rows, u.cols) == (k, k)
+            assert u.is_unitary(tol=1e-12), (k, bits)
+            assert spectral_multiplicities(u, k, tol=1e-8) == \
+                acceptance._pattern_flat(k, bits)[1], (k, bits)
+
+
+def test_random_conjugates_are_seeded():
+    for k in range(2, 7):
+        first = _draw(random.Random(9), k)
+        assert first[1].data == _draw(random.Random(9), k)[1].data
+        assert first[1].data != _draw(random.Random(10), k)[1].data
+
+
+def test_criterion_07_agrees_on_every_seed():
+    for seed in range(20):
+        details = criterion_7(seed=seed, samples=20)["details"]
+        assert details["float_checked"] == 100, seed
+        assert details["disagreements"] == 0, seed
 
 
 def test_criterion_08_fixed_point_projection():

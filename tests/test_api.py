@@ -1,7 +1,10 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -73,3 +76,34 @@ def test_one_exact_row_echelon_routine():
     from magicmodels import magic, matrices
     assert magic._enlarges_span is matrices._enlarges_span
     assert not hasattr(magic, "_minus")
+
+
+def _run_child(code):
+    # The child imports the package from where this process found it.
+    src = str(Path(magicmodels.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = _run_child("import sys, magicmodels.cli\n"
+                      "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_package_runs_without_numpy():
+    proc = _run_child(
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import magicmodels\n"
+        "for m in pkgutil.iter_modules(magicmodels.__path__):\n"
+        "    importlib.import_module('magicmodels.' + m.name)\n"
+        "from magicmodels.acceptance import criterion_7\n"
+        "result = criterion_7(seed=0, samples=5)\n"
+        "assert result['passed'], result\n"
+        "print(result['details']['float_checked'])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "25\n"

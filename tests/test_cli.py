@@ -10,7 +10,7 @@ import pytest
 
 import magicmodels
 from magicmodels import serialize as sz
-from magicmodels.cli import dispatch
+from magicmodels.cli import _CYCLIC_K_MAX, dispatch
 from magicmodels.cyclotomic import zeta
 from magicmodels.groups import Perm, PermGroup
 from magicmodels.magic import single_fiber
@@ -376,6 +376,11 @@ def _fuzz_model(entry):
             '"entries": [[{"mode": "float", "rows": [[%s]]}]]}]}' % entry)
 
 
+def _cyclic_k_payload(k):
+    return ('{"factors": [1], "rep_generators": [{"rows": [["1"]]}], '
+            '"auto_images": [[0]], "k": %d}' % k)
+
+
 # Malformed inputs, one file each: (command, flag, file text).  thoma-check
 # and stationarity take a second file, the Z3 group.
 FUZZ_PAYLOADS = [
@@ -412,6 +417,8 @@ FUZZ_PAYLOADS = [
                                 '"auto_images": [], "k": 1}'),
     ("cyclic-verify", "--input", '{"factors": [], "rep_generators": [], '
                                  '"auto_images": [], "k": 1}'),
+    ("cyclic-build", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
+    ("cyclic-verify", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -453,6 +460,24 @@ def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
         assert "Traceback" not in cap.err, argv
         if "NaN" in text or "Infinity" in text or (command, flag, text) in BAD_INTEGER_PAYLOADS:
             assert report["error"]["type"] == "BadInput", argv
+
+
+@pytest.mark.parametrize("command", ["cyclic-build", "cyclic-verify"])
+def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "cyclic.json"
+    path.write_text(_cyclic_k_payload(_CYCLIC_K_MAX + 1))
+    code, report, cap = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "BadInput",
+                               "message": f"k must be at most {_CYCLIC_K_MAX}"}
+    assert "Traceback" not in cap.err
+
+
+def test_cyclic_k_at_the_bound_builds(capsys, tmp_path):
+    path = tmp_path / "cyclic.json"
+    path.write_text(_cyclic_k_payload(_CYCLIC_K_MAX))
+    code, report, _ = run_cli(capsys, "cyclic-build", "--input", str(path))
+    assert code == 0 and report["k"] == _CYCLIC_K_MAX
 
 
 def test_reports_are_byte_identical(files, capsys):
