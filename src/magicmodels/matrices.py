@@ -17,15 +17,16 @@ one by one gives.  Every other product adds the terms one by one.
 
 Exact linear algebra has one row-echelon routine, _enlarges_span: it keeps a
 sparse reduced row-echelon basis and tells whether a new sparse vector
-enlarges its span, inverting each pivot with Cyc.inv or as a Fraction.
-CMatrix.rank counts the rows that do, and the automaton search of
-magic.shortest_difference keeps the word vectors that do.
+enlarges its span.  Rational rows are primitive integer vectors, each with
+its own pivot value, combined without division (Bareiss 1968); a row with a
+Cyc entry is divided by a Cyc pivot through Cyc.inv.  CMatrix.rank counts the
+rows that enlarge the span; magic.shortest_difference keeps the words that do.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
@@ -73,29 +74,52 @@ def scalars_equal(a, b, tol=None):
     return a == b
 
 
-def _minus(vec: dict, c, row: dict) -> dict:
-    """vec - c * row, keeping the nonzero entries only."""
-    out = dict(vec)
+def _minus(vec: dict, d, c, row: dict) -> dict:
+    """d * vec - c * row, keeping the nonzero entries only."""
+    out = dict(vec) if d == 1 else {k: d * x for k, x in vec.items()}
     for k, x in row.items():
         out[k] = out.get(k, 0) - c * x
     return {k: x for k, x in out.items() if x}
 
 
+def _primitive(vec: dict, pivot) -> dict:
+    """A rational vec as the primitive integer vector on its line that is
+    positive at pivot; a vec with a Cyc entry as it is."""
+    if not all(type(x) is int for x in vec.values()):
+        if any(isinstance(x, Cyc) for x in vec.values()):
+            return vec
+        den = lcm(*[x.denominator for x in vec.values()])
+        vec = {k: x.numerator * (den // x.denominator) for k, x in vec.items()}
+    g = gcd(*vec.values())
+    if vec[pivot] < 0:
+        g = -g
+    return vec if g == 1 else {k: x // g for k, x in vec.items()}
+
+
 def _enlarges_span(basis: dict, vec: dict) -> bool:
     """Whether the exact sparse vector vec lies outside the span of basis; if
-    it does, it joins the basis.  basis maps each pivot key to its row, a
-    sparse vector that is 1 at its pivot and 0 at every other pivot (reduced
-    row-echelon form), so vec is reduced by one row per pivot it holds."""
+    it does, it joins the basis.  basis maps each pivot key to its row, nonzero
+    at its pivot and 0 at every other pivot; vec is reduced by each row whose
+    pivot p it holds, as d * vec - vec[p] * row with d the row's int pivot
+    value (Bareiss 1968).  A rational row is a primitive integer vector,
+    positive at its pivot; a row with a Cyc entry has its pivot, 1, at the
+    first one (through Cyc.inv), so no rational pivot is ever inverted."""
     for p in [k for k in vec if k in basis]:
-        vec = _minus(vec, vec[p], basis[p])
+        row = basis[p]
+        vec = _minus(vec, row[p], vec[p], row)
     if not vec:
         return False
-    pivot, head = next(iter(vec.items()))
-    inv = head.inv() if isinstance(head, Cyc) else 1 / Fraction(head)
-    row = {k: x * inv for k, x in vec.items()}
+    pivot = next((k for k, x in vec.items() if isinstance(x, Cyc)), None)
+    if pivot is None:
+        pivot = next(iter(vec))
+        row = _primitive(vec, pivot)
+    else:
+        inv = vec[pivot].inv()
+        row = {k: x * inv for k, x in vec.items()}
+        row[pivot] = 1
     for q, other in basis.items():
         if pivot in other:
-            basis[q] = _minus(other, other[pivot], row)
+            basis[q] = _primitive(_minus(other, row[pivot], other[pivot], row), q)
     basis[pivot] = row
     return True
 

@@ -3,7 +3,8 @@
 Exact scalars travel as strings ("p/q") or {"order", "coeffs"} objects so no
 precision is lost; bare JSON numbers always mean float mode.  Scalars,
 matrices, permutations and fiber models have both a *_to_json writer and a
-*_from_json reader, and reading back what was written gives the same value.
+*_from_json reader, and reading back what was written gives the same value
+and type (an integral rational, even a Fraction, reads back as an int).
 Reports and artifacts are written by render_json, which gives the bytes of
 json.dumps with indent=2 and sorted keys from a string-joining renderer.
 """
@@ -52,8 +53,10 @@ def scalar_to_json(x):
     if isinstance(x, Cyc):
         den = x.den
         return {"order": x.order, "coeffs": [_ratio_text(c, den) for c in x.num]}
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, Fraction):
+        return str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, float):
@@ -62,14 +65,15 @@ def scalar_to_json(x):
 
 
 @lru_cache(maxsize=4096)
-def _rational(text: str) -> Fraction:
-    """The value of a rational string.  A model file holds only a few
-    distinct coefficient strings, so parsed values are kept (Fractions are
-    immutable)."""
+def _rational(text: str):
+    """The value of a rational string: an int when it is integral, else a
+    Fraction.  A model file holds only a few distinct coefficient strings, so
+    parsed values are kept (both types are immutable)."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadInput(f"bad rational string {text!r}") from exc
+    return value.numerator if value.denominator == 1 else value
 
 
 @lru_cache(maxsize=4096)

@@ -419,6 +419,8 @@ FUZZ_PAYLOADS = [
                                  '"auto_images": [], "k": 1}'),
     ("cyclic-build", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
     ("cyclic-verify", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
+    # A huge k stops at the fiber shape check, before any work.
+    ("dual-flat-check", "--input", '{"k": 1000000000, "generators": [[{"rows": [["1"]]}]]}'),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicmodels import magic
 from magicmodels.cyclotomic import Cyc, cyc, zeta
 from magicmodels.errors import (
     ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
 )
 from magicmodels.matrices import (
-    EPS, CMatrix, scalar_is_zero, scalars_equal,
+    EPS, CMatrix, _enlarges_span, scalar_is_zero, scalars_equal,
     spectral_multiplicities, spectral_projection,
 )
+from magicmodels.quasiflat import classical_model_from_family, latin_family_search
+from magicmodels.serialize import model_from_json, model_to_json
 
 
 def shift(n):
@@ -552,3 +557,105 @@ def test_exact_rank_edge_cases():
     assert CMatrix.exact([[zeta(3), 1], [1, zeta(3)]]).rank() == 2
     assert CMatrix.identity(5).rank() == 5
     assert CMatrix.exact([[1, 2, 3]] * 4).rank() == 1
+
+
+def _fraction_rref_enlarges(basis, vec):
+    """Reference: the row-echelon step that divides out every pivot, a Cyc
+    through Cyc.inv and any other scalar as a Fraction, so every row is 1 at
+    its pivot."""
+    def minus(v, c, row):
+        out = dict(v)
+        for k, x in row.items():
+            out[k] = out.get(k, 0) - c * x
+        return {k: x for k, x in out.items() if x}
+
+    for p in [k for k in vec if k in basis]:
+        vec = minus(vec, vec[p], basis[p])
+    if not vec:
+        return False
+    pivot, head = next(iter(vec.items()))
+    inv = head.inv() if isinstance(head, Cyc) else 1 / Fraction(head)
+    row = {k: x * inv for k, x in vec.items()}
+    for q, other in basis.items():
+        if pivot in other:
+            basis[q] = minus(other, other[pivot], row)
+    basis[pivot] = row
+    return True
+
+
+def _span_scalar(rng, kind):
+    sign = rng.choice([-1, 1])
+    if kind == "unit":
+        return 1
+    if kind == "big":
+        return sign * 10 ** 12 + rng.randint(-3, 3)
+    if kind == "small":
+        return sign * rng.randint(1, 4)
+    if kind == "fraction":
+        return Fraction(sign * rng.randint(1, 5), rng.randint(1, 6))
+    order = rng.choice([4, 8])
+    return zeta(order, rng.randrange(order)) * rng.randint(1, 3) + rng.randint(-1, 1)
+
+
+def _span_vectors(rng, count, kinds):
+    """Sparse vectors over six keys in shuffled key order: fresh ones, zero
+    ones, and integer or Fraction combinations of earlier ones."""
+    keys = ["a", "b", "c", "d", "e", "f"]
+    made = []
+    for _ in range(count):
+        pick = rng.random()
+        if pick < 0.1:
+            vec = {}
+        elif pick < 0.5 and made:
+            vec = {}
+            for _ in range(rng.randint(1, 3)):
+                c = rng.choice([1, -1, 2, -10 ** 12, Fraction(-3, 7)])
+                for k, x in rng.choice(made).items():
+                    vec[k] = vec.get(k, 0) + c * x
+        else:
+            kind = rng.choice(kinds)
+            vec = {k: _span_scalar(rng, kind) for k in rng.sample(keys, rng.randint(1, 6))}
+            if rng.random() < 0.3:
+                vec = {k: -x for k, x in vec.items()}
+        vec = {k: x for k, x in vec.items() if x}
+        made.append(vec)
+        yield vec
+
+
+def _check_basis(basis):
+    """Each row is nonzero at its pivot and zero at every other pivot; no row
+    holds a Fraction; a row of ints is primitive and positive at its pivot."""
+    for q, row in basis.items():
+        assert row[q] and not any(p in row for p in basis if p != q)
+        assert not any(isinstance(x, Fraction) for x in row.values())
+        if all(type(x) is int for x in row.values()):
+            assert row[q] > 0 and math.gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enlarges_span_matches_the_fraction_rref(seed):
+    rng = random.Random(seed)
+    kinds = ["unit", "big", "small", "fraction"] + (["cyc"] if seed % 2 else [])
+    basis, reference, verdicts, expected = {}, {}, [], []
+    for vec in _span_vectors(rng, 30, kinds):
+        verdicts.append(_enlarges_span(basis, dict(vec)))
+        expected.append(_fraction_rref_enlarges(reference, dict(vec)))
+        _check_basis(basis)
+    assert verdicts == expected
+    assert sum(verdicts) == len(basis) == len(reference)
+
+
+def test_enlarges_span_keeps_integer_rows_on_a_model_read_from_json(d4, monkeypatch):
+    model = model_from_json(json.loads(json.dumps(model_to_json(
+        classical_model_from_family(d4, latin_family_search(d4, 4))))))
+    bases = []
+
+    def spy(basis, vec):
+        bases.append(basis)
+        return _enlarges_span(basis, vec)
+
+    monkeypatch.setattr(magic, "_enlarges_span", spy)
+    assert magic.shortest_difference(d4, model) is None
+    basis = bases[-1]
+    assert basis and all(b is basis for b in bases)
+    assert all(type(x) is int for row in basis.values() for x in row.values())

@@ -7,9 +7,11 @@ import pytest
 
 from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.groups import FinAbelian, Perm
-from magicmodels.magic import bichon_build, verify_magic
+from magicmodels.magic import FiberModel, bichon_build, verify_magic
 from magicmodels.matrices import CMatrix
-from magicmodels.quasiflat import SparseLatinSquare, latin_family_search
+from magicmodels.quasiflat import (
+    SparseLatinSquare, classical_model_from_family, latin_family_search,
+)
 from magicmodels.serialize import (
     BadInput,
     abelian_auto_from_images,
@@ -230,3 +232,44 @@ def test_equal_cyc_payloads_read_as_equal_values():
         scalar_from_json({"order": 4, "coeffs": ["1/2", "0", "x", "2"]})
     with pytest.raises(BadInput):
         scalar_from_json({"order": 4, "coeffs": ["1/2", "0", "1/0", "2"]})
+
+
+def test_integral_rationals_read_back_as_ints():
+    for text, value in (("4/2", 2), ("-0", 0), ("1", 1), ("0", 0), ("-6/3", -2),
+                        ("1000000000000", 10 ** 12)):
+        back = scalar_from_json(text)
+        assert type(back) is int and back == value, text
+    half = scalar_from_json("1/2")
+    assert type(half) is Fraction and half == F(1, 2)
+    for bad in ("3/0", "-0/0", "not-a-number", "", "1/2/3", "1//2"):
+        with pytest.raises(BadInput):
+            scalar_from_json(bad)
+
+
+def test_ints_are_written_as_their_decimal_text():
+    for x, text in ((5, "5"), (-10 ** 12, "-1000000000000"), (0, "0"), (True, "1"),
+                    (False, "0"), (F(4, 2), "2"), (F(-1, 2), "-1/2")):
+        assert scalar_to_json(x) == text
+
+
+def _scalar_types(model):
+    """The type of every weight and of every fiber entry, in order."""
+    return ([type(w) for w in model.weights],
+            [type(x) for row in model.entries for fibers in row
+             for f in fibers for line in f.data for x in line])
+
+
+def test_model_round_trip_keeps_every_scalar_type(d4):
+    family = classical_model_from_family(d4, latin_family_search(d4, 4))
+    mixed = FiberModel(2, 2, ["p", "q"], [F(1, 3), F(2, 3)], [
+        [(CMatrix.exact([[F(1, 2), zeta(4)], [0, 3]]), CMatrix.exact([[1, 0], [0, 1]])),
+         (CMatrix.exact([[zeta(8, 3) * F(1, 3), -2], [F(-5, 2), 0]]), CMatrix.zeros(2, 2))],
+        [(CMatrix.zeros(2, 2), CMatrix.exact([[F(4, 3), zeta(8)], [zeta(4) * 2, F(7, 9)]])),
+         (CMatrix.identity(2), CMatrix.exact([[0, F(-1, 4)], [Cyc(4, (1, 0, 1, 0)), 1]]))],
+    ])
+    for model in (family, mixed):
+        back = model_from_json(json.loads(json.dumps(model_to_json(model))))
+        assert _scalar_types(back) == _scalar_types(model)
+        assert model_to_json(back) == model_to_json(model)
+    assert set(_scalar_types(family)[1]) == {int}
+    assert set(_scalar_types(mixed)[1]) == {int, Fraction, Cyc}
