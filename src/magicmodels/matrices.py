@@ -102,8 +102,9 @@ def _enlarges_span(basis: dict, vec: dict) -> bool:
     at its pivot and 0 at every other pivot; vec is reduced by each row whose
     pivot p it holds, as d * vec - vec[p] * row with d the row's int pivot
     value (Bareiss 1968).  A rational row is a primitive integer vector,
-    positive at its pivot; a row with a Cyc entry has its pivot, 1, at the
-    first one (through Cyc.inv), so no rational pivot is ever inverted."""
+    positive at its pivot; a row with a Cyc entry joins with its pivot at the
+    first one, made 1 through Cyc.inv (a later row may scale it by an int), so
+    no rational pivot is ever inverted."""
     for p in [k for k in vec if k in basis]:
         row = basis[p]
         vec = _minus(vec, row[p], vec[p], row)
