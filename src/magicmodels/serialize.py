@@ -4,7 +4,7 @@ Exact scalars travel as strings ("p/q") or {"order", "coeffs"} objects so no
 precision is lost; bare JSON numbers always mean float mode.  Scalars,
 matrices, permutations and fiber models have both a *_to_json writer and a
 *_from_json reader, and reading back what was written gives the same value
-and type (an integral rational, even a Fraction, reads back as an int).
+and type, save that an integral Fraction reads back as an int.
 Reports and artifacts are written by render_json, which gives the bytes of
 json.dumps with indent=2 and sorted keys from a string-joining renderer.
 """
