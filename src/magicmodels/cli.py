@@ -34,6 +34,10 @@ EXIT_CODES = {"pass": 0, "fail": 1, "no-family": 1, "error": 2}
 # A cyclic model holds one dense K x K fiber per entry and point.
 _CYCLIC_K_MAX = 64
 
+# A stationarity check counts (n^2)^m words of each length m up to the bound,
+# and a failing check may list most of them.
+_WORD_LEN_MAX = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -50,8 +54,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_word_len < 1:
-            raise ValueError("max word length must be at least 1")
+        if not 1 <= self.max_word_len <= _WORD_LEN_MAX:
+            raise ValueError(f"max word length must be in [1, {_WORD_LEN_MAX}]")
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
         if not 0 <= self.seed < 2 ** 32:
@@ -79,7 +83,8 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-9,
                    help="comparison tolerance in float mode")
     p.add_argument("--max-word-len", type=int, default=3,
-                   help="longest word checked by stationarity states")
+                   help=f"longest word checked by stationarity states "
+                        f"(at most {_WORD_LEN_MAX})")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest group enumeration allowed")
     p.add_argument("--seed", type=int, default=0,

@@ -8,19 +8,26 @@ extracting the identity coefficient in a group algebra (dual reference).
 
 Both states are weighted automata over the letters u_ij.  An exact verdict is
 decided by automaton equivalence (shortest_difference).  The witnesses of a
-failing check, and every float verdict, come from one depth-first walk that
-reads each word into both automata at once and stops below a word on which
-both states are zero.  Only the convolution square reads a table of the
-model state's values (StateOnWords).
+failing check, and every float verdict, come from one walk over the words of
+both automata at once.  A word's values, and those of all its extensions,
+depend only on the joint state it reaches: the model's fiber products at
+every point and the reference's state.  The model's products are hash-consed
+(each distinct stored form is kept once, and each product of a kept matrix by
+a fiber is taken once), each distinct joint state is stepped once per letter,
+and the differing suffixes of a joint state are listed once per remaining
+length, so words that reach one state share that work.  The walk stops below
+a word on which both states are zero.  Only the convolution square reads a
+table of the model state's values (StateOnWords).
 """
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import zeta
+from .cyclotomic import Cyc, zeta
 from .errors import (
     Inconsistent,
     ModeMismatch,
@@ -285,15 +292,28 @@ def _point_weights(model: FiberModel) -> tuple:
     return tuple(complex(w) for w in model.weights)
 
 
-def _weighted_ntrace(weights, fibers, zero=None):
-    """sum_x w_x ntrace(F_x), added in point order over the fibers that are
-    not None; zero when every fiber is None."""
+def _weighted_sum(weights, values, zero=None):
+    """sum_x w_x v_x, added in point order over the values that are not
+    None; zero when every value is None."""
     total = None
-    for w, f in zip(weights, fibers):
-        if f is not None:
-            term = f.ntrace() * w
+    for w, v in zip(weights, values):
+        if v is not None:
+            term = v * w
             total = term if total is None else total + term
     return zero if total is None else total
+
+
+def _scalar_key(x):
+    """A key that tells every stored form of a scalar apart, so that equal
+    keys give equal sums, products and printed values, types included: a
+    complex by the bits of its parts (so -0.0 is not 0.0), a Cyc by its
+    (order, num, den), anything else by its type and value (so Fraction(1)
+    is not 1)."""
+    if type(x) is complex:
+        return struct.pack("dd", x.real, x.imag)
+    if type(x) is Cyc:
+        return (x.order, x.num, x.den)
+    return (type(x), x)
 
 
 def _letters(n: int) -> list:
@@ -306,40 +326,67 @@ def _letters(n: int) -> list:
 # number for the word read so far, and a state that `is_zero` gives its value
 # to every extension.  `coordinates` are the nonzero entries of the vector on
 # which each step acts linearly; the keys of a model state and of a reference
-# state never coincide.
+# state never coincide.  A reference's `key` is hashable and equal for two
+# states only if they hold the same stored values, so that they give the
+# same printed values on every extension; a model state is its own key.
 
 class _ModelWords:
-    """The model state: at each point, the product of the fibers of the word
-    read so far, None where that product is zero."""
+    """The model state: at each point, the id of the product of the fibers
+    of the word read so far, None where that product is zero.
+
+    Matrices are hash-consed: `mats` holds each distinct stored form once,
+    fibers and products alike, and `traces` its ntrace, taken once.  The
+    product of a kept matrix by a fiber is taken once and remembered by
+    their ids."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
         self.zero = 0 if model.mode == "exact" else 0j
-        self.fibers = {letter: tuple(None if f.is_zero() else f
+        self.mats = []
+        self.traces = []
+        self._ids = {}
+        self._products = {}
+        self._values = {}
+        self.fibers = {letter: tuple(None if f.is_zero() else self._intern(f)
                                      for f in model.entries[letter[0]][letter[1]])
                        for letter in _letters(model.n)}
-        self.start = (CMatrix.identity(model.dim, model.mode),) * model.n_points
+        self.start = (self._intern(CMatrix.identity(model.dim, model.mode)),) * model.n_points
+        self._dead = (None,) * model.n_points
 
-    def step(self, prods, letter):
-        nxt = []
-        for p, f in zip(prods, self.fibers[letter]):
-            q = None
-            if p is not None and f is not None:
-                q = p * f
-                if q.is_zero():
-                    q = None
-            nxt.append(q)
-        return nxt
+    def _intern(self, m: CMatrix) -> int:
+        key = tuple([_scalar_key(x) for row in m.data for x in row])
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.mats)
+            self.mats.append(m)
+            self.traces.append(m.ntrace())
+        return i
 
-    def value(self, prods):
-        return _weighted_ntrace(self.weights, prods, self.zero)
+    def _times(self, i: int, f: int):
+        key = (i, f)
+        if key not in self._products:
+            q = self.mats[i] * self.mats[f]
+            self._products[key] = None if q.is_zero() else self._intern(q)
+        return self._products[key]
 
-    def is_zero(self, prods) -> bool:
-        return not any(prods)  # a CMatrix has no __bool__, so it is truthy
+    def step(self, ids, letter):
+        return tuple([None if i is None or f is None else self._times(i, f)
+                      for i, f in zip(ids, self.fibers[letter])])
 
-    def coordinates(self, prods) -> list:
-        return [((x, r, c), v) for x, p in enumerate(prods) if p is not None
-                for r, row in enumerate(p._nonzero_rows()) for c, v in row]
+    def value(self, ids):
+        v = self._values.get(ids)
+        if v is None:
+            traces = self.traces
+            v = self._values[ids] = _weighted_sum(
+                self.weights, [None if i is None else traces[i] for i in ids], self.zero)
+        return v
+
+    def is_zero(self, ids) -> bool:
+        return ids == self._dead
+
+    def coordinates(self, ids) -> list:
+        return [((x, r, c), v) for x, i in enumerate(ids) if i is not None
+                for r, row in enumerate(self.mats[i]._nonzero_rows()) for c, v in row]
 
 
 class _GroupWords:
@@ -359,6 +406,9 @@ class _GroupWords:
 
     def is_zero(self, survivors) -> bool:
         return not survivors
+
+    def key(self, survivors):
+        return tuple(survivors)
 
     def coordinates(self, survivors) -> list:
         return [(("g", s), 1) for s in survivors]
@@ -380,6 +430,9 @@ class _DualWords:
 
     def is_zero(self, acc) -> bool:
         return acc.is_zero()
+
+    def key(self, acc):
+        return tuple([(g, _scalar_key(c)) for g, c in acc.coeffs.items()])
 
     def coordinates(self, acc) -> list:
         return [(("g", g), c) for g, c in acc.coeffs.items()]
@@ -501,21 +554,48 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
 def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> list:
     """(word, model value, reference value) for every word up to the bound on
     which the two states differ beyond tol, in length-major lexicographic
-    order.  Each word is read into both automata at once, depth first; below
-    a word on which both states are zero every value on both sides is zero,
-    so no extension of it can differ, and none is read."""
+    order.
+
+    Each word is read into both automata at once.  A word's values and those
+    of its extensions depend only on the joint state it reaches, so each
+    distinct joint state (keyed by the model state and the reference's key)
+    gets an id, its values are compared once, each letter steps it once,
+    and its differing suffixes are listed once per remaining length and
+    shared by every word that reaches it.  Below a word on which both states
+    are zero every value on both sides is zero, so no extension of it can
+    differ, and none is read."""
     letters = _letters(n)
-    differing = []
+    ids = {}
+    states = []     # id -> (model state, reference state, own entry if differing, dead)
+    steps = {}
+    memo = {}
 
-    def walk(word, p, r):
-        a, b = mod.value(p), ref.value(r)
-        if not scalars_equal(b, a, tol):
-            differing.append((word, a, b))
-        if len(word) < bound and not (mod.is_zero(p) and ref.is_zero(r)):
-            for letter in letters:
-                walk(word + (letter,), _advance(mod, p, letter), _advance(ref, r, letter))
+    def joint(p, r):
+        key = (p, ref.key(r))
+        j = ids.get(key)
+        if j is None:
+            j = ids[key] = len(states)
+            a, b = mod.value(p), ref.value(r)
+            own = [] if scalars_equal(b, a, tol) else [((), a, b)]
+            states.append((p, r, own, mod.is_zero(p) and ref.is_zero(r)))
+        return j
 
-    walk((), mod.start, ref.start)
+    def suffixes(j, left):
+        found = memo.get((j, left))
+        if found is None:
+            p, r, own, dead = states[j]
+            found = list(own)
+            if left and not dead:
+                for letter in letters:
+                    child = steps.get((j, letter))
+                    if child is None:
+                        child = steps[j, letter] = joint(_advance(mod, p, letter),
+                                                         _advance(ref, r, letter))
+                    found += [((letter,) + s, a, b) for s, a, b in suffixes(child, left - 1)]
+            memo[j, left] = found
+        return found
+
+    differing = list(suffixes(joint(mod.start, ref.start), bound))
     differing.sort(key=lambda found: (len(found[0]), found[0]))
     return differing
 
@@ -532,7 +612,10 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     and the automaton's word must be one of them, as long as the first (or,
     past the bound, the walk must find none); any other outcome raises
     Inconsistent.  A float model is compared by the walk alone, since a rank
-    decision under a tolerance is no proof.
+    decision under a tolerance is no proof.  The walk's work grows with the
+    distinct joint states that the words reach, times the letters and the
+    bound, not with the number of words: words that reach one state share
+    its products, its comparison and its differing suffixes.
 
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
@@ -628,7 +711,8 @@ def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
     elif isinstance(source, FiberModel):
         n = source.n
         weights = _point_weights(source)
-        rows = [[_weighted_ntrace(weights, source.entries[i][j]) for j in range(n)]
+        rows = [[_weighted_sum(weights, [f.ntrace() for f in source.entries[i][j]])
+                 for j in range(n)]
                 for i in range(n)]
         q = CMatrix(source.mode, rows)
     else:

@@ -23,7 +23,7 @@ from magicmodels.acceptance import (
 )
 from magicmodels.matrices import _float_roots, spectral_multiplicities
 
-RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 2.0, 5: 1.0, 6: 0.25, 7: 1.4}
+RUNTIME_BOUNDS = {1: 1.0, 2: 1.0, 3: 0.16, 5: 1.0, 6: 0.25, 7: 1.4}
 
 
 def _run(number, fn, **kwargs):

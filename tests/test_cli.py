@@ -10,7 +10,7 @@ import pytest
 
 import magicmodels
 from magicmodels import serialize as sz
-from magicmodels.cli import _CYCLIC_K_MAX, dispatch
+from magicmodels.cli import _CYCLIC_K_MAX, _WORD_LEN_MAX, dispatch
 from magicmodels.cyclotomic import zeta
 from magicmodels.groups import Perm, PermGroup
 from magicmodels.magic import single_fiber
@@ -343,6 +343,12 @@ def test_usage_errors(files, capsys):
     for seed in ("-1", "4294967296"):
         assert dispatch(["suite", "--seed", seed]) == 2
         assert "seed must be in" in capsys.readouterr().err
+    # At 3600 the word count of the report had more digits than Python
+    # converts to a string, and the command ended in a raw ValueError.
+    for length in ("0", str(_WORD_LEN_MAX + 1), "3600"):
+        assert dispatch(["stationarity", "--model", files["model_d4"], "--group",
+                         files["d4"], "--max-word-len", length]) == 2
+        assert "max word length must be in [1, 64]" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_files(files, capsys):
@@ -376,13 +382,21 @@ def _fuzz_model(entry):
             '"entries": [[{"mode": "float", "rows": [[%s]]}]]}]}' % entry)
 
 
+def _diagonal_model(n):
+    """A one-point n x n magic model of dimension 1: u_ii = 1, else 0."""
+    entries = [[{"rows": [["1" if i == j else "0"]]} for j in range(n)] for i in range(n)]
+    return sz.render_json({"n": n, "dim": 1, "points": [
+        {"label": "a", "weight": "1", "entries": entries}]})
+
+
 def _cyclic_k_payload(k):
     return ('{"factors": [1], "rep_generators": [{"rows": [["1"]]}], '
             '"auto_images": [[0]], "k": %d}' % k)
 
 
-# Malformed inputs, one file each: (command, flag, file text).  thoma-check
-# and stationarity take a second file, the Z3 group.
+# Malformed inputs, one file each: (command, flag, file text), followed for a
+# bad flag value by the extra arguments.  thoma-check and stationarity take a
+# second file, the Z3 group.
 FUZZ_PAYLOADS = [
     ("magic-verify", "--model", _fuzz_model("NaN")),
     ("magic-verify", "--model", _fuzz_model("Infinity")),
@@ -421,6 +435,12 @@ FUZZ_PAYLOADS = [
     ("cyclic-verify", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
     # A huge k stops at the fiber shape check, before any work.
     ("dual-flat-check", "--input", '{"k": 1000000000, "generators": [[{"rows": [["1"]]}]]}'),
+    # Well-formed inputs, and a word length above the bound.
+    ("stationarity", "--model", _diagonal_model(3),
+     "--max-word-len", str(_WORD_LEN_MAX + 1)),
+    ("stationarity", "--model", _diagonal_model(3), "--max-word-len", "3600"),
+    ("thoma-check", "--group", '{"generators": [[2, 3, 1]]}',
+     "--max-word-len", str(_WORD_LEN_MAX + 1)),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -453,12 +473,16 @@ def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
     # where the command line would print a traceback.
     second = {"thoma-check": ["--lambda", files["z3"]],
               "stationarity": ["--group", files["z3"]]}
-    for i, (command, flag, text) in enumerate(FUZZ_PAYLOADS):
+    for i, (command, flag, text, *extra) in enumerate(FUZZ_PAYLOADS):
         path = tmp_path / f"fuzz{i}.json"
         path.write_text(text)
-        argv = [command, flag, str(path), *second.get(command, [])]
+        argv = [command, flag, str(path), *second.get(command, []), *extra]
         code, report, cap = run_cli(capsys, *argv)
-        assert code == 2 and report["status"] == "error", argv
+        if extra:
+            # A bad flag value is a usage error: stderr names it, no report.
+            assert code == 2 and report is None and cap.err.startswith("error: "), argv
+        else:
+            assert code == 2 and report["status"] == "error", argv
         assert "Traceback" not in cap.err, argv
         if "NaN" in text or "Infinity" in text or (command, flag, text) in BAD_INTEGER_PAYLOADS:
             assert report["error"]["type"] == "BadInput", argv
@@ -473,6 +497,15 @@ def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
     assert report["error"] == {"type": "BadInput",
                                "message": f"k must be at most {_CYCLIC_K_MAX}"}
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--float"])
+def test_max_word_len_at_the_bound_runs(files, capsys, mode):
+    code, report, _ = run_cli(capsys, "stationarity", "--model", files["model_d4"],
+                              "--group", files["d4"], "--max-word-len",
+                              str(_WORD_LEN_MAX), mode)
+    assert code == 0 and report["status"] == "pass"
+    assert report["checked"] == sum(16 ** m for m in range(_WORD_LEN_MAX + 1))
 
 
 def test_cyclic_k_at_the_bound_builds(capsys, tmp_path):
@@ -599,6 +632,11 @@ GOLDEN_REPORTS = {
     ("stationarity", "--model", "fiber_d4.json", "--group", "d4.json",
      "--max-word-len", "3", "--float"):
         "c0708847750f69aa3e5d29688ff6e7803aced4202f5103c6730ceee275d54945",
+    # A failing float check deep enough that the walk reuses the differing
+    # suffixes of joint states reached by more than one word.
+    ("stationarity", "--model", "fiber_d4.json", "--group", "d4.json",
+     "--max-word-len", "4", "--float"):
+        "a934101d903f7a211cd8f3878edffdb225d7c638cb9ad1599d76e645e8551f53",
     ("latin-search", "--group", "g216.json", "--size", "6"):
         "2685608da053e8a92d5f801b42ea38d1b0eafaa65509b7db7c423bd0aef6892f",
     ("latin-search", "--group", "g360.json", "--size", "6"):
