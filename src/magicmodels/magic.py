@@ -22,7 +22,6 @@ table of the model state's values (StateOnWords).
 from __future__ import annotations
 
 import itertools
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,11 +305,11 @@ def _weighted_sum(weights, values, zero=None):
 def _scalar_key(x):
     """A key that tells every stored form of a scalar apart, so that equal
     keys give equal sums, products and printed values, types included: a
-    complex by the bits of its parts (so -0.0 is not 0.0), a Cyc by its
-    (order, num, den), anything else by its type and value (so Fraction(1)
-    is not 1)."""
+    complex by the exact hex text of its parts (so -0.0 is not 0.0), a Cyc
+    by its (order, num, den), anything else by its type and value (so
+    Fraction(1) is not 1)."""
     if type(x) is complex:
-        return struct.pack("dd", x.real, x.imag)
+        return (x.real.hex(), x.imag.hex())
     if type(x) is Cyc:
         return (x.order, x.num, x.den)
     return (type(x), x)
@@ -337,7 +336,7 @@ class _ModelWords:
     Matrices are hash-consed: `mats` holds each distinct stored form once,
     fibers and products alike, and `traces` its ntrace, taken once.  The
     product of a kept matrix by a fiber is taken once and remembered by
-    their ids."""
+    their ids, and a state's value is summed once, in point order."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
