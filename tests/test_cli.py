@@ -348,7 +348,7 @@ def test_usage_errors(files, capsys):
     for length in ("0", str(_WORD_LEN_MAX + 1), "3600"):
         assert dispatch(["stationarity", "--model", files["model_d4"], "--group",
                          files["d4"], "--max-word-len", length]) == 2
-        assert "max word length must be in [1, 64]" in capsys.readouterr().err
+        assert f"max word length must be in [1, {_WORD_LEN_MAX}]" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_files(files, capsys):
