@@ -15,8 +15,11 @@ every point and the reference's state.  The model's products are hash-consed
 (each distinct stored form is kept once, and each product of a kept matrix by
 a fiber is taken once), each distinct joint state is stepped once per letter,
 and the differing suffixes of a joint state are listed once per remaining
-length, so words that reach one state share that work.  The walk stops below
-a word on which both states are zero.  Only the convolution square reads a
+length, so words that reach one state share that work.  States merge only
+when products repeat exactly in their stored form, as 0/1 and +-1 fibers do;
+float products that round differently on different words merge less, and
+the walk's tables are caches of bounded size.  The walk stops below a word
+on which both states are zero.  Only the convolution square reads a
 table of the model state's values (StateOnWords).
 """
 from __future__ import annotations
@@ -315,9 +318,22 @@ def _scalar_key(x):
     return (type(x), x)
 
 
+def _stored_form(m: CMatrix) -> tuple:
+    """The matrix's entries by _scalar_key, in row order."""
+    return tuple([_scalar_key(x) for row in m.data for x in row])
+
+
 def _letters(n: int) -> list:
     """The coordinates (i, j), 0-based, in lexicographic order."""
     return [(i, j) for i in range(n) for j in range(n)]
+
+
+# The word walk's tables are caches.  Once one of them holds this many
+# entries they are emptied, so that a walk whose products rarely repeat in
+# their stored form (as on a float model with irrational entries, where
+# words that reach one matrix round differently) keeps bounded memory
+# instead of one state per word.  Only sharing is lost by emptying.
+_SHARED_MAX = 1 << 13
 
 
 # A state on words as a weighted automaton: `start` is its state after the
@@ -325,67 +341,90 @@ def _letters(n: int) -> list:
 # number for the word read so far, and a state that `is_zero` gives its value
 # to every extension.  `coordinates` are the nonzero entries of the vector on
 # which each step acts linearly; the keys of a model state and of a reference
-# state never coincide.  A reference's `key` is hashable and equal for two
+# state never coincide.  A state's `key` is hashable and equal for two
 # states only if they hold the same stored values, so that they give the
-# same printed values on every extension; a model state is its own key.
+# same printed values on every extension.
 
 class _ModelWords:
-    """The model state: at each point, the id of the product of the fibers
-    of the word read so far, None where that product is zero.
+    """The model state: at each point, the kept product of the fibers of the
+    word read so far, None where that product is zero.
 
-    Matrices are hash-consed: `mats` holds each distinct stored form once,
-    fibers and products alike, and `traces` its ntrace, taken once.  The
-    product of a kept matrix by a fiber is taken once and remembered by
-    their ids, and a state's value is summed once, in point order."""
+    Matrices are hash-consed.  A kept matrix is a (serial, matrix, ntrace)
+    triple, one for each distinct stored form, fibers and products alike,
+    with its ntrace taken once.  The product of a kept matrix by a fiber is
+    taken once and remembered by their serials, and a state's value is
+    summed once, in point order.  The three tables are emptied together when
+    one of them is full (_SHARED_MAX); a matrix kept after that gets a new
+    serial, so states are never merged across the emptying, only not
+    shared."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
         self.zero = 0 if model.mode == "exact" else 0j
-        self.mats = []
-        self.traces = []
-        self._ids = {}
+        self._serials = itertools.count()
+        self._kept = {}
         self._products = {}
         self._values = {}
-        self.fibers = {letter: tuple(None if f.is_zero() else self._intern(f)
+        self.fibers = {letter: tuple(None if f.is_zero() else self._keep(f)
                                      for f in model.entries[letter[0]][letter[1]])
                        for letter in _letters(model.n)}
-        self.start = (self._intern(CMatrix.identity(model.dim, model.mode)),) * model.n_points
+        self.start = (self._keep(CMatrix.identity(model.dim, model.mode)),) * model.n_points
         self._dead = (None,) * model.n_points
 
-    def _intern(self, m: CMatrix) -> int:
-        key = tuple([_scalar_key(x) for row in m.data for x in row])
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.mats)
-            self.mats.append(m)
-            self.traces.append(m.ntrace())
-        return i
+    def _room(self, table: dict):
+        if len(table) >= _SHARED_MAX:
+            self._kept.clear()
+            self._products.clear()
+            self._values.clear()
 
-    def _times(self, i: int, f: int):
-        key = (i, f)
+    def _keep(self, m: CMatrix) -> tuple:
+        # A float matrix is looked up by its values, which hash fast.  Equal
+        # values may still differ in the sign of a zero part, so a match is
+        # confirmed on the stored forms, and a matrix that fails is kept
+        # under its stored form instead.
+        float_mode = m.mode == "float"
+        key = m.data if float_mode else _stored_form(m)
+        kept = self._kept.get(key)
+        if kept is not None and float_mode and _stored_form(kept[1]) != _stored_form(m):
+            key = _stored_form(m)
+            kept = self._kept.get(key)
+        if kept is None:
+            self._room(self._kept)
+            kept = self._kept[key] = (next(self._serials), m, m.ntrace())
+        return kept
+
+    def _times(self, a: tuple, f: tuple):
+        key = (a[0], f[0])
         if key not in self._products:
-            q = self.mats[i] * self.mats[f]
-            self._products[key] = None if q.is_zero() else self._intern(q)
+            q = a[1] * f[1]
+            q = None if q.is_zero() else self._keep(q)
+            self._room(self._products)
+            self._products[key] = q
         return self._products[key]
 
-    def step(self, ids, letter):
-        return tuple([None if i is None or f is None else self._times(i, f)
-                      for i, f in zip(ids, self.fibers[letter])])
+    def step(self, state, letter):
+        return tuple([None if a is None or f is None else self._times(a, f)
+                      for a, f in zip(state, self.fibers[letter])])
 
-    def value(self, ids):
-        v = self._values.get(ids)
+    def key(self, state) -> tuple:
+        return tuple([None if a is None else a[0] for a in state])
+
+    def value(self, state):
+        key = self.key(state)
+        v = self._values.get(key)
         if v is None:
-            traces = self.traces
-            v = self._values[ids] = _weighted_sum(
-                self.weights, [None if i is None else traces[i] for i in ids], self.zero)
+            v = _weighted_sum(self.weights, [None if a is None else a[2] for a in state],
+                              self.zero)
+            self._room(self._values)
+            self._values[key] = v
         return v
 
-    def is_zero(self, ids) -> bool:
-        return ids == self._dead
+    def is_zero(self, state) -> bool:
+        return state == self._dead
 
-    def coordinates(self, ids) -> list:
-        return [((x, r, c), v) for x, i in enumerate(ids) if i is not None
-                for r, row in enumerate(self.mats[i]._nonzero_rows()) for c, v in row]
+    def coordinates(self, state) -> list:
+        return [((x, r, c), v) for x, a in enumerate(state) if a is not None
+                for r, row in enumerate(a[1]._nonzero_rows()) for c, v in row]
 
 
 class _GroupWords:
@@ -557,32 +596,37 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
 
     Each word is read into both automata at once.  A word's values and those
     of its extensions depend only on the joint state it reaches, so each
-    distinct joint state (keyed by the model state and the reference's key)
-    gets an id, its values are compared once, each letter steps it once,
-    and its differing suffixes are listed once per remaining length and
-    shared by every word that reaches it.  Below a word on which both states
-    are zero every value on both sides is zero, so no extension of it can
-    differ, and none is read."""
+    distinct joint state (keyed by the two states' keys) gets a serial, its
+    values are compared once, each letter steps it once, and its differing
+    suffixes are listed once per remaining length and shared by every word
+    that reaches it.  The tables are emptied when the steps fill
+    _SHARED_MAX entries; a state met again after that gets a new serial and
+    is stepped again.  Below a word on which both states are zero every
+    value on both sides is zero, so no extension of it can differ, and none
+    is read."""
     letters = _letters(n)
-    ids = {}
-    states = []     # id -> (model state, reference state, own entry if differing, dead)
+    serials = itertools.count()
+    ids = {}        # key -> (serial, model state, reference state, own entry if differing, dead)
     steps = {}
     memo = {}
 
     def joint(p, r):
-        key = (p, ref.key(r))
-        j = ids.get(key)
-        if j is None:
-            j = ids[key] = len(states)
+        key = (mod.key(p), ref.key(r))
+        state = ids.get(key)
+        if state is None:
+            if len(steps) >= _SHARED_MAX:
+                ids.clear()
+                steps.clear()
+                memo.clear()
             a, b = mod.value(p), ref.value(r)
             own = [] if scalars_equal(b, a, tol) else [((), a, b)]
-            states.append((p, r, own, mod.is_zero(p) and ref.is_zero(r)))
-        return j
+            state = ids[key] = (next(serials), p, r, own, mod.is_zero(p) and ref.is_zero(r))
+        return state
 
-    def suffixes(j, left):
+    def suffixes(state, left):
+        j, p, r, own, dead = state
         found = memo.get((j, left))
         if found is None:
-            p, r, own, dead = states[j]
             found = list(own)
             if left and not dead:
                 for letter in letters:
@@ -611,10 +655,13 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     and the automaton's word must be one of them, as long as the first (or,
     past the bound, the walk must find none); any other outcome raises
     Inconsistent.  A float model is compared by the walk alone, since a rank
-    decision under a tolerance is no proof.  The walk's work grows with the
-    distinct joint states that the words reach, times the letters and the
-    bound, not with the number of words: words that reach one state share
-    its products, its comparison and its differing suffixes.
+    decision under a tolerance is no proof.  Words that reach one joint
+    state share its products, its comparison and its differing suffixes.
+    When the model's products repeat exactly in their stored form (0/1 and
+    +-1 fibers do), the walk's work grows with the distinct joint states
+    times the letters and the bound, not with the words.  Float products
+    that round differently on different words merge fewer states, and the
+    work then tends to one step per word, in memory bounded by _SHARED_MAX.
 
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the

@@ -784,6 +784,28 @@ def test_shared_walk_matches_the_plain_walk_on_block_models(mode):
                 for _, ref in blocks] in ([0, 432], [432, 0])
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_walk_that_empties_its_tables_matches_the_plain_walk(d4_s4_models, monkeypatch, mode):
+    """With room for four entries the walk's tables are emptied again and
+    again: sharing is lost, but no word, value or type changes, and the
+    model's tables never hold more than four entries."""
+    monkeypatch.setattr(magic, "_SHARED_MAX", 4)
+    tol = None if mode == "exact" else 1e-9
+    group, model = d4_s4_models[0]
+    block, own = block_model_and_reference([2, 2])
+    cases = [(group, single_fiber(model, 0)), (group, single_fiber(model, 1)),
+             (own, block), (block_model_and_reference([4])[1], block)]
+    found = 0
+    for reference, m in cases:
+        if tol is not None:
+            m = m.to_float()
+        found += assert_shared_walk_matches_plain(reference, m, 3, tol)
+        mod = magic._ModelWords(m)
+        magic._differing_words(mod, magic._reference_words(reference, m.n), m.n, 3, tol)
+        assert max(len(mod._kept), len(mod._products), len(mod._values)) <= 4
+    assert found
+
+
 @pytest.mark.parametrize("which, most", [(0, 640), (1, 1920)], ids=["D4", "S4"])
 def test_passing_float_check_takes_each_product_once(d4_s4_models, monkeypatch, which, most):
     # Reading every word took 10,368 products on D4 and 31,104 on S4.
@@ -814,8 +836,8 @@ def test_states_with_different_stored_forms_are_never_merged():
         assert fa.close_to(fb)
         model = FiberModel(1, 2, ("a", "b"), (F(1, 2), F(1, 2)), [[(fa, fb)]])
         mod = magic._ModelWords(model)
-        ia, ib = mod.fibers[(0, 0)]
-        assert ia != ib and mod.mats[ia] is fa and mod.mats[ib] is fb
+        ka, kb = mod.fibers[(0, 0)]
+        assert ka[0] != kb[0] and ka[1] is fa and kb[1] is fb
     group = FinAbelian([2])
     ref = magic._reference_words(
         DualWordReference(group, 1, {(0, 0): AlgebraElement.one(group)}), 1)
