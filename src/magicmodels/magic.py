@@ -599,8 +599,8 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
     distinct joint state (keyed by the two states' keys) gets a serial, its
     values are compared once, each letter steps it once, and its differing
     suffixes are listed once per remaining length and shared by every word
-    that reaches it.  The tables are emptied when the steps fill
-    _SHARED_MAX entries; a state met again after that gets a new serial and
+    that reaches it.  The tables are emptied together when one of them is
+    full (_SHARED_MAX); a state met again after that gets a new serial and
     is stepped again.  Below a word on which both states are zero every
     value on both sides is zero, so no extension of it can differ, and none
     is read."""
@@ -610,16 +610,19 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
     steps = {}
     memo = {}
 
+    def room(table):
+        if len(table) >= _SHARED_MAX:
+            ids.clear()
+            steps.clear()
+            memo.clear()
+
     def joint(p, r):
         key = (mod.key(p), ref.key(r))
         state = ids.get(key)
         if state is None:
-            if len(steps) >= _SHARED_MAX:
-                ids.clear()
-                steps.clear()
-                memo.clear()
             a, b = mod.value(p), ref.value(r)
             own = [] if scalars_equal(b, a, tol) else [((), a, b)]
+            room(ids)
             state = ids[key] = (next(serials), p, r, own, mod.is_zero(p) and ref.is_zero(r))
         return state
 
@@ -632,9 +635,11 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
                 for letter in letters:
                     child = steps.get((j, letter))
                     if child is None:
-                        child = steps[j, letter] = joint(_advance(mod, p, letter),
-                                                         _advance(ref, r, letter))
+                        child = joint(_advance(mod, p, letter), _advance(ref, r, letter))
+                        room(steps)
+                        steps[j, letter] = child
                     found += [((letter,) + s, a, b) for s, a, b in suffixes(child, left - 1)]
+            room(memo)
             memo[j, left] = found
         return found
 
