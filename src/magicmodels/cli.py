@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import serialize as sz
 from .acceptance import run_suite
@@ -139,6 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "help": "JSON with k and per-generator fiber lists"}})
     cmd("suite", "run every acceptance criterion in order")
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves a parser as it
+    found it, and each call of dispatch would otherwise pay for building it."""
+    return build_parser()
 
 
 # -- handlers ---------------------------------------------------------------
@@ -382,9 +390,8 @@ def _emit(report: dict, config: RunConfig | None):
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -68,8 +68,27 @@ __all__ = [
 ]
 
 
+def _once_per_object(fn):
+    """fn, run once per distinct argument object: a later call with the same
+    object returns the first result.  Objects are told apart by id, so the
+    arguments must outlive the returned function, as a model's fibers do
+    while one pass over them runs."""
+    results = {}
+
+    def once(x):
+        key = id(x)
+        if key not in results:
+            results[key] = fn(x)
+        return results[key]
+
+    return once
+
+
 class FiberModel:
-    """An n x n grid of dim x dim matrix fibers over one weighted point set."""
+    """An n x n grid of dim x dim matrix fibers over one weighted point set.
+    Equal fibers may be one shared object, as serialize.model_from_json and
+    the builders give them; the per-fiber work of to_float, the checks and
+    the word walk runs once per object."""
 
     def __init__(self, n: int, dim: int, labels, weights, entries):
         self.n = n
@@ -115,9 +134,11 @@ class FiberModel:
         ])
 
     def to_float(self) -> "FiberModel":
+        """The model in float mode; fibers shared here stay shared."""
+        convert = _once_per_object(CMatrix.to_float)
         return FiberModel(
             self.n, self.dim, self.labels, self.weights,
-            [[tuple(f.to_float() for f in self.entries[i][j]) for j in range(self.n)]
+            [[tuple(map(convert, self.entries[i][j])) for j in range(self.n)]
              for i in range(self.n)],
         )
 
@@ -145,15 +166,17 @@ class CheckReport:
 
 def verify_magic(model: FiberModel, tol=None) -> CheckReport:
     """All entries projections, all row and column sums equal to the identity,
-    at every point."""
+    at every point.  Each distinct fiber object is tested for being a
+    projection once; every entry it fills is counted and reported."""
     witnesses = []
     checked = 0
     ident = CMatrix.identity(model.dim, model.mode)
+    is_projection = _once_per_object(lambda f: f.is_projection(tol))
     for x in range(model.n_points):
         for i in range(model.n):
             for j in range(model.n):
                 checked += 1
-                if not model.entries[i][j][x].is_projection(tol):
+                if not is_projection(model.entries[i][j][x]):
                     witnesses.append({"kind": "not_projection", "row": i + 1,
                                       "col": j + 1, "point": model.labels[x]})
         for i in range(model.n):
@@ -221,18 +244,20 @@ def orbits_from_source(source, tol=None) -> OrbitStructure:
 
 def quasi_flat_check(model: FiberModel, orbits: OrbitStructure, tol=None) -> CheckReport:
     """Every in-block entry has rank exactly 1 at every point.  Requires the
-    orbit size to equal the fiber dimension."""
+    orbit size to equal the fiber dimension.  The rank of each distinct fiber
+    object is taken once; every entry it fills is counted and reported."""
     k = orbits.block_size
     if k != model.dim:
         raise ShapeMismatch(f"orbit size {k} does not match fiber dimension {model.dim}")
     witnesses = []
     checked = 0
+    rank = _once_per_object(lambda f: f.rank(tol))
     for block in orbits.blocks:
         for i in block:
             for j in block:
                 for x in range(model.n_points):
                     checked += 1
-                    r = model.entries[i - 1][j - 1][x].rank(tol)
+                    r = rank(model.entries[i - 1][j - 1][x])
                     if r != 1:
                         witnesses.append({"row": i, "col": j,
                                           "point": model.labels[x], "rank": r})
@@ -351,12 +376,12 @@ class _ModelWords:
 
     Matrices are hash-consed.  A kept matrix is a (serial, matrix, ntrace)
     triple, one for each distinct stored form, fibers and products alike,
-    with its ntrace taken once.  The product of a kept matrix by a fiber is
-    taken once and remembered by their serials, and a state's value is
-    summed once, in point order.  The three tables are emptied together when
-    one of them is full (_SHARED_MAX); a matrix kept after that gets a new
-    serial, so states are never merged across the emptying, only not
-    shared."""
+    with its ntrace taken once; each distinct fiber object is looked up
+    once.  The product of a kept matrix by a fiber is taken once and
+    remembered by their serials, and a state's value is summed once, in
+    point order.  The three tables are emptied together when one of them is
+    full (_SHARED_MAX); a matrix kept after that gets a new serial, so
+    states are never merged across the emptying, only not shared."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
@@ -365,8 +390,8 @@ class _ModelWords:
         self._kept = {}
         self._products = {}
         self._values = {}
-        self.fibers = {letter: tuple(None if f.is_zero() else self._keep(f)
-                                     for f in model.entries[letter[0]][letter[1]])
+        fiber = _once_per_object(lambda f: None if f.is_zero() else self._keep(f))
+        self.fibers = {letter: tuple(map(fiber, model.entries[letter[0]][letter[1]]))
                        for letter in _letters(model.n)}
         self.start = (self._keep(CMatrix.identity(model.dim, model.mode)),) * model.n_points
         self._dead = (None,) * model.n_points
@@ -599,11 +624,13 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
     distinct joint state (keyed by the two states' keys) gets a serial, its
     values are compared once, each letter steps it once, and its differing
     suffixes are listed once per remaining length and shared by every word
-    that reaches it.  The tables are emptied together when one of them is
-    full (_SHARED_MAX); a state met again after that gets a new serial and
-    is stepped again.  Below a word on which both states are zero every
-    value on both sides is zero, so no extension of it can differ, and none
-    is read."""
+    that reaches it.  The suffixes of a leaf (no letters left) are its own
+    entry alone, and are not stored, so that the leaves, which are most of
+    the states, do not fill the tables.  The tables are emptied together
+    when one of them is full (_SHARED_MAX); a state met again after that
+    gets a new serial and is stepped again.  Below a word on which both
+    states are zero every value on both sides is zero, so no extension of it
+    can differ, and none is read."""
     letters = _letters(n)
     serials = itertools.count()
     ids = {}        # key -> (serial, model state, reference state, own entry if differing, dead)
@@ -628,10 +655,12 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
 
     def suffixes(state, left):
         j, p, r, own, dead = state
+        if not left:
+            return own
         found = memo.get((j, left))
         if found is None:
             found = list(own)
-            if left and not dead:
+            if not dead:
                 for letter in letters:
                     child = steps.get((j, letter))
                     if child is None:

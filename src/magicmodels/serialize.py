@@ -5,12 +5,21 @@ precision is lost; bare JSON numbers always mean float mode.  Scalars,
 matrices, permutations and fiber models have both a *_to_json writer and a
 *_from_json reader, and reading back what was written gives the same value
 and type, save that an integral Fraction reads back as an int.
+
+A model repeats a few fibers many times (the S4 family model has 4 distinct
+fibers among 384, the Z8 block model 8 among 64), so equal fibers are one
+object from reader to writer.  model_from_json parses each distinct fiber
+payload once and shares the matrix, keyed by the payload's stored form (its
+marshal bytes, which tell true from 1 and -0.0 from 0.0), never by Python
+equality.  model_to_json builds one payload per distinct fiber object.
 Reports and artifacts are written by render_json, which gives the bytes of
-json.dumps with indent=2 and sorted keys from a string-joining renderer.
+json.dumps with indent=2 and sorted keys from a string-joining renderer, and
+reuses the text of a dict that it meets again at one indentation.
 """
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .cyclotomic import Cyc
 from .errors import ModelInputError
 from .groups import DEFAULT_CAP, AutoMap, FinAbelian, Perm, PermGroup
-from .magic import FiberModel
+from .magic import FiberModel, _once_per_object
 from .matrices import CMatrix
 from .quasiflat import LatinFamily, SparseLatinSquare
 
@@ -211,6 +220,9 @@ def abelian_auto_from_images(group: FinAbelian, images) -> AutoMap:
 # -- fiber models -----------------------------------------------------------
 
 def model_to_json(model: FiberModel) -> dict:
+    """The model's payload.  Each distinct fiber object has one payload
+    object, placed wherever the fiber is, so the payload is read-only."""
+    payload = _once_per_object(matrix_to_json)
     return {
         "n": model.n,
         "dim": model.dim,
@@ -218,12 +230,36 @@ def model_to_json(model: FiberModel) -> dict:
             {
                 "label": model.labels[x],
                 "weight": str(model.weights[x]),
-                "entries": [[matrix_to_json(model.entries[i][j][x])
+                "entries": [[payload(model.entries[i][j][x])
                              for j in range(model.n)] for i in range(model.n)],
             }
             for x in range(model.n_points)
         ],
     }
+
+
+def _fiber_reader():
+    """matrix_from_json, run once per distinct stored form of a fiber
+    payload: equal payloads read back as one shared matrix (CMatrix values
+    are immutable).  The key is the payload's marshal bytes at version 2,
+    which has no back-references, so the bytes depend only on the types and
+    values: true is not 1 and -0.0 is not 0.0, as the parse tells them
+    apart.  A payload that marshal refuses (not plain JSON data, or nested
+    too deep) is parsed on its own.  Only a parsed matrix is kept, so a bad
+    payload raises wherever it occurs."""
+    read = {}
+
+    def fiber(v) -> CMatrix:
+        try:
+            key = marshal.dumps(v, 2)
+        except ValueError:
+            return matrix_from_json(v)
+        m = read.get(key)
+        if m is None:
+            m = read[key] = matrix_from_json(v)
+        return m
+
+    return fiber
 
 
 def model_from_json(v) -> FiberModel:
@@ -235,6 +271,7 @@ def model_from_json(v) -> FiberModel:
     _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     _expect(isinstance(points, list) and points, "points must be a nonempty list")
     labels, weights, grids = [], [], []
+    fiber = _fiber_reader()
     for pt in points:
         _expect(isinstance(pt, dict) and "weight" in pt and "entries" in pt,
                 "each point needs weight and entries")
@@ -251,7 +288,7 @@ def model_from_json(v) -> FiberModel:
         _expect(isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows),
                 "point entries must form an n x n grid")
-        grids.append([[matrix_from_json(c) for c in row] for row in rows])
+        grids.append([[fiber(c) for c in row] for row in rows])
     entries = [[tuple(grids[x][i][j] for x in range(len(points)))
                 for j in range(n)] for i in range(n)]
     return FiberModel(n, dim, labels, weights, entries)
@@ -299,8 +336,14 @@ def dump_json(value, path: str):
 def render_json(value) -> str:
     """The bytes of json.dumps(value, indent=2, sort_keys=True) plus a
     newline.  With an indent, json encodes through its pure-Python generator
-    encoder; this renderer builds the same text by joining strings."""
-    return _render(value, "") + "\n"
+    encoder; this renderer builds the same text by joining strings.
+
+    A dict object met more than once at one indentation, as the shared fiber
+    payloads of model_to_json are, renders to the same text each time.  Its
+    first meeting notes only its id; the text of its second meeting is kept
+    and reused after that, so only shared dicts hold their text.  Every dict
+    stays alive in value while it renders, so no id is reused."""
+    return _render(value, "", {}) + "\n"
 
 
 def _float_text(x: float) -> str:
@@ -330,10 +373,12 @@ def _key_text(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _render(v, pad: str) -> str:
+def _render(v, pad: str, seen: dict) -> str:
     """One value at indentation pad, tested in json's order; containers put
     each member on its own line, two spaces deeper, and dicts sort their
-    items by the original keys."""
+    items by the original keys.  seen maps (id, pad) of each nonempty dict
+    rendered so far to its text once it is met twice, else to the empty
+    string."""
     if isinstance(v, str):
         return _quote(v)
     if v is None:
@@ -350,11 +395,18 @@ def _render(v, pad: str) -> str:
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        body = [_quote(x) if type(x) is str else _render(x, inner) for x in v]
+        body = [_quote(x) if type(x) is str else _render(x, inner, seen) for x in v]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     if isinstance(v, dict):
         if not v:
             return "{}"
-        body = [_quote(_key_text(k)) + ": " + _render(x, inner) for k, x in sorted(v.items())]
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+        key = (id(v), pad)
+        text = seen.get(key)
+        if text:
+            return text
+        body = [_quote(_key_text(k)) + ": " + _render(x, inner, seen)
+                for k, x in sorted(v.items())]
+        out = "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+        seen[key] = "" if text is None else out
+        return out
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import magicmodels
-from magicmodels import serialize as sz
+from magicmodels import cli, serialize as sz
 from magicmodels.cli import _CYCLIC_K_MAX, _WORD_LEN_MAX, dispatch
 from magicmodels.cyclotomic import zeta
 from magicmodels.groups import Perm, PermGroup
@@ -350,6 +350,38 @@ def test_usage_errors(files, capsys):
         for length in ("0", str(_WORD_LEN_MAX + 1), "3600"):
             assert dispatch([*argv, "--max-word-len", length]) == 2
             assert f"max word length must be in [1, {_WORD_LEN_MAX}]" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(files, capsys, monkeypatch):
+    """Consecutive calls on the parser built once give the exit codes and
+    output bytes of calls that each build a fresh parser."""
+    monkeypatch.chdir(files["root"])
+    calls = [["orbits", "--group", "z3.json"],
+             ["orbits", "--group", "z3.json", "--exact", "--float"],
+             ["--help"], ["stationarity", "--help"], ["no-such-command"],
+             ["latin-search", "--group", "z3.json", "--tol", "-1"],
+             ["magic-verify"],
+             ["orbits", "--group", "z3.json", "--float"]]
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+
+    def run(argv):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    once = [run(argv) for argv in calls]
+    assert len(builds) == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert len(builds) == 1 + len(calls)
+    assert once == fresh
+    assert [code for code, _, _ in once] == [0, 2, 0, 0, 2, 2, 2, 0]
+    assert once[2][1].startswith("usage: magicmodels")
 
 
 def test_missing_and_malformed_files(files, capsys):

@@ -806,6 +806,92 @@ def test_walk_that_empties_its_tables_matches_the_plain_walk(d4_s4_models, monke
     assert found
 
 
+# -- one object per distinct fiber against fresh copies ----------------------
+
+def fiber_ids(model):
+    return {id(f) for row in model.entries for fibers in row for f in fibers}
+
+
+def unshared(model):
+    """The model with a fresh copy of the fiber at every entry and point."""
+    grid = [[tuple(CMatrix(f.mode, [list(r) for r in f.data]) for f in model.entries[i][j])
+             for j in range(model.n)] for i in range(model.n)]
+    twin = FiberModel(model.n, model.dim, model.labels, model.weights, grid)
+    assert len(fiber_ids(twin)) == model.n * model.n * model.n_points
+    return twin
+
+
+def broken_family_model(group):
+    """The family model with its first distinct fiber swapped for a rank-two
+    projection and its second for half a unit, object for object, so that
+    the magic, rank and stationarity checks all fail on shared fibers."""
+    model = classical_model_from_family(group, latin_family_search(group, 4))
+    first, second = list({id(f): f for row in model.entries for fibers in row
+                          for f in fibers}.values())[:2]
+    wide, half = first + second, second.scale(F(1, 2))
+    swap = {id(first): wide, id(second): half}
+    grid = [[tuple(swap.get(id(f), f) for f in model.entries[i][j])
+             for j in range(model.n)] for i in range(model.n)]
+    return FiberModel(model.n, model.dim, model.labels, model.weights, grid)
+
+
+def shared_fiber_cases():
+    """(reference, model, orbits) for models whose equal fibers are one object."""
+    d4 = pg(4, [(1, 2, 3, 4)], [(1, 3)])
+    s4 = pg(4, [(1, 2)], [(1, 2, 3, 4)])
+    cases = [(g, classical_model_from_family(g, latin_family_search(g, 4)),
+              orbits_from_source(g)) for g in (d4, s4)]
+    cases.append((d4, broken_family_model(d4), orbits_from_source(d4)))
+    for factors in ([2, 2], [4]):
+        model, ref = block_model_and_reference(factors)
+        cases.append((ref, model, orbits_from_source(factors)))
+    return cases
+
+
+def per_entry_witnesses(model, orbits, tol):
+    """The projection and rank witnesses of verify_magic and quasi_flat_check,
+    found by testing the fiber at every entry and point on its own."""
+    not_projection = [{"kind": "not_projection", "row": i + 1, "col": j + 1,
+                       "point": model.labels[x]}
+                      for x in range(model.n_points) for i in range(model.n)
+                      for j in range(model.n)
+                      if not model.entries[i][j][x].is_projection(tol)]
+    ranks = [{"row": i, "col": j, "point": model.labels[x],
+              "rank": model.entries[i - 1][j - 1][x].rank(tol)}
+             for block in orbits.blocks for i in block for j in block
+             for x in range(model.n_points)]
+    return not_projection, [w for w in ranks if w["rank"] != 1]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_shared_fibers_give_the_reports_of_fresh_copies(mode):
+    tol = None if mode == "exact" else 1e-9
+    failed = set()
+    for reference, model, orbits in shared_fiber_cases():
+        twin = unshared(model)
+        assert len(fiber_ids(model)) < len(fiber_ids(twin))
+        if tol is not None:
+            shared_ids = len(fiber_ids(model))
+            model, twin = model.to_float(), twin.to_float()
+            assert len(fiber_ids(model)) == shared_ids
+        checks = [lambda m: verify_magic(m, tol),
+                  lambda m: stationarity_check(reference, m, 3, tol)]
+        if orbits.block_size == model.dim:
+            checks.append(lambda m: quasi_flat_check(m, orbits, tol))
+        not_projection, not_rank_one = per_entry_witnesses(twin, orbits, tol)
+        for check in checks:
+            got, want = check(model), check(twin)
+            assert render_json(check_to_json(got)) == render_json(check_to_json(want))
+            if got.name == "verify_magic":
+                assert [w for w in got.witnesses if w["kind"] == "not_projection"] == \
+                    not_projection
+            if got.name == "quasi_flat":
+                assert list(got.witnesses) == not_rank_one
+            if not got.passed:
+                failed.add(got.name)
+    assert failed == {"verify_magic", "stationarity", "quasi_flat"}
+
+
 @pytest.mark.parametrize("which, most", [(0, 640), (1, 1920)], ids=["D4", "S4"])
 def test_passing_float_check_takes_each_product_once(d4_s4_models, monkeypatch, which, most):
     # Reading every word took 10,368 products on D4 and 31,104 on S4.

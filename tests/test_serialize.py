@@ -273,3 +273,91 @@ def test_model_round_trip_keeps_every_scalar_type(d4):
         assert model_to_json(back) == model_to_json(model)
     assert set(_scalar_types(family)[1]) == {int}
     assert set(_scalar_types(mixed)[1]) == {int, Fraction, Cyc}
+
+
+# -- equal fibers read back as one object -------------------------------------
+
+def _points_model(mode, *fibers):
+    """A 1 x 1 model payload with one point per fiber payload, of equal weights."""
+    return {"n": 1, "dim": 1, "points": [
+        {"label": str(x), "weight": f"1/{len(fibers)}",
+         "entries": [[{"mode": mode, "rows": [[entry]]}]]}
+        for x, entry in enumerate(fibers)]}
+
+
+@pytest.mark.parametrize("good, bad", [
+    (1, True),
+    (1.0, True),
+    ({"re": 1, "im": 0}, {"re": True, "im": 0}),
+    ({"re": 0, "im": 1.0}, {"re": 0, "im": True}),
+], ids=["number", "float", "re", "im"])
+def test_a_boolean_fiber_read_after_an_equal_number_is_rejected(good, bad):
+    # True == 1 == 1.0 in Python, so a reader keyed by equality would hand the
+    # boolean fiber the matrix parsed from the number.
+    assert model_from_json(_points_model("float", good, good)).n_points == 2
+    for order in ((good, bad), (bad, good)):
+        with pytest.raises(BadInput, match="booleans are not scalars"):
+            model_from_json(_points_model("float", *order))
+
+
+def test_a_boolean_cyclotomic_order_read_after_an_equal_int_is_rejected():
+    good = {"order": 1, "coeffs": ["1"]}
+    with pytest.raises(BadInput, match="order must be a positive integer"):
+        model_from_json(_points_model("exact", good, {"order": True, "coeffs": ["1"]}))
+
+
+@pytest.mark.parametrize("zero, minus_zero", [
+    (0.0, -0.0),
+    ({"re": 0.0, "im": 0.0}, {"re": -0.0, "im": 0.0}),
+    ({"re": 0.0, "im": 0.0}, {"re": 0.0, "im": -0.0}),
+], ids=["number", "re", "im"])
+def test_a_minus_zero_fiber_keeps_its_sign(zero, minus_zero):
+    # -0.0 == 0.0 in Python, so a reader keyed by equality would read the
+    # second fiber back as the first.
+    want = scalar_from_json(minus_zero)
+    back = model_from_json(_points_model("float", zero, minus_zero, zero))
+    first, second, third = back.entries[0][0]
+    assert first is third and second is not first
+    assert repr(second.data[0][0]) == repr(complex(want)) != repr(first.data[0][0])
+    payload = json.loads(json.dumps(model_to_json(back)))
+    assert [pt["entries"][0][0]["rows"][0][0] for pt in payload["points"]] == \
+        [scalar_to_json(complex(0.0)), scalar_to_json(complex(want)), scalar_to_json(complex(0.0))]
+
+
+def _fiber_objects(model):
+    return [f for row in model.entries for fibers in row for f in fibers]
+
+
+def test_equal_cyc_fibers_read_back_as_one_object():
+    shift = CMatrix.exact([[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)])
+    model = bichon_build([4], [shift])
+    payload = json.loads(json.dumps(model_to_json(model)))
+    back = model_from_json(payload)
+    fibers = _fiber_objects(back)
+    assert len(fibers) == 16 and len({id(f) for f in fibers}) == 4
+    assert any(isinstance(x, Cyc) for f in fibers for row in f.data for x in row)
+    rows = [c for pt in payload["points"] for row in pt["entries"] for c in row]
+    for f, row in zip(fibers, rows):
+        for g, other in zip(fibers, rows):
+            assert (f is g) == (row == other)
+    assert model_to_json(back) == payload
+    assert verify_magic(back).passed
+
+
+def test_each_distinct_fiber_has_one_payload_object(d4):
+    model = classical_model_from_family(d4, latin_family_search(d4, 4))
+    payload = model_to_json(model)
+    fibers = [c for pt in payload["points"] for row in pt["entries"] for c in row]
+    assert len(fibers) == 128 and len({id(c) for c in fibers}) == 4
+    assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    back = model_from_json(json.loads(render_json(payload)))
+    assert len({id(f) for f in _fiber_objects(back)}) == 4
+    assert model_to_json(back) == payload
+
+
+def test_render_json_of_one_object_at_two_depths():
+    shared = {"b": [1, 2.5, {"c": None}], "a": "x"}
+    row = [shared, "y"]
+    value = {"p": shared, "q": shared, "s": shared, "r": [shared, row, [row]], "t": row}
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert render_json([value, value]) == json.dumps([value, value], indent=2, sort_keys=True) + "\n"
