@@ -6,21 +6,25 @@ word -> sum_x w_x ntrace(P_{i1 j1}(x) ... P_{im jm}(x)) is compared against a
 reference Haar state, either counting permutations (classical reference) or
 extracting the identity coefficient in a group algebra (dual reference).
 
-Both states are weighted automata over the letters u_ij.  An exact verdict is
-decided by automaton equivalence (shortest_difference).  The witnesses of a
-failing check, and every float verdict, come from one walk over the words of
-both automata at once.  A word's values, and those of all its extensions,
-depend only on the joint state it reaches: the model's fiber products at
-every point and the reference's state.  The model's products are hash-consed
-(each distinct stored form is kept once, and each product of a kept matrix by
-a fiber is taken once), each distinct joint state is stepped once per letter,
-and the differing suffixes of a joint state are listed once per remaining
-length, so words that reach one state share that work.  States merge only
-when products repeat exactly in their stored form, as 0/1 and +-1 fibers do;
-float products that round differently on different words merge less, and
-the walk's tables are caches of bounded size.  The walk stops below a word
-on which both states are zero.  Only the convolution square reads a
-table of the model state's values (StateOnWords).
+A reference is read as the state of its stationary model, a model whose
+state is the Haar state: a permutation group G as its permutation model over
+the points of G, and a group dual as its regular model at one point.  So
+both sides are the one weighted automaton of a model, whose state after a
+word is the list of its live points, each with its nonzero fiber product;
+no live point is the zero state.  An exact verdict is decided by automaton
+equivalence (shortest_difference).  The witnesses of a failing check, and
+every float verdict, come from one walk over the words of both automata at
+once.  A word's values, and those of all its extensions, depend only on the
+joint state it reaches: the live points of both models.  The products are
+hash-consed (each distinct stored form is kept once, and each product of a
+kept matrix by a fiber is taken once), each distinct joint state is stepped
+once per letter, and the differing suffixes of a joint state are listed once
+per remaining length, so words that reach one state share that work.
+States merge only when products repeat exactly in their stored form, as
+0/1 and +-1 fibers do; float products that round differently on different
+words merge less, and the walk's tables are caches of bounded size.  Only
+the convolution square reads a table of the model state's values
+(StateOnWords).
 """
 from __future__ import annotations
 
@@ -267,7 +271,9 @@ def quasi_flat_check(model: FiberModel, orbits: OrbitStructure, tol=None) -> Che
 def haar_word_classical(group: PermGroup, word) -> Fraction:
     """Haar integral of u_{i1 j1} ... u_{im jm} over a classical permutation
     group: the proportion of elements with sigma(j_a) = i_a for all a."""
-    return _read(_GroupWords(group), [(i - 1, j - 1) for i, j in word])
+    word = list(word)
+    kept = sum(all(g(j) == i for i, j in word) for g in group.elements)
+    return Fraction(kept, group.order)
 
 
 class DualWordReference:
@@ -309,7 +315,10 @@ class DualWordReference:
 
     def haar(self, word):
         """Identity coefficient of the product of the word's coordinates."""
-        return _read(_DualWords(self), word)
+        acc = AlgebraElement.one(self.group)
+        for letter in word:
+            acc = acc * self.coords[letter]
+        return acc.at_identity()
 
 
 def _point_weights(model: FiberModel) -> tuple:
@@ -361,27 +370,24 @@ def _letters(n: int) -> list:
 _SHARED_MAX = 1 << 13
 
 
-# A state on words as a weighted automaton: `start` is its state after the
-# empty word, `step` reads one more letter (i, j), `value` is the state's
-# number for the word read so far, and a state that `is_zero` gives its value
-# to every extension.  `coordinates` are the nonzero entries of the vector on
-# which each step acts linearly; the keys of a model state and of a reference
-# state never coincide.  A state's `key` is hashable and equal for two
-# states only if they hold the same stored values, so that they give the
-# same printed values on every extension.
-
 class _ModelWords:
-    """The model state: at each point, the kept product of the fibers of the
-    word read so far, None where that product is zero.
+    """The state of a model on words as a weighted automaton.  A state is the
+    tuple of its live (point, kept product) pairs, in point order: the points
+    at which the product of the fibers of the word read so far is nonzero,
+    each with that product.  The empty tuple is the zero state, and every
+    step leaves it empty.
 
     Matrices are hash-consed.  A kept matrix is a (serial, matrix, ntrace)
     triple, one for each distinct stored form, fibers and products alike,
     with its ntrace taken once; each distinct fiber object is looked up
     once.  The product of a kept matrix by a fiber is taken once and
     remembered by their serials, and a state's value is summed once, in
-    point order.  The three tables are emptied together when one of them is
-    full (_SHARED_MAX); a matrix kept after that gets a new serial, so
-    states are never merged across the emptying, only not shared."""
+    point order.  A state's key is hashable and equal for two states only if
+    they hold the same stored values, so that they give the same printed
+    values on every extension.  The three tables are emptied together when
+    one of them is full (_SHARED_MAX); a matrix kept after that gets a new
+    serial, so states are never merged across the emptying, only not
+    shared."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
@@ -393,8 +399,8 @@ class _ModelWords:
         fiber = _once_per_object(lambda f: None if f.is_zero() else self._keep(f))
         self.fibers = {letter: tuple(map(fiber, model.entries[letter[0]][letter[1]]))
                        for letter in _letters(model.n)}
-        self.start = (self._keep(CMatrix.identity(model.dim, model.mode)),) * model.n_points
-        self._dead = (None,) * model.n_points
+        one = self._keep(CMatrix.identity(model.dim, model.mode))
+        self.start = tuple((x, one) for x in range(model.n_points))
 
     def _room(self, table: dict):
         if len(table) >= _SHARED_MAX:
@@ -418,132 +424,100 @@ class _ModelWords:
             kept = self._kept[key] = (next(self._serials), m, m.ntrace())
         return kept
 
-    def _times(self, a: tuple, f: tuple):
-        key = (a[0], f[0])
-        if key not in self._products:
-            q = a[1] * f[1]
-            q = None if q.is_zero() else self._keep(q)
-            self._room(self._products)
-            self._products[key] = q
-        return self._products[key]
-
     def step(self, state, letter):
-        return tuple([None if a is None or f is None else self._times(a, f)
-                      for a, f in zip(state, self.fibers[letter])])
+        fibers = self.fibers[letter]
+        products = self._products
+        live = []
+        for x, a in state:
+            f = fibers[x]
+            if f is None:
+                continue
+            key = (a[0], f[0])
+            q = products.get(key, False)    # a product is a kept triple or None
+            if q is False:
+                q = a[1] * f[1]
+                q = None if q.is_zero() else self._keep(q)
+                self._room(products)
+                products[key] = q
+            if q is not None:
+                live.append((x, q))
+        return tuple(live)
 
     def key(self, state) -> tuple:
-        return tuple([None if a is None else a[0] for a in state])
+        return tuple([(x, a[0]) for x, a in state])
 
     def value(self, state):
         key = self.key(state)
         v = self._values.get(key)
         if v is None:
-            v = _weighted_sum(self.weights, [None if a is None else a[2] for a in state],
-                              self.zero)
+            v = _weighted_sum([self.weights[x] for x, _ in state],
+                              [a[2] for _, a in state], self.zero)
             self._room(self._values)
             self._values[key] = v
         return v
 
-    def is_zero(self, state) -> bool:
-        return state == self._dead
-
-    def coordinates(self, state) -> list:
-        return [((x, r, c), v) for x, a in enumerate(state) if a is not None
+    def coordinates(self, state, side) -> list:
+        """The nonzero entries of the state's products, keyed by (side,
+        point, row, column): each letter acts on them linearly, and the value
+        is a linear function of them.  Two automata read together are given
+        different sides, so that their keys never coincide."""
+        return [((side, x, r, c), v) for x, a in state
                 for r, row in enumerate(a[1]._nonzero_rows()) for c, v in row]
 
 
-class _GroupWords:
-    """The Haar state of a permutation group: the elements g with g(j) = i
-    for every letter (i, j) read so far."""
-
-    def __init__(self, group: PermGroup):
-        self.order = group.order
-        self.start = list(group.elements)
-
-    def step(self, survivors, letter):
-        i, j = letter
-        return [s for s in survivors if s(j + 1) == i + 1]
-
-    def value(self, survivors):
-        return Fraction(len(survivors), self.order)
-
-    def is_zero(self, survivors) -> bool:
-        return not survivors
-
-    def key(self, survivors):
-        return tuple(survivors)
-
-    def coordinates(self, survivors) -> list:
-        return [(("g", s), 1) for s in survivors]
+def _regular_matrix(group, coeffs: dict) -> CMatrix:
+    """The left regular matrix of sum_g coeffs[g] [g] in the group's element
+    order: entry [gh][h] is the coefficient of g, stored as given."""
+    elements = list(group.elements)
+    index = {g: y for y, g in enumerate(elements)}
+    rows = [[0] * len(elements) for _ in elements]
+    for g, c in coeffs.items():
+        for y, h in enumerate(elements):
+            rows[index[group.mul(g, h)]][y] = c
+    return CMatrix.exact(rows)
 
 
-class _DualWords:
-    """The Haar state of a group dual: the group-algebra product of the
-    coordinates read so far."""
-
-    def __init__(self, ref: DualWordReference):
-        self.coords = ref.coords
-        self.start = AlgebraElement.one(ref.group)
-
-    def step(self, acc, letter):
-        return acc * self.coords[letter]
-
-    def value(self, acc):
-        return acc.at_identity()
-
-    def is_zero(self, acc) -> bool:
-        return acc.is_zero()
-
-    def key(self, acc):
-        return tuple([(g, _scalar_key(c)) for g, c in acc.coeffs.items()])
-
-    def coordinates(self, acc) -> list:
-        return [(("g", g), c) for g, c in acc.coeffs.items()]
-
-
-def _reference_words(reference, n: int):
-    """The automaton of a reference Haar state on n x n coordinate words."""
+def _reference_model(reference, n: int) -> FiberModel:
+    """The stationary model of a reference on n x n coordinates: a model whose
+    state is the reference's Haar state.  A permutation group G gives its
+    permutation model over the points of G, with weights 1/|G| and 1 x 1
+    fibers [g(j) = i], one shared object for 1 and one for 0.  A
+    DualWordReference gives its regular model at one point, whose fiber at
+    (i, j) is the left regular matrix of the coordinate; the normalised trace
+    of a regular matrix is its identity coefficient.  An exact model is
+    taken as it is."""
     if isinstance(reference, PermGroup):
         if reference.degree != n:
             raise ShapeMismatch("group degree does not match the model size")
-        return _GroupWords(reference)
+        elements = reference.elements
+        one, zero = CMatrix.exact([[1]]), CMatrix.exact([[0]])
+        return FiberModel(
+            n, 1, [str(g) for g in elements], [Fraction(1, len(elements))] * len(elements),
+            [[tuple(one if g(j + 1) == i + 1 else zero for g in elements) for j in range(n)]
+             for i in range(n)])
     if isinstance(reference, DualWordReference):
         if reference.n != n:
             raise ShapeMismatch("reference size does not match the model size")
-        return _DualWords(reference)
-    raise TypeError("reference must be a PermGroup or DualWordReference")
+        regular = _once_per_object(lambda a: _regular_matrix(reference.group, a.coeffs))
+        return FiberModel(
+            n, len(reference.group.elements), ("pt",), (Fraction(1),),
+            [[(regular(reference.coords[(i, j)]),) for j in range(n)] for i in range(n)])
+    if isinstance(reference, FiberModel):
+        if reference.n != n:
+            raise ShapeMismatch("reference size does not match the model size")
+        if reference.mode != "exact":
+            raise ModeMismatch("a reference model must be exact")
+        return reference
+    raise TypeError("reference must be a PermGroup, DualWordReference or exact FiberModel")
 
 
-def _advance(words, state, letter):
-    """One more letter read; a zero state is kept, since its extensions share its value."""
-    return state if words.is_zero(state) else words.step(state, letter)
-
-
-def _read(words, word):
-    """The automaton's value on one word of 0-based letters."""
-    state = words.start
-    for letter in word:
-        state = _advance(words, state, letter)
-    return words.value(state)
-
-
-def _word_table(words, n: int, bound: int) -> dict:
+def _word_table(words: _ModelWords, n: int, bound: int) -> dict:
     """The automaton's value on every word up to the bound, in depth-first
-    order.  Below a zero state no step is taken: every extension gets the
-    zero state's value, which is what the steps would give."""
+    order."""
     letters = _letters(n)
     table = {}
 
-    def fill(word, value):
-        table[word] = value
-        if len(word) < bound:
-            for letter in letters:
-                fill(word + (letter,), value)
-
     def rec(word, state):
-        if words.is_zero(state):
-            fill(word, words.value(state))
-            return
         table[word] = words.value(state)
         if len(word) < bound:
             for letter in letters:
@@ -582,23 +556,24 @@ def _word_label(word) -> str:
 def shortest_difference(reference, model: FiberModel, max_len=None):
     """A shortest word, as a tuple of 0-based letters (i, j), on which the
     state of an exact model differs from the Haar state of the reference (a
-    classical permutation group or a DualWordReference); None when the two
-    agree on every word, or on every word of length at most max_len.
+    classical permutation group or a DualWordReference, read as the state of
+    its stationary model; or an exact model); None when the two agree on
+    every word, or on every word of length at most max_len.
 
     Both states are weighted automata (Schützenberger 1961).  A word's joint
-    vector holds the model's fiber products at every point and the
-    reference's state; each letter acts on it linearly, and each state is a
-    linear function of it.  Words are read breadth-first in length-major
-    order, and only a word whose vector enlarges the span of the vectors kept
-    so far is kept and extended, so the search stops once the span stops
-    growing and reads at most n^2 words per kept vector (Tzeng 1992, SIAM J.
+    vector holds the fiber products at the live points of both models; each
+    letter acts on it linearly, and each state is a linear function of it.
+    Words are read breadth-first in length-major order, and only a word
+    whose vector enlarges the span of the vectors kept so far is kept and
+    extended, so the search stops once the span stops growing and reads at
+    most n^2 words per kept vector (Tzeng 1992, SIAM J.
     Comput. 21).  Every word's vector is a combination of kept vectors of
     words no longer than it, so the states agree on every word if they agree
     on the kept words, and the first word on which they differ is a shortest
     one."""
     if model.mode != "exact":
         raise ModeMismatch("the automaton search needs an exact model")
-    ref = _reference_words(reference, model.n)
+    ref = _ModelWords(_reference_model(reference, model.n))
     mod = _ModelWords(model)
     letters = _letters(model.n)
     basis = {}
@@ -607,14 +582,15 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
         word, p, r = queue.popleft()
         if not scalars_equal(mod.value(p), ref.value(r)):
             return word
-        vec = dict(mod.coordinates(p) + ref.coordinates(r))
+        vec = dict(mod.coordinates(p, 0) + ref.coordinates(r, 1))
         if _enlarges_span(basis, vec) and (max_len is None or len(word) < max_len):
             for letter in letters:
-                queue.append((word + (letter,), _advance(mod, p, letter), _advance(ref, r, letter)))
+                queue.append((word + (letter,), mod.step(p, letter), ref.step(r, letter)))
     return None
 
 
-def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> list:
+def _differing_words(mod: _ModelWords, ref: _ModelWords, n: int, bound: int,
+                     tol=None) -> list:
     """(word, model value, reference value) for every word up to the bound on
     which the two states differ beyond tol, in length-major lexicographic
     order.
@@ -628,12 +604,10 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
     entry alone, and are not stored, so that the leaves, which are most of
     the states, do not fill the tables.  The tables are emptied together
     when one of them is full (_SHARED_MAX); a state met again after that
-    gets a new serial and is stepped again.  Below a word on which both
-    states are zero every value on both sides is zero, so no extension of it
-    can differ, and none is read."""
+    gets a new serial and is stepped again."""
     letters = _letters(n)
     serials = itertools.count()
-    ids = {}        # key -> (serial, model state, reference state, own entry if differing, dead)
+    ids = {}        # key -> (serial, model state, reference state, own entry if differing)
     steps = {}
     memo = {}
 
@@ -650,24 +624,23 @@ def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> lis
             a, b = mod.value(p), ref.value(r)
             own = [] if scalars_equal(b, a, tol) else [((), a, b)]
             room(ids)
-            state = ids[key] = (next(serials), p, r, own, mod.is_zero(p) and ref.is_zero(r))
+            state = ids[key] = (next(serials), p, r, own)
         return state
 
     def suffixes(state, left):
-        j, p, r, own, dead = state
+        j, p, r, own = state
         if not left:
             return own
         found = memo.get((j, left))
         if found is None:
             found = list(own)
-            if not dead:
-                for letter in letters:
-                    child = steps.get((j, letter))
-                    if child is None:
-                        child = joint(_advance(mod, p, letter), _advance(ref, r, letter))
-                        room(steps)
-                        steps[j, letter] = child
-                    found += [((letter,) + s, a, b) for s, a, b in suffixes(child, left - 1)]
+            for letter in letters:
+                child = steps.get((j, letter))
+                if child is None:
+                    child = joint(mod.step(p, letter), ref.step(r, letter))
+                    room(steps)
+                    steps[j, letter] = child
+                found += [((letter,) + s, a, b) for s, a, b in suffixes(child, left - 1)]
             room(memo)
             memo[j, left] = found
         return found
@@ -681,7 +654,8 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
                        tol=None) -> CheckReport:
     """Compare the model state with the reference Haar state on every word up
     to the bound; checked counts every such word.  The reference is a
-    classical permutation group or a DualWordReference.
+    classical permutation group or a DualWordReference, read as the state of
+    its stationary model, which is built once.
 
     An exact model is decided by shortest_difference up to the bound.  When
     the states agree, the report passes and no word is read.  Otherwise the
@@ -702,13 +676,14 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     rank-one property of in-block entries is forced; that implication is
     re-checked, its verdict is details["single_point_flatness"], and a
     violation raises Inconsistent."""
-    ref = _reference_words(reference, model.n)
+    ref = _reference_model(reference, model.n)
     exact = model.mode == "exact"
-    shortest = shortest_difference(reference, model, word_len) if exact else None
+    shortest = shortest_difference(ref, model, word_len) if exact else None
     checked = sum((model.n * model.n) ** m for m in range(word_len + 1))
     differing = []
     if not exact or shortest is not None:
-        differing = _differing_words(_ModelWords(model), ref, model.n, word_len, tol)
+        differing = _differing_words(_ModelWords(model), _ModelWords(ref), model.n,
+                                     word_len, tol)
         failing = [word for word, _, _ in differing]
         if shortest is not None and (
                 bool(failing) != (len(shortest) <= word_len)
@@ -821,16 +796,7 @@ def block_projection(orbits: OrbitStructure, n: int) -> CMatrix:
 def regular_rep(group) -> dict:
     """Left regular representation of a finite group-like object as
     permutation matrices in its element order."""
-    elements = list(group.elements)
-    index = {g: i for i, g in enumerate(elements)}
-    out = {}
-    for g in elements:
-        n = len(elements)
-        rows = [[0] * n for _ in range(n)]
-        for y, h in enumerate(elements):
-            rows[index[group.mul(g, h)]][y] = 1
-        out[g] = CMatrix.exact(rows)
-    return out
+    return {g: _regular_matrix(group, {g: 1}) for g in group.elements}
 
 
 def dual_group_stationarity(group, rep, tol=None) -> CheckReport:

@@ -310,6 +310,12 @@ def words_up_to(n, bound):
     return [w for m in range(bound + 1) for w in itertools.product(letters, repeat=m)]
 
 
+def reference_words(reference, n):
+    """The word automaton of a reference's Haar state: that of its
+    stationary model."""
+    return magic._ModelWords(magic._reference_model(reference, n))
+
+
 def dense_reference_table(reference, n, bound):
     """Reference Haar-state table by recursing through every word, dead
     prefixes included: the share of group elements g with g(j) = i for every
@@ -348,7 +354,7 @@ def assert_walk_matches_dense(reference, model, bound, tol=None):
     witnesses and count, against the dense tables; returns the report."""
     want = dense_differing(reference, model, bound, tol)
     got = magic._differing_words(magic._ModelWords(model),
-                                 magic._reference_words(reference, model.n),
+                                 reference_words(reference, model.n),
                                  model.n, bound, tol)
     typed = [(w, type(a), repr(a), type(b), repr(b)) for w, a, b in got]
     assert typed == [(w, type(a), repr(a), type(b), repr(b)) for w, a, b in want]
@@ -622,8 +628,9 @@ def test_exact_stationarity_builds_no_table_when_the_states_agree(d4_s4_models, 
 @pytest.mark.parametrize("factors", [[2, 2], [4]])
 def test_dual_table_matches_unpruned_recursion(factors, monkeypatch):
     """DualWordReference.haar on every word against the unpruned recursion;
-    the walk of a float check multiplies fewer group-algebra elements than
-    the recursion's 4,368."""
+    the walk of a float check takes each matrix product of its two models
+    once, 80 on Z2xZ2 and 52 on Z4, where the recursion takes 4,368
+    group-algebra products."""
     model, ref = block_model_and_reference(factors)
     want = dense_reference_table(ref, ref.n, 3)
     words = words_up_to(ref.n, 3)
@@ -631,15 +638,11 @@ def test_dual_table_matches_unpruned_recursion(factors, monkeypatch):
     got = [ref.haar(w) for w in words]
     assert [(type(v), repr(v)) for v in got] == [(type(want[w]), repr(want[w])) for w in words]
     calls = []
-    mul = AlgebraElement.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    mul = CMatrix.__mul__
+    monkeypatch.setattr(CMatrix, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
     assert stationarity_check(ref, model.to_float(), 3, tol=1e-9).passed
-    assert len(calls) < 4368
+    assert 0 < len(calls) <= {(2, 2): 80, (4,): 52}[tuple(factors)]
 
 
 def test_group_table_matches_haar_word_classical(d4):
@@ -692,31 +695,91 @@ def test_dual_reference_failure_is_byte_identical(case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DUAL_FAILURES[case]
 
 
+@pytest.fixture(scope="module")
+def s3_dual():
+    """The dual of S3 with one order-two block per transposition, s = (1 2)
+    and t = (2 3): its coordinates (1 + s)/2 and (1 + t)/2 do not commute,
+    so the left and right regular matrices of a coordinate differ.  With
+    the block model of S3's regular representation and that of Z2xZ2."""
+    s3 = pg(3, [(1, 2)], [(2, 3)])
+    s, t = Perm.from_cycles(3, [(1, 2)]), Perm.from_cycles(3, [(2, 3)])
+    ref = DualWordReference.from_block_generators(s3, [(s, 2), (t, 2)])
+    reg = regular_rep(s3)
+    return ref, bichon_build([2, 2], [reg[s], reg[t]]), block_model_and_reference([2, 2])[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_non_abelian_dual_reference_matches_its_definition(s3_dual, mode):
+    """The S3 dual against its own block model (stationary) and against the
+    Z2xZ2 block model (512 witnesses at length 4): the walk's words, values
+    and the check's witnesses against the identity coefficients of the
+    group-algebra products on every word, and the automaton's word a
+    shortest one on which DualWordReference.haar differs."""
+    ref, own, klein = s3_dual
+    a, b = ref.coords[(0, 0)], ref.coords[(2, 2)]
+    assert a * b != b * a
+    tol = None if mode == "exact" else 1e-9
+    for model, failing in ((own, 0), (klein, 512)):
+        shortest = shortest_difference(ref, model)
+        if tol is not None:
+            model = model.to_float()
+        report = assert_walk_matches_dense(ref, model, 4, tol)
+        assert len(report.witnesses) == failing
+        if failing:
+            first = report.witnesses[0]
+            assert first["word"] == magic._word_label(shortest)
+            assert first["reference"] == str(ref.haar(shortest))
+        else:
+            assert shortest is None
+    table = dense_reference_table(ref, ref.n, 3)
+    for word, want in table.items():
+        got = ref.haar(word)
+        assert (type(got), repr(got)) == (type(want), repr(want)), word
+
+
 def test_walk_keeps_a_zero_reference_state(monkeypatch):
-    # Stepping every reference state took 1,680 group-algebra products here;
-    # a zero accumulator is kept instead of multiplied.
+    # Stepping every reference word took 1,680 group-algebra products here.
+    # The reference's regular model takes each product of a kept matrix by a
+    # fiber once (36 exact products), and its zero state, with no live
+    # point, takes none.
     model = block_model_and_reference([4])[0].to_float()
     ref = block_model_and_reference([2, 2])[1]
-    calls = []
-    mul = AlgebraElement.__mul__
-    monkeypatch.setattr(AlgebraElement, "__mul__",
-                        lambda self, other: calls.append(1) or mul(self, other))
+    modes = []
+    mul = CMatrix.__mul__
+    monkeypatch.setattr(CMatrix, "__mul__",
+                        lambda self, other: modes.append(self.mode) or mul(self, other))
     assert len(stationarity_check(ref, model, 3, 1e-9).witnesses) == 432
-    assert len(calls) <= 912
+    assert 0 < modes.count("exact") <= 36 and 0 < modes.count("float") <= 32
 
 
 # -- the shared walk against a walk that reads every word on its own --------
 
 def plain_differing_words(reference, model, bound, tol=None):
     """The joint walk with no shared states: each word steps plain CMatrix
-    products at every point and the reference's state, depth first, and is
-    compared on its own; below a word on which both states are zero nothing
-    is read.  Length-major order."""
-    ref = magic._reference_words(reference, model.n)
+    products at every point, and the reference's Haar state by definition
+    (the surviving group elements, or the group-algebra product of a dual's
+    coordinates), depth first, and is compared on its own; below a word on
+    which both states are zero nothing is read.  Length-major order."""
     exact = model.mode == "exact"
     weights = model.weights if exact else [complex(w) for w in model.weights]
     fibers = {(i, j): [None if f.is_zero() else f for f in model.entries[i][j]]
               for i in range(model.n) for j in range(model.n)}
+    if isinstance(reference, PermGroup):
+        ref_start = list(reference.elements)
+
+        def ref_step(survivors, letter):
+            return [g for g in survivors if g(letter[1] + 1) == letter[0] + 1]
+
+        def ref_value(survivors):
+            return F(len(survivors), reference.order)
+    else:
+        ref_start = AlgebraElement.one(reference.group)
+
+        def ref_step(acc, letter):
+            return acc * reference.coords[letter]
+
+        def ref_value(acc):
+            return acc.at_identity()
 
     def value(prods):
         total = None
@@ -736,23 +799,24 @@ def plain_differing_words(reference, model, bound, tol=None):
     differing = []
 
     def walk(word, p, r):
-        a, b = value(p), ref.value(r)
+        a, b = value(p), ref_value(r)
         if not scalars_equal(b, a, tol):
             differing.append((word, a, b))
-        p_zero, r_zero = all(q is None for q in p), ref.is_zero(r)
+        p_zero = all(q is None for q in p)
+        r_zero = not r if isinstance(r, list) else r.is_zero()
         if len(word) < bound and not (p_zero and r_zero):
             for letter in fibers:
                 walk(word + (letter,), p if p_zero else step(p, letter),
-                     r if r_zero else ref.step(r, letter))
+                     r if r_zero else ref_step(r, letter))
 
-    walk((), [CMatrix.identity(model.dim, model.mode)] * model.n_points, ref.start)
+    walk((), [CMatrix.identity(model.dim, model.mode)] * model.n_points, ref_start)
     differing.sort(key=lambda found: (len(found[0]), found[0]))
     return differing
 
 
 def assert_shared_walk_matches_plain(reference, model, bound, tol=None):
     got = magic._differing_words(magic._ModelWords(model),
-                                 magic._reference_words(reference, model.n),
+                                 reference_words(reference, model.n),
                                  model.n, bound, tol)
     want = plain_differing_words(reference, model, bound, tol)
     assert [(w, type(a), repr(a), type(b), repr(b)) for w, a, b in got] == \
@@ -801,7 +865,7 @@ def test_walk_that_empties_its_tables_matches_the_plain_walk(d4_s4_models, monke
             m = m.to_float()
         found += assert_shared_walk_matches_plain(reference, m, 3, tol)
         mod = magic._ModelWords(m)
-        magic._differing_words(mod, magic._reference_words(reference, m.n), m.n, 3, tol)
+        magic._differing_words(mod, reference_words(reference, m.n), m.n, 3, tol)
         assert max(len(mod._kept), len(mod._products), len(mod._values)) <= 4
     assert found
 
@@ -907,7 +971,7 @@ def test_passing_float_check_takes_each_product_once(d4_s4_models, monkeypatch, 
 
 def test_states_with_different_stored_forms_are_never_merged():
     """Fibers equal as values but stored differently get different ids, and
-    so do reference states whose coefficients are."""
+    so do the regular fibers of dual coordinates whose coefficients are."""
     one, minus_z2 = Cyc(4, [1, 0, 0, 0]), Cyc(4, [0, 0, -1, 0])  # 1 = -z^2
     pairs = [
         ("float", 0.0, -0.0),
@@ -925,11 +989,16 @@ def test_states_with_different_stored_forms_are_never_merged():
         ka, kb = mod.fibers[(0, 0)]
         assert ka[0] != kb[0] and ka[1] is fa and kb[1] is fb
     group = FinAbelian([2])
-    ref = magic._reference_words(
-        DualWordReference(group, 1, {(0, 0): AlgebraElement.one(group)}), 1)
-    coefficients = [1, F(1), one, minus_z2, Cyc(1, [1]), complex(1, 0.0), complex(1, -0.0)]
-    keys = {ref.key(AlgebraElement(group, {group.identity: c})) for c in coefficients}
-    assert len(keys) == len(coefficients)
+    coefficients = [1, F(1), one, minus_z2, Cyc(1, [1])]
+    n = len(coefficients)
+    coords = {(i, j): AlgebraElement.zero(group) for i in range(n) for j in range(n)}
+    for j, c in enumerate(coefficients):
+        coords[(0, j)] = AlgebraElement(group, {group.identity: c})
+    ref = reference_words(DualWordReference(group, n, coords), n)
+    kept = [ref.fibers[(0, j)][0] for j in range(n)]
+    assert len({k[0] for k in kept}) == n
+    for k, c in zip(kept, coefficients):
+        assert [magic._scalar_key(x) for x in k[1].data[0]] == [magic._scalar_key(c), (int, 0)]
 
 
 # -- the sparse convolution square against the nested loop over middle tuples --

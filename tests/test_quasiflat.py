@@ -294,7 +294,7 @@ def test_trace_vector_agrees_with_multiplicities_exhaustively():
 
 
 def test_trace_vector_agrees_with_multiplicities_float():
-    import numpy as np
+    np = pytest.importorskip("numpy")
     rng = np.random.RandomState(7)
     for k in (2, 3, 4):
         for _ in range(20):
@@ -331,7 +331,7 @@ def test_trace_vector_multiplicities_match_spectral_multiplicities():
     """The multiplicities trace_vector_check derives from its own power
     traces equal spectral_multiplicities, on every criterion-7 exact pattern
     and on seeded random conjugates."""
-    import numpy as np
+    np = pytest.importorskip("numpy")
     from magicmodels.acceptance import _pattern_entries
     for k in range(1, 7):
         for mask in range(2 ** k):
