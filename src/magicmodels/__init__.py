@@ -7,7 +7,7 @@ is available for cross-checking.
 """
 from .cyclotomic import Cyc, cyc, zeta
 from .errors import (
-    CapExceeded, DegreeMismatch, DivisionByZero, FreePartPresent,
+    BadSetting, CapExceeded, DegreeMismatch, DivisionByZero, FreePartPresent,
     Inconsistent, InvalidAutomorphism, InvalidFamily, MagicModelsError,
     ModeMismatch, ModelInputError, NotBijective, NotFiniteOrder, NotInGroup,
     NotNormal, NotQuasiTransitive, NotRepresentation, NotSubgroup,

@@ -19,7 +19,7 @@ from .cyclic import (
     CyclicModelData, abelian_rep, build_cyclic_model, semidirect_stationarity,
     verify_half_liberation, verify_k_symmetry,
 )
-from .errors import Inconsistent, ModelInputError
+from .errors import BadSetting, Inconsistent, ModelInputError
 from .groups import DEFAULT_CAP
 from .induced import VirtuallyAbelianData, check_stationarity
 from .magic import (
@@ -52,15 +52,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise BadSetting(f"unknown mode {self.mode!r}")
         if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
+            raise BadSetting("tolerance must be positive and finite")
         if not 1 <= self.max_word_len <= _WORD_LEN_MAX:
-            raise ValueError(f"max word length must be in [1, {_WORD_LEN_MAX}]")
+            raise BadSetting(f"max word length must be in [1, {_WORD_LEN_MAX}]")
         if self.cap < 1:
-            raise ValueError("cap must be at least 1")
+            raise BadSetting("cap must be at least 1")
         if not 0 <= self.seed < 2 ** 32:
-            raise ValueError("seed must be in [0, 2**32)")
+            raise BadSetting("seed must be in [0, 2**32)")
 
     def echo(self) -> dict:
         return {
@@ -394,14 +394,12 @@ def dispatch(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # A setting out of range leaves no config to echo, and no --out to write.
+    config = None
+    report = {"command": args.command, "config": None}
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = {"command": args.command, "config": config.echo()}
-    try:
+        report["config"] = config.echo()
         status, body = HANDLERS[args.command](args, config)
     except (ModelInputError, Inconsistent) as exc:
         report.update(status="error", witnesses=[],

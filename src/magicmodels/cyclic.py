@@ -6,9 +6,20 @@ stationarity certificate, and the K-symmetry conjugation invariant.
 automorphism once, while it checks that sigma^K = id.  The model fibers and
 the crossed-product and star rules of L x| Z_K all read sigma^t from that one
 table.
+
+A cyclic model repeats a few fibers many times (the Z_13 model with K = 3
+holds 14 distinct fibers in 117 places).  `build_cyclic_model` keeps one
+object per distinct stored form, and the checks do their per-fiber work once
+per object: each adjoint and self-adjointness test, each K-symmetry test,
+each pair's products a b* and a* b with their diagonality, each commutation
+test of two products and each abc = cba test.  Every entry, pair and triple
+is still counted and reported as before.  The tables that hold products are
+caches of bounded size.  The crossed-product certificate compares two
+functions on L only where one of them is nonzero.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .cyclotomic import zeta
@@ -21,7 +32,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import AutoMap
-from .magic import CheckReport, FiberModel
+from .magic import (
+    _SHARED_MAX,
+    CheckReport,
+    FiberModel,
+    _once_per_object,
+    _stored_form,
+)
 from .matrices import CMatrix, scalars_equal
 
 __all__ = [
@@ -122,48 +139,65 @@ def abelian_rep(group, generator_images) -> dict:
 
 def build_cyclic_model(data: CyclicModelData) -> FiberModel:
     """Fibers are K x K cycle-fill matrices; row r of the (i, j) entry at
-    point g carries the (i, j) coordinate of v(sigma^r(g))."""
+    point g carries the (i, j) coordinate of v(sigma^r(g)).  Fibers with one
+    stored form are one shared object."""
     elements = list(data.group.elements)
     n, k = data.dim, data.k
     weights = [Fraction(1, len(elements))] * len(elements)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            fibers = []
-            for g in elements:
-                vals = [data.rep[data.powers[r % k](g)].entry(i, j)
-                        for r in range(1, k + 1)]
-                fibers.append(cycle_fill(vals) if data.mode == "exact"
-                              else cycle_fill(vals).to_float())
-            row.append(tuple(fibers))
-        entries.append(row)
+    kept = {}
+
+    def fiber(vals):
+        m = cycle_fill(vals)
+        return kept.setdefault(_stored_form(m), m)
+
+    entries = [[tuple(fiber([data.rep[data.powers[r % k](g)].entry(i, j)
+                             for r in range(1, k + 1)])
+                      for g in elements)
+                for j in range(n)] for i in range(n)]
     model = FiberModel(n, k, [str(g) for g in elements], weights, entries)
+    adjoint = _once_per_object(CMatrix.adjoint)
     for x in range(model.n_points):
         big = model.assembled(x)
         if not big.is_unitary():
             raise Inconsistent("assembled fiber is not unitary")
-        if not _entrywise_adjoint(model, x).is_unitary():
+        if not _entrywise_adjoint(model, x, adjoint).is_unitary():
             raise Inconsistent("entrywise adjoint fiber is not unitary")
     return model
 
 
-def _entrywise_adjoint(model: FiberModel, x: int) -> CMatrix:
-    """The fiber at x with every entry replaced by its adjoint, the block
-    positions kept."""
+def _entrywise_adjoint(model: FiberModel, x: int, adjoint) -> CMatrix:
+    """The fiber at x with every entry replaced by its adjoint (as the
+    function adjoint gives it), the block positions kept."""
     return CMatrix.from_blocks([
-        [model.entries[i][j][x].adjoint() for j in range(model.n)]
+        [adjoint(model.entries[i][j][x]) for j in range(model.n)]
         for i in range(model.n)
     ])
+
+
+# Each table of products holds at most this many matrix entries (scalars)
+# and is emptied when full, which loses only sharing.  So a model without
+# repeated fibers does not keep the products of every point.
+_TABLE_SCALARS = 1 << 16
 
 
 def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
     """Per fiber: U and its entrywise adjoint are unitary; every product
     a b* and a* b of entries is diagonal; those products all commute; and
     when every entry of the fiber is self-adjoint, abc = cba on all entry
-    triples."""
+    triples.  Per-fiber work runs once per fiber object, pair or triple of
+    them, and each commutation test once per pair of product objects."""
     n = model.n
     exact = model.mode == "exact"
+    limit = max(1, _TABLE_SCALARS // (2 * model.dim ** 2))
+    adjoint = _once_per_object(CMatrix.adjoint)
+    self_adjoint = _once_per_object(lambda f: f.is_self_adjoint(tol))
+    pair_forms = _once_per_object(
+        lambda a, b: tuple((tag, m, m.is_diagonal(tol)) for tag, m in
+                           (("ab*", a * adjoint(b)), ("a*b", adjoint(a) * b))),
+        limit)
+    commute = _once_per_object(lambda p, q: (p * q).close_to(q * p, tol), limit)
+    abc_cba = _once_per_object(
+        lambda a, b, c: (a * b * c).close_to(c * b * a, tol), _SHARED_MAX)
     witnesses = []
     checked = 0
     for x in range(model.n_points):
@@ -172,17 +206,16 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
         if not big.is_unitary(tol):
             witnesses.append({"kind": "not_unitary", "point": model.labels[x]})
         checked += 1
-        if not _entrywise_adjoint(model, x).is_unitary(tol):
+        if not _entrywise_adjoint(model, x, adjoint).is_unitary(tol):
             witnesses.append({"kind": "conjugate_not_unitary",
                               "point": model.labels[x]})
         flat = [(i, j, model.entries[i][j][x])
                 for i in range(n) for j in range(n)]
-        prods, diagonal = [], []
+        prods, flagged = [], []
         for (i1, j1, a) in flat:
             for (i2, j2, b) in flat:
-                for tag, m in (("ab*", a * b.adjoint()), ("a*b", a.adjoint() * b)):
+                for tag, m, is_diagonal in pair_forms(a, b):
                     checked += 1
-                    is_diagonal = m.is_diagonal(tol)
                     if not is_diagonal:
                         witnesses.append({
                             "kind": "not_diagonal", "form": tag,
@@ -191,21 +224,23 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
                         })
                     prods.append(m)
                     # Exactly diagonal matrices commute; within tol they need not.
-                    diagonal.append(exact and is_diagonal)
-        for a in range(len(prods)):
-            for b in range(a + 1, len(prods)):
-                checked += 1
-                if diagonal[a] and diagonal[b]:
-                    continue
-                if not (prods[a] * prods[b]).close_to(prods[b] * prods[a], tol):
+                    flagged.append(not (exact and is_diagonal))
+        # Only a pair with a flagged member is tested, in (a, b) order.
+        count = len(prods)
+        checked += count * (count - 1) // 2
+        off = [a for a in range(count) if flagged[a]]
+        for a in range(count if off else 0):
+            later = range(a + 1, count) if flagged[a] else off[bisect_right(off, a):]
+            for b in later:
+                if not commute(prods[a], prods[b]):
                     witnesses.append({"kind": "products_do_not_commute",
                                       "pair": (a, b), "point": model.labels[x]})
-        if all(m.is_self_adjoint(tol) for _, _, m in flat):
+        if all(self_adjoint(m) for _, _, m in flat):
             for (i1, j1, a) in flat:
                 for (i2, j2, b) in flat:
                     for (i3, j3, c) in flat:
                         checked += 1
-                        if not (a * b * c).close_to(c * b * a, tol):
+                        if not abc_cba(a, b, c):
                             witnesses.append({
                                 "kind": "abc_cba",
                                 "triple": ((i1 + 1, j1 + 1), (i2 + 1, j2 + 1),
@@ -238,10 +273,13 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
                 hits[h] = [[0] * k for _ in range(k)]
             hits[h][r][(r - i) % k] = 1
         support[(g, i)] = {h: CMatrix.exact(rows) for h, rows in hits.items()}
+    position = {h: x for x, h in enumerate(elements)}
     witnesses = []
     checked = 0
     # Crossed-product rule: (g, i)(h, j) = (g, i + j) when h = sigma^(-i)(g),
-    # and 0 otherwise.  A product with a factor off its support is zero.
+    # and 0 otherwise.  Both sides are zero at a point where a factor is
+    # zero and the product is, so only the other points are compared, in
+    # element order.
     for b1 in basis:
         g, i = b1
         partner = powers[-i % k](g)
@@ -251,7 +289,9 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
             h, j = b2
             right = support[b2]
             prod = support[(g, (i + j) % k)] if h == partner else {}
-            for x in elements:
+            points = sorted(left.keys() & right.keys() | prod.keys(),
+                            key=position.__getitem__)
+            for x in points:
                 rhs = prod.get(x, zero)
                 fl, fr = left.get(x), right.get(x)
                 lhs = zero if fl is None or fr is None else fl * fr
@@ -260,12 +300,12 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
                                       "left": str(b1), "right": str(b2),
                                       "point": str(x)})
                     break
-    # Star rule: (g, i)* = (sigma^(-i)(g), -i).
+    # Star rule: (g, i)* = (sigma^(-i)(g), -i), compared on both supports.
     for b in basis:
         checked += 1
         g, i = b
         star = support[(powers[-i % k](g), -i % k)]
-        for h in elements:
+        for h in sorted(support[b].keys() | star.keys(), key=position.__getitem__):
             if support[b].get(h, zero).adjoint() != star.get(h, zero):
                 witnesses.append({"kind": "star_mismatch", "element": str(b),
                                   "point": str(h)})
@@ -294,7 +334,8 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
 def verify_k_symmetry(model: FiberModel, k: int | None = None,
                       tol=None) -> CheckReport:
     """Conjugation by diag(1, zeta_K, ..., zeta_K^(K-1)) must multiply every
-    fiber of every entry by zeta_K."""
+    fiber of every entry by zeta_K.  Each fiber object is tested once; every
+    entry it fills is counted and reported."""
     if k is None:
         k = model.dim
     if k != model.dim:
@@ -304,14 +345,15 @@ def verify_k_symmetry(model: FiberModel, k: int | None = None,
                     for r in range(k)])
     factor = zeta(k, 1)
     dinv = dmat.adjoint()
+    symmetric = _once_per_object(
+        lambda f: (dmat * f * dinv).close_to(f.scale(factor), tol))
     witnesses = []
     checked = 0
     for i in range(model.n):
         for j in range(model.n):
             for x in range(model.n_points):
                 checked += 1
-                f = model.entries[i][j][x]
-                if not (dmat * f * dinv).close_to(f.scale(factor), tol):
+                if not symmetric(model.entries[i][j][x]):
                     witnesses.append({"row": i + 1, "col": j + 1,
                                       "point": model.labels[x]})
     return CheckReport("k_symmetry", not witnesses, checked, tuple(witnesses))

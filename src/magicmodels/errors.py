@@ -9,6 +9,7 @@ from __future__ import annotations
 __all__ = [
     "MagicModelsError",
     "ModelInputError",
+    "BadSetting",
     "CapExceeded",
     "DegreeMismatch",
     "NotSubgroup",
@@ -36,6 +37,11 @@ class MagicModelsError(Exception):
 
 class ModelInputError(MagicModelsError):
     """Base class for errors caused by invalid input data."""
+
+
+class BadSetting(ModelInputError, ValueError):
+    """A run setting (mode, tolerance, word length, cap or seed) is out of
+    range."""
 
 
 class CapExceeded(ModelInputError):

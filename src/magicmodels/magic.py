@@ -72,18 +72,22 @@ __all__ = [
 ]
 
 
-def _once_per_object(fn):
-    """fn, run once per distinct argument object: a later call with the same
-    object returns the first result.  Objects are told apart by id, so the
-    arguments must outlive the returned function, as a model's fibers do
-    while one pass over them runs."""
+def _once_per_object(fn, limit=None):
+    """fn, run once per distinct tuple of argument objects: a later call
+    with the same objects returns the first result.  Objects are told apart
+    by id, and each result is kept with its arguments, so an id stays theirs
+    while it is a key.  With a limit, the table is emptied when it holds
+    that many results, which loses only sharing."""
     results = {}
 
-    def once(x):
-        key = id(x)
-        if key not in results:
-            results[key] = fn(x)
-        return results[key]
+    def once(*args):
+        key = tuple(map(id, args))
+        hit = results.get(key)
+        if hit is None:
+            if limit is not None and len(results) >= limit:
+                results.clear()
+            hit = results[key] = (args, fn(*args))
+        return hit[1]
 
     return once
 

@@ -337,19 +337,45 @@ def test_usage_errors(files, capsys):
                      "--float"]) == 1
     capsys.readouterr()
     for tol in ("inf", "nan"):
-        assert dispatch(["magic-verify", "--model", files["scalar_two"],
-                         "--float", "--tol", tol]) == 2
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        code, report, _ = run_cli(capsys, "magic-verify", "--model",
+                                  files["scalar_two"], "--float", "--tol", tol)
+        assert code == 2
+        assert report["error"] == {"type": "BadSetting",
+                                   "message": "tolerance must be positive and finite"}
     for seed in ("-1", "4294967296"):
-        assert dispatch(["suite", "--seed", seed]) == 2
-        assert "seed must be in" in capsys.readouterr().err
+        code, report, _ = run_cli(capsys, "suite", "--seed", seed)
+        assert code == 2
+        assert report["error"] == {"type": "BadSetting",
+                                   "message": "seed must be in [0, 2**32)"}
     # At 3600 the word count of the report had more digits than Python
     # converts to a string, and the command ended in a raw ValueError.
     for argv in (["stationarity", "--model", files["model_d4"], "--group", files["d4"]],
                  ["thoma-check", "--group", files["s3"], "--lambda", files["z3"]]):
         for length in ("0", str(_WORD_LEN_MAX + 1), "3600"):
-            assert dispatch([*argv, "--max-word-len", length]) == 2
-            assert f"max word length must be in [1, {_WORD_LEN_MAX}]" in capsys.readouterr().err
+            code, report, _ = run_cli(capsys, *argv, "--max-word-len", length)
+            assert code == 2
+            assert report["error"] == {
+                "type": "BadSetting",
+                "message": f"max word length must be in [1, {_WORD_LEN_MAX}]"}
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("--tol", "nan", "tolerance must be positive and finite"),
+    ("--seed", "-1", "seed must be in [0, 2**32)"),
+    ("--cap", "0", "cap must be at least 1"),
+    ("--max-word-len", "0", f"max word length must be in [1, {_WORD_LEN_MAX}]"),
+])
+def test_bad_setting_gives_the_error_report_and_writes_no_out(
+        files, capsys, tmp_path, setting, value, message):
+    out = tmp_path / "out.json"
+    code, report, cap = run_cli(capsys, "magic-verify", "--model", files["scalar_two"],
+                                "--float", setting, value, "--out", str(out))
+    assert code == 2
+    assert report == {"command": "magic-verify", "config": None, "status": "error",
+                      "witnesses": [],
+                      "error": {"type": "BadSetting", "message": message}}
+    assert cap.err == "magic-verify: error\n"
+    assert not out.exists()
 
 
 def test_one_parser_serves_every_call(files, capsys, monkeypatch):
@@ -486,21 +512,33 @@ BAD_INTEGER_PAYLOADS = [
 ]
 FUZZ_PAYLOADS += BAD_INTEGER_PAYLOADS
 
+# Run settings out of range on a valid input: (command, flag, file text,
+# setting flag, value).  Each must be BadSetting.
+BAD_SETTING_PAYLOADS = [
+    ("magic-verify", "--model", _fuzz_model("1"), "--tol", "nan"),
+    ("magic-verify", "--model", _fuzz_model("1"), "--seed", "-1"),
+    ("magic-verify", "--model", _fuzz_model("1"), "--cap", "0"),
+    ("magic-verify", "--model", _fuzz_model("1"), "--max-word-len", "0"),
+]
+FUZZ_PAYLOADS += BAD_SETTING_PAYLOADS
+
 
 def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
     # In process, a raw exception would leave dispatch and fail the test
     # where the command line would print a traceback.
     second = {"thoma-check": ["--lambda", files["z3"]],
               "stationarity": ["--group", files["z3"]]}
-    for i, (command, flag, text) in enumerate(FUZZ_PAYLOADS):
+    for i, (command, flag, text, *settings) in enumerate(FUZZ_PAYLOADS):
         path = tmp_path / f"fuzz{i}.json"
         path.write_text(text)
-        argv = [command, flag, str(path), *second.get(command, [])]
+        argv = [command, flag, str(path), *second.get(command, []), *settings]
         code, report, cap = run_cli(capsys, *argv)
         assert code == 2 and report["status"] == "error", argv
         assert "Traceback" not in cap.err, argv
         if "NaN" in text or "Infinity" in text or (command, flag, text) in BAD_INTEGER_PAYLOADS:
             assert report["error"]["type"] == "BadInput", argv
+        if settings:
+            assert report["error"]["type"] == "BadSetting", argv
 
 
 @pytest.mark.parametrize("command", ["cyclic-build", "cyclic-verify"])

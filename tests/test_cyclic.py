@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from magicmodels.acceptance import _cyclic_models
+from magicmodels import cyclic
+from magicmodels.acceptance import _cyclic_models, _d5_data
 from magicmodels.cyclic import (
     CyclicModelData,
     abelian_rep,
@@ -17,8 +18,15 @@ from magicmodels.cyclic import (
 from magicmodels.cyclotomic import zeta
 from magicmodels.errors import InvalidAutomorphism, NotRepresentation
 from magicmodels.groups import AutoMap, FinAbelian
-from magicmodels.magic import CheckReport, bichon_build
+from magicmodels.magic import (
+    CheckReport,
+    FiberModel,
+    _stored_form,
+    bichon_build,
+    regular_rep,
+)
 from magicmodels.matrices import CMatrix, scalar_is_zero
+from magicmodels.serialize import model_to_json, render_json
 
 F = Fraction
 
@@ -228,11 +236,23 @@ def _trivial_twist_k2_data():
     return CyclicModelData(z3, rep, AutoMap.identity(z3), 2)
 
 
+def _multiplier_data(factors, multiplier, k):
+    """The trivial one-dimensional representation of Z_factors, twisted by
+    multiplication by multiplier."""
+    group = FinAbelian(factors)
+    auto = AutoMap.from_function(
+        group, lambda a: tuple((multiplier * x) % d for x, d in zip(a, factors)))
+    rep = {g: CMatrix.exact([[1]]) for g in group.elements}
+    return CyclicModelData(group, rep, auto, k)
+
+
 @pytest.mark.parametrize("data", [
     *(data for _, data in _cyclic_models()),
     _z13_k3_data(),
     _trivial_twist_k2_data(),
-], ids=["K1", "K2", "K3", "Z13-K3", "identity-K2"])
+    _multiplier_data([13], 3, 6),
+    _multiplier_data([7], 2, 3),
+], ids=["K1", "K2", "K3", "Z13-K3", "identity-K2", "Z13-K6", "Z7-K3"])
 def test_semidirect_stationarity_matches_the_legacy_loop(data):
     report = semidirect_stationarity(data)
     assert report == _legacy_semidirect_stationarity(data)
@@ -245,14 +265,10 @@ def test_semidirect_stationarity_matches_the_legacy_loop(data):
     ([13], 3, 3), ([13], 3, 6), ([7], 2, 3), ([5], 4, 2), ([5], 1, 4),
 ])
 def test_power_table_holds_every_power(factors, multiplier, k):
-    group = FinAbelian(factors)
-    auto = AutoMap.from_function(
-        group, lambda a: tuple((multiplier * x) % d for x, d in zip(a, factors)))
-    rep = {g: CMatrix.exact([[1]]) for g in group.elements}
-    data = CyclicModelData(group, rep, auto, k)
+    data = _multiplier_data(factors, multiplier, k)
     assert len(data.powers) == k
     for t in range(-2 * k, 2 * k):
-        assert data.powers[t % k] == auto.power(t)
+        assert data.powers[t % k] == data.auto.power(t)
 
 
 @pytest.mark.parametrize("multiplier, k", [(3, 2), (3, 4), (12, 3), (2, 1)])
@@ -263,3 +279,212 @@ def test_power_table_rejects_orders_not_dividing_k(multiplier, k):
     with pytest.raises(InvalidAutomorphism,
                        match=f"^automorphism order does not divide {k}$"):
         CyclicModelData(z13, rep, auto, k)
+
+
+def _legacy_entrywise_adjoint(model, x):
+    return CMatrix.from_blocks([
+        [model.entries[i][j][x].adjoint() for j in range(model.n)]
+        for i in range(model.n)
+    ])
+
+
+def _legacy_verify_half_liberation(model, tol=None):
+    """The check as it read before fibers were shared: every adjoint,
+    product, diagonality and commutation test taken at every occurrence."""
+    n = model.n
+    exact = model.mode == "exact"
+    witnesses = []
+    checked = 0
+    for x in range(model.n_points):
+        big = model.assembled(x)
+        checked += 1
+        if not big.is_unitary(tol):
+            witnesses.append({"kind": "not_unitary", "point": model.labels[x]})
+        checked += 1
+        if not _legacy_entrywise_adjoint(model, x).is_unitary(tol):
+            witnesses.append({"kind": "conjugate_not_unitary",
+                              "point": model.labels[x]})
+        flat = [(i, j, model.entries[i][j][x])
+                for i in range(n) for j in range(n)]
+        prods, diagonal = [], []
+        for (i1, j1, a) in flat:
+            for (i2, j2, b) in flat:
+                for tag, m in (("ab*", a * b.adjoint()), ("a*b", a.adjoint() * b)):
+                    checked += 1
+                    is_diagonal = m.is_diagonal(tol)
+                    if not is_diagonal:
+                        witnesses.append({
+                            "kind": "not_diagonal", "form": tag,
+                            "left": (i1 + 1, j1 + 1), "right": (i2 + 1, j2 + 1),
+                            "point": model.labels[x],
+                        })
+                    prods.append(m)
+                    diagonal.append(exact and is_diagonal)
+        for a in range(len(prods)):
+            for b in range(a + 1, len(prods)):
+                checked += 1
+                if diagonal[a] and diagonal[b]:
+                    continue
+                if not (prods[a] * prods[b]).close_to(prods[b] * prods[a], tol):
+                    witnesses.append({"kind": "products_do_not_commute",
+                                      "pair": (a, b), "point": model.labels[x]})
+        if all(m.is_self_adjoint(tol) for _, _, m in flat):
+            for (i1, j1, a) in flat:
+                for (i2, j2, b) in flat:
+                    for (i3, j3, c) in flat:
+                        checked += 1
+                        if not (a * b * c).close_to(c * b * a, tol):
+                            witnesses.append({
+                                "kind": "abc_cba",
+                                "triple": ((i1 + 1, j1 + 1), (i2 + 1, j2 + 1),
+                                           (i3 + 1, j3 + 1)),
+                                "point": model.labels[x],
+                            })
+    return CheckReport("half_liberation", not witnesses, checked, tuple(witnesses))
+
+
+def _legacy_verify_k_symmetry(model, k, tol=None):
+    """The check as it read before fibers were shared: one conjugation per
+    entry and point."""
+    dmat = CMatrix(model.mode,
+                   [[zeta(k, r) if r == c else 0 for c in range(k)]
+                    for r in range(k)])
+    factor = zeta(k, 1)
+    dinv = dmat.adjoint()
+    witnesses = []
+    checked = 0
+    for i in range(model.n):
+        for j in range(model.n):
+            for x in range(model.n_points):
+                checked += 1
+                f = model.entries[i][j][x]
+                if not (dmat * f * dinv).close_to(f.scale(factor), tol):
+                    witnesses.append({"row": i + 1, "col": j + 1,
+                                      "point": model.labels[x]})
+    return CheckReport("k_symmetry", not witnesses, checked, tuple(witnesses))
+
+
+def _unshared(model):
+    """The model with a fresh copy of its fiber at every entry and point."""
+    return FiberModel(model.n, model.dim, model.labels, model.weights, [
+        [[CMatrix(f.mode, f.data) for f in model.entries[i][j]]
+         for j in range(model.n)] for i in range(model.n)])
+
+
+def _fiber_ids(model):
+    return {id(f) for row in model.entries for entry in row for f in entry}
+
+
+def _noncommuting_model():
+    """Two points of self-adjoint 2 x 2 entries that do not commute; the
+    second point holds one entry that is not self-adjoint.  The sigma_x
+    fiber is one object in three places."""
+    sx = CMatrix.exact([[0, 1], [1, 0]])
+    sz = CMatrix.exact([[1, 0], [0, -1]])
+    p0 = CMatrix.exact([[1, 0], [0, 0]])
+    p1 = CMatrix.exact([[0, 0], [0, 1]])
+    up = CMatrix.exact([[0, 1], [0, 0]])
+    return FiberModel(2, 2, ["p", "q"], [F(1, 2)] * 2,
+                      [[(sx, sx), (sz, up)], [(p0, p0), (p1, sx)]])
+
+
+def _order_two_block_model():
+    """Criterion 9's two-block dual model."""
+    return bichon_build([2], [regular_rep(FinAbelian([2]))[(1,)]])
+
+
+CYCLIC_DATA = {"K1": _cyclic_models()[0][1], "K2": _d5_data(),
+               "K3": _cyclic_models()[-1][1], "Z13-K3": _z13_k3_data(),
+               "identity-K2": _trivial_twist_k2_data()}
+
+
+def _check_models():
+    """(id, model, K) for every model of the differential tests."""
+    cases = [(name, build_cyclic_model(data), data.k)
+             for name, data in CYCLIC_DATA.items()]
+    cases.append(("block", _order_two_block_model(), 2))
+    cases.append(("noncommuting", _noncommuting_model(), 2))
+    return cases
+
+
+@pytest.fixture(scope="module", params=_check_models(), ids=lambda case: case[0])
+def check_model(request):
+    return request.param
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_half_liberation_matches_the_legacy_loop(check_model, mode):
+    name, model, _ = check_model
+    tol = None
+    if mode == "float":
+        model, tol = model.to_float(), 1e-9
+    report = verify_half_liberation(model, tol)
+    assert report == _legacy_verify_half_liberation(model, tol)
+    # The float Z13 model has no repeated products on its unshared copy, so
+    # that copy takes as long as the legacy loop; its exact twin is checked.
+    if not (name == "Z13-K3" and mode == "float"):
+        assert verify_half_liberation(_unshared(model), tol) == report
+    kinds = {w["kind"] for w in report.witnesses}
+    if name == "block":
+        assert (report.checked, len(report.witnesses), kinds) == (594, 16, {"not_diagonal"})
+    elif name == "noncommuting":
+        assert {"products_do_not_commute", "abc_cba"} <= kinds
+    else:
+        assert report.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_k_symmetry_matches_the_legacy_loop(check_model, mode):
+    name, model, k = check_model
+    tol = None
+    if mode == "float":
+        model, tol = model.to_float(), 1e-9
+    report = verify_k_symmetry(model, k, tol)
+    assert report == _legacy_verify_k_symmetry(model, k, tol)
+    assert verify_k_symmetry(_unshared(model), k, tol) == report
+    assert report.passed == (name not in ("block", "noncommuting"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_emptied_tables_give_the_legacy_reports(monkeypatch, mode):
+    """Tables of one result each are emptied at every new pair or triple."""
+    monkeypatch.setattr(cyclic, "_TABLE_SCALARS", 1)
+    monkeypatch.setattr(cyclic, "_SHARED_MAX", 1)
+    for model in (_noncommuting_model(), build_cyclic_model(_d5_data())):
+        tol = None
+        if mode == "float":
+            model, tol = model.to_float(), 1e-9
+        assert verify_half_liberation(model, tol) == \
+            _legacy_verify_half_liberation(model, tol)
+
+
+@pytest.mark.parametrize("name, distinct, total", [
+    ("Z13-K3", 14, 117), ("K2", 6, 20), ("K3", 7, 7),
+])
+def test_builder_keeps_one_fiber_per_stored_form(name, distinct, total):
+    model = build_cyclic_model(CYCLIC_DATA[name])
+    fibers = [f for row in model.entries for entry in row for f in entry]
+    assert len(fibers) == total
+    assert len(_fiber_ids(model)) == distinct
+    assert len({_stored_form(f) for f in fibers}) == distinct
+    float_model = model.to_float()
+    assert len(_fiber_ids(float_model)) == distinct
+    # The writer renders the shared model as it renders fresh copies.
+    assert render_json(model_to_json(model)) == \
+        render_json(model_to_json(_unshared(model)))
+
+
+def test_float_builder_keeps_signed_zeros_apart():
+    """Entry (1, 2) is -0.0 at the identity and 0.0 at the other point;
+    entry (2, 1) is 0.0 at both, so it shares the second fiber."""
+    z2 = FinAbelian([2])
+    rep = {(0,): CMatrix.floating([[1, complex(-0.0, 0.0)], [0, 1]]),
+           (1,): CMatrix.floating([[-1, 0], [0, -1]])}
+    model = build_cyclic_model(CyclicModelData(z2, rep, AutoMap.identity(z2), 1))
+    minus, plus = model.entries[0][1]
+    assert minus is not plus
+    assert minus.entry(0, 0).real.hex() == "-0x0.0p+0"
+    assert plus.entry(0, 0).real.hex() == "0x0.0p+0"
+    assert model.entries[1][0][0] is plus and model.entries[1][0][1] is plus
+    assert len(_fiber_ids(model)) == len(
+        {_stored_form(f) for row in model.entries for e in row for f in e}) == 4
