@@ -17,7 +17,7 @@ from .groups import (
     AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,
     abelian_dual, abelianization, extend_automorphism, orbit_blocks,
 )
-from .group_algebra import AlgebraElement, delta
+from .group_algebra import AlgebraElement
 from .induced import (
     InducedModel, VirtuallyAbelianData,
     check_stationarity, evaluate_at_character, frobenius_trace, induce,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from . import serialize as sz
@@ -61,17 +61,6 @@ class RunConfig:
             raise BadSetting("cap must be at least 1")
         if not 0 <= self.seed < 2 ** 32:
             raise BadSetting("seed must be in [0, 2**32)")
-
-    def echo(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "max_word_len": self.max_word_len,
-            "cap": self.cap,
-            "seed": self.seed,
-            "inputs": dict(self.inputs),
-            "out": self.out,
-        }
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -399,7 +388,7 @@ def dispatch(argv) -> int:
     report = {"command": args.command, "config": None}
     try:
         config = _config_from_args(args)
-        report["config"] = config.echo()
+        report["config"] = asdict(config)
         status, body = HANDLERS[args.command](args, config)
     except (ModelInputError, Inconsistent) as exc:
         report.update(status="error", witnesses=[],

@@ -1,14 +1,14 @@
 """Finitely supported functions on a group, multiplied by convolution.
 
-Coefficients may be ints, Fractions or Cyc values; adjoints conjugate the
-coefficient and invert the group element.  The group is any object exposing
-.identity, .mul and .inv with hashable elements.
+Coefficients may be ints, Fractions or Cyc values.  The group is any object
+exposing .identity and .mul with hashable elements.  The dual-group reference
+reads products and identity coefficients of these elements.
 """
 from __future__ import annotations
 
-from .matrices import scalar_conj, scalar_is_zero
+from .matrices import scalar_is_zero
 
-__all__ = ["AlgebraElement", "delta"]
+__all__ = ["AlgebraElement"]
 
 
 class AlgebraElement:
@@ -43,27 +43,13 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return AlgebraElement(self.group, out)
-
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) - c
         return AlgebraElement(self.group, out)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: -c for g, c in self.coeffs.items()})
-
-    def scale(self, s) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: s * c for g, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return self.scale(other)
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         mul = self.group.mul
         out = {}
         for g, cg in self.coeffs.items():
@@ -71,14 +57,6 @@ class AlgebraElement:
                 k = mul(g, h)
                 out[k] = out.get(k, 0) + cg * ch
         return AlgebraElement(self.group, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def adjoint(self) -> "AlgebraElement":
-        inv = self.group.inv
-        return AlgebraElement(self.group,
-                              {inv(g): scalar_conj(c) for g, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -91,8 +69,3 @@ class AlgebraElement:
         if not self.coeffs:
             return "0"
         return " + ".join(f"({c!r})[{g!r}]" for g, c in self.coeffs.items())
-
-
-def delta(group, element) -> AlgebraElement:
-    """The basis element supported on a single group element."""
-    return AlgebraElement(group, {element: 1})

@@ -2,10 +2,11 @@
 
 The data is an abelian normal subgroup of finite index together with coset
 representatives.  Inducing the tautological representation of the subgroup's
-group algebra gives, for each group element, a square matrix over the algebra
-with exactly one monomial entry per row and column; integrating (coefficient
-of the identity, or averaging over subgroup characters) recovers the
-delta-at-identity Haar state of the dual.
+group algebra gives, for each group element, a monomial matrix read off the
+coset action: row x has its one nonzero entry, the subgroup element
+x^-1 g y, in the column of the representative y of the coset of g^-1 x.
+Integrating (coefficient of the identity, or averaging over subgroup
+characters) recovers the delta-at-identity Haar state of the dual.
 
 Two kinds of input are supported: a pair of finite permutation groups, and
 split data Z^d x Z_{d_1} x ... x| Phi with Phi finite acting by integer
@@ -13,7 +14,6 @@ matrices on exponent vectors.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +25,6 @@ from .errors import (
     ModelInputError,
     NotNormal,
 )
-from .group_algebra import AlgebraElement, delta
 from .groups import (
     CharacterOf,
     FinAbelian,
@@ -112,9 +111,9 @@ class _IntMatrixAction:
         ident = self._normalize(tuple(
             tuple(1 if i == j else 0 for j in range(lam.rank)) for i in range(lam.rank)
         ))
+        # Each action is bijective: the homomorphism check gives
+        # f(p) f(p^-1) = f(e) = I.
         self.matrices = extend_generator_map(phi, mats, self._compose, ident)
-        for p, mat in self.matrices.items():
-            self._check_bijective(mat, p)
 
     def _validate(self, m):
         m = tuple(tuple(int(x) for x in row) for row in m)
@@ -152,36 +151,6 @@ class _IntMatrixAction:
         )
         return self._normalize(prod)
 
-    def _check_bijective(self, m, p):
-        free = self.lam.free_rank
-        if free:
-            block = [[Fraction(m[i][j]) for j in range(free)] for i in range(free)]
-            det = Fraction(1)
-            work = [row[:] for row in block]
-            for col in range(free):
-                piv = next((r for r in range(col, free) if work[r][col]), None)
-                if piv is None:
-                    det = Fraction(0)
-                    break
-                if piv != col:
-                    work[col], work[piv] = work[piv], work[col]
-                    det = -det
-                det *= work[col][col]
-                for r in range(col + 1, free):
-                    f = work[r][col] / work[col][col]
-                    for c in range(col, free):
-                        work[r][c] -= f * work[col][c]
-            if det not in (1, -1):
-                raise InvalidAutomorphism(f"free block of {p!r} has determinant {det}")
-        if self.lam.factors:
-            torsion = [
-                (0,) * free + tail
-                for tail in itertools.product(*map(range, self.lam.factors))
-            ]
-            images = {self.apply(m, t) for t in torsion}
-            if len(images) != len(torsion):
-                raise InvalidAutomorphism(f"action of {p!r} is not bijective on the torsion part")
-
     def apply(self, m, vec):
         n = self.lam.rank
         return self.lam.normalize(
@@ -216,17 +185,18 @@ class _SplitGamma:
 
 class VirtuallyAbelianData:
     """An abelian normal subgroup of finite index, with coset representatives
-    (first member of each coset in enumeration order, identity first)."""
+    (first member of each coset in enumeration order, identity first) and
+    the map from each element to the index of its coset's representative."""
 
-    def __init__(self, *, finite, gamma, lam, reps, lam_key, in_lam, lam_group,
+    def __init__(self, *, finite, gamma, lam, reps, coset_of, lam_key, in_lam,
                  word_moves=None):
         self.finite = finite
         self.gamma = gamma
         self.lam = lam
         self.reps = tuple(reps)
+        self.coset_of = coset_of
         self._lam_key = lam_key
         self._in_lam = in_lam
-        self.lam_group = lam_group
         self.word_moves = word_moves
         self._chars = None
 
@@ -236,10 +206,10 @@ class VirtuallyAbelianData:
             raise ModelInputError("subgroup is not abelian")
         if not is_normal(lam, gamma):
             raise NotNormal("subgroup is not normal")
-        reps, _ = _cosets(gamma.elements, lam.elements, gamma.mul)
+        reps, coset_of = _cosets(gamma.elements, lam.elements, gamma.mul)
         return cls(finite=True, gamma=gamma, lam=lam, reps=reps,
-                   lam_key=lambda g: g, in_lam=lambda g: g in lam,
-                   lam_group=lam)
+                   coset_of=coset_of.__getitem__,
+                   lam_key=lambda g: g, in_lam=lambda g: g in lam)
 
     @classmethod
     def split(cls, free_rank: int, factors, phi: PermGroup,
@@ -248,12 +218,14 @@ class VirtuallyAbelianData:
         action = _IntMatrixAction(lam, phi, action_matrices)
         gamma = _SplitGamma(action)
         reps = [(lam.identity, p) for p in phi.elements]
+        index = {p: i for i, p in enumerate(phi.elements)}
         moves = [(name, (vec, phi.identity)) for name, vec in lam.basis_moves()]
         for i, g in enumerate(phi.generators):
             moves.append((f"s{i + 1}", (lam.identity, g)))
-        return cls(finite=not lam.is_free() , gamma=gamma, lam=lam, reps=reps,
+        return cls(finite=not lam.is_free(), gamma=gamma, lam=lam, reps=reps,
+                   coset_of=lambda g: index[g[1]],
                    lam_key=lambda g: g[0], in_lam=lambda g: g[1] == phi.identity,
-                   lam_group=lam, word_moves=moves)
+                   word_moves=moves)
 
     @property
     def n_reps(self) -> int:
@@ -282,65 +254,58 @@ class VirtuallyAbelianData:
 
 @dataclass(frozen=True)
 class InducedModel:
-    """The induced matrix of one group element over the subgroup's algebra."""
+    """The induced matrix of one group element over the subgroup's algebra:
+    row x has its one nonzero entry, the monomial [labels[x]], in column
+    columns[x]."""
 
     data: VirtuallyAbelianData
     element: object
-    grid: tuple
+    columns: tuple
+    labels: tuple
 
     @property
     def size(self) -> int:
-        return len(self.grid)
+        return len(self.columns)
 
     def diagonal_identity_average(self) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.size):
-            total += Fraction(self.grid[i][i].at_identity())
-        return total / self.size
+        ident = self.data.lam.identity
+        hits = sum(1 for x, (y, t) in enumerate(zip(self.columns, self.labels))
+                   if y == x and t == ident)
+        return Fraction(hits, self.size)
 
 
 def induce(data: VirtuallyAbelianData, g) -> InducedModel:
-    """The induced matrix of g: entry (x, y) is the monomial [x^-1 g y] when
-    that element lands in the subgroup, else zero.  Always has exactly one
-    nonzero entry per row and per column."""
+    """The induced matrix of g, row by row: row x has its one nonzero entry,
+    the monomial [x^-1 g y], in the column of the representative y of the
+    coset of g^-1 x.  Raises Inconsistent unless every label lies in the
+    subgroup and the columns form a permutation."""
     mul, inv = data.gamma.mul, data.gamma.inv
-    grid = []
+    gi = inv(g)
+    columns, labels = [], []
     for x in data.reps:
-        xi = inv(x)
-        row = []
-        for y in data.reps:
-            t = mul(xi, mul(g, y))
-            if data.in_lambda(t):
-                row.append(delta(data.lam_group, data.lam_key(t)))
-            else:
-                row.append(AlgebraElement.zero(data.lam_group))
-        grid.append(tuple(row))
-    model = InducedModel(data, g, tuple(grid))
-    for i in range(model.size):
-        if sum(1 for e in model.grid[i] if not e.is_zero()) != 1:
+        y = data.coset_of(mul(gi, x))
+        t = mul(inv(x), mul(g, data.reps[y]))
+        if not data.in_lambda(t):
             raise Inconsistent("induced matrix row is not monomial")
-        if sum(1 for x in range(model.size) if not model.grid[x][i].is_zero()) != 1:
-            raise Inconsistent("induced matrix column is not monomial")
-    return model
+        columns.append(y)
+        labels.append(data.lam_key(t))
+    if len(set(columns)) != len(columns):
+        raise Inconsistent("induced matrix column is not monomial")
+    return InducedModel(data, g, tuple(columns), tuple(labels))
 
 
 def evaluate_at_character(model: InducedModel, chi: CharacterOf):
     """Numerical matrix of the induced element at a subgroup character."""
     from .matrices import CMatrix
 
-    data = model.data
-    fin, to_tuple, _ = data.char_structure()
+    fin, to_tuple, _ = model.data.char_structure()
     if chi.group.factors != fin.factors:
         raise ValueError("character does not match the subgroup structure")
     rows = []
-    for row in model.grid:
-        out = []
-        for entry in row:
-            total = Cyc.from_rational(0)
-            for lam_elem, coeff in entry.coeffs.items():
-                total = total + chi.value(to_tuple[lam_elem]) * coeff
-            out.append(total)
-        rows.append(out)
+    for y, t in zip(model.columns, model.labels):
+        row = [Cyc.from_rational(0)] * model.size
+        row[y] = chi.value(to_tuple[t])
+        rows.append(row)
     return CMatrix.exact(rows)
 
 
@@ -363,43 +328,42 @@ def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> CheckRe
     """Certify that averaging the induced model recovers delta at the
     identity.
 
-    Finite data: every group element is tested, by two independent routes
-    (identity-coefficient extraction and averaging the induced characters over
-    the full dual of the subgroup); the routes must agree.  Split data with a
-    free part: every word up to word_len in the canonical moves is tested by
-    coefficient extraction.  Witnesses are the failing elements as strings
+    Finite permutation data: every group element is tested, by two
+    independent routes (identity-coefficient extraction and averaging the
+    induced characters over the full dual of the subgroup); the routes must
+    agree.  Otherwise every word up to word_len in the canonical moves is
+    tested by coefficient extraction, once per distinct element the words
+    reach.  Witnesses are the failing elements as strings
     {element, value, expected}; details = {"routes_agree": bool}."""
+    ident = data.gamma.identity
+    chars = None
+    if data.finite and isinstance(data.lam, PermGroup):
+        _, _, chars = data.char_structure()
+        scale = Fraction(1, max(1, len(chars)) * data.n_reps)
+        cases = [(repr(g), g) for g in data.gamma.elements]
+    else:
+        words = frontier = [((), ident)]
+        for _ in range(word_len):
+            frontier = [(word + (name,), data.gamma.mul(g, move))
+                        for word, g in frontier for name, move in data.word_moves or []]
+            words = words + frontier
+        cases = [(".".join(word) or "e", g) for word, g in words]
+    averages = {}
     tested = []
     routes_agree = True
-    if data.finite and isinstance(data.lam, PermGroup):
-        fin, _, chars = data.char_structure()
-        n_lam = max(1, len(chars))
-        for g in data.gamma.elements:
-            expected = Fraction(1) if g == data.gamma.identity else Fraction(0)
-            value = induce(data, g).diagonal_identity_average()
+    for label, g in cases:
+        if g not in averages:
+            averages[g] = induce(data, g).diagonal_identity_average()
+        value = averages[g]
+        expected = Fraction(1) if g == ident else Fraction(0)
+        agree = True
+        if chars is not None:
             char_total = Cyc.from_rational(0)
             for chi in chars:
                 char_total = char_total + frobenius_trace(data, chi, g)
-            char_value = char_total * Fraction(1, n_lam * data.n_reps)
-            agree = char_value == value
+            agree = char_total * scale == value
             routes_agree = routes_agree and agree
-            tested.append((repr(g), value, expected, agree))
-    else:
-        moves = data.word_moves or []
-        ident = data.gamma.identity
-        seen_words = [((), ident)]
-        frontier = [((), ident)]
-        for _ in range(word_len):
-            nxt = []
-            for word, elem in frontier:
-                for name, move in moves:
-                    nxt.append((word + (name,), data.gamma.mul(elem, move)))
-            seen_words.extend(nxt)
-            frontier = nxt
-        for word, elem in seen_words:
-            expected = Fraction(1) if elem == ident else Fraction(0)
-            value = induce(data, elem).diagonal_identity_average()
-            tested.append((".".join(word) or "e", value, expected, True))
+        tested.append((label, value, expected, agree))
     witnesses = tuple({"element": e, "value": str(v), "expected": str(x)}
                       for e, v, x, agree in tested if not (v == x and agree))
     return CheckReport("induced_stationarity", not witnesses, len(tested),

@@ -9,8 +9,6 @@ from fractions import Fraction
 from .errors import (
     Inconsistent,
     InvalidFamily,
-    NotBijective,
-    NotInGroup,
     NotQuasiTransitive,
     NotWellDefined,
     ShapeMismatch,
@@ -209,10 +207,11 @@ def uniform_check(group: PermGroup, generators) -> CheckReport:
     generate the group; (2) they share a common order K; (3) sending the i-th
     coordinate generator of Z_K^M to the class of g_i defines a surjection
     onto the abelianization; (4) every transposition of two generators
-    extends to an automorphism.  One witness per failing condition; details
-    are the common `order` (None unless (2) holds), the generator `count`,
-    the verdict per condition in `conditions`, `first_failing` and the
-    `abelian_factors` of the abelianization."""
+    extends to an automorphism of the group they generate.  One witness per
+    failing condition; details are the common `order` (None unless (2)
+    holds), the generator `count`, the verdict per condition in
+    `conditions`, `first_failing` and the `abelian_factors` of the
+    abelianization."""
     gens = list(generators)
     m_count = len(gens)
     witnesses = []
@@ -254,9 +253,11 @@ def uniform_check(group: PermGroup, generators) -> CheckReport:
         for b in range(a + 1, m_count):
             swapped = list(gens)
             swapped[a], swapped[b] = swapped[b], swapped[a]
+            # The swapped list lies in sub and generates it, so an
+            # extension that is a homomorphism is onto.
             try:
-                extend_automorphism(group, swapped)
-            except (NotBijective, NotInGroup, NotWellDefined):
+                extend_automorphism(sub, swapped)
+            except NotWellDefined:
                 swap_ok = False
                 swap_witness = (a + 1, b + 1)
                 break

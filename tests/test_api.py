@@ -59,6 +59,10 @@ def test_merged_model_types_are_gone(module, name):
     ("serialize", "group_to_json"), ("induced", "_sum_alg"),
     ("induced", "_all_tuples"), ("errors", "OrderMismatch"),
     ("cyclotomic", "_poly_divmod"), ("matrices", "_scalar_div"),
+    ("group_algebra", "delta"), ("InducedModel", "grid"),
+    ("AlgebraElement", "__add__"), ("AlgebraElement", "__neg__"),
+    ("AlgebraElement", "scale"), ("AlgebraElement", "__rmul__"),
+    ("AlgebraElement", "adjoint"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member

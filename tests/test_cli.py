@@ -541,6 +541,105 @@ def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
             assert report["error"]["type"] == "BadSetting", argv
 
 
+_S3 = '{"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}'
+_Z3 = '{"degree": 3, "generators": [[2, 3, 1]]}'
+_T12 = '{"degree": 3, "generators": [[2, 1, 3]]}'
+
+# The error contract: for each ModelInputError class a command can raise,
+# one command line that exits 2 with that class as error.type.  An argument
+# that starts with "{" or "[" is the text of an input file.
+ERROR_CONTRACT = {
+    "ModelInputError": ("thoma-check",
+                        "--group", '{"degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}',
+                        "--lambda", '{"degree": 4, "generators": [[2, 3, 1, 4], [1, 3, 4, 2]]}'),
+    "BadInput": ("dual-build", "--input", "[]"),
+    "BadSetting": ("magic-verify", "--model", _fuzz_model("1"), "--tol", "nan"),
+    "CapExceeded": ("orbits", "--group", _S3, "--cap", "2"),
+    "DegreeMismatch": ("thoma-check", "--group", '{"degree": 4, "generators": [[2, 3, 4, 1]]}',
+                       "--lambda", _Z3),
+    "NotSubgroup": ("thoma-check", "--group", _T12, "--lambda", _Z3),
+    "NotNormal": ("thoma-check", "--group", _S3, "--lambda", _T12),
+    "NotWellDefined": ("cyclic-build", "--input",
+                       '{"factors": [2, 4], "rep_generators": [{"rows": [["1"]]}, '
+                       '{"rows": [["1"]]}], "auto_images": [[0, 1], [1, 1]], "k": 2}'),
+    "NotBijective": ("cyclic-build", "--input",
+                     '{"factors": [5], "rep_generators": [{"rows": [["1"]]}], '
+                     '"auto_images": [[0]], "k": 2}'),
+    "ShapeMismatch": ("magic-verify", "--model",
+                      '{"n": 1, "dim": 1, "points": [{"label": "a", "weight": "1/2", '
+                      '"entries": [[{"rows": [["1"]]}]]}]}'),
+    "ModeMismatch": ("magic-verify", "--model",
+                     '{"n": 2, "dim": 1, "points": [{"label": "a", "weight": "1", "entries": '
+                     '[[{"rows": [["1"]]}, {"mode": "float", "rows": [[0]]}], '
+                     '[{"rows": [["0"]]}, {"rows": [["1"]]}]]}]}'),
+    "NotFiniteOrder": ("dual-build", "--input",
+                       '{"sizes": [2], "generators": [{"rows": [["0", "1"], ["-1", "0"]]}]}'),
+    "NotUnitary": ("dual-flat-check", "--input",
+                   '{"k": 2, "generators": [[{"rows": [["1", "1"], ["0", "1"]]}]]}'),
+    "NotQuasiTransitive": ("latin-search", "--group", _T12),
+    "InvalidAutomorphism": ("cyclic-build", "--input",
+                            '{"factors": [5], "rep_generators": [{"rows": [["1"]]}], '
+                            '"auto_images": [[2]], "k": 2}'),
+    "NotRepresentation": ("cyclic-build", "--input",
+                          '{"factors": [3], "rep_generators": [{"rows": [["0", "1"], '
+                          '["1", "0"]]}], "auto_images": [[1]], "k": 1}'),
+}
+FUZZ_PAYLOADS += [argv for argv in ERROR_CONTRACT.values() if len(argv) == 3]
+
+
+def _raise_library_only(name):
+    """Raise a ModelInputError class that no command can raise: the CLI
+    builds only finite permutation data, extends swaps only over the group
+    the marked set generates, and marks or searches families inside the
+    group."""
+    from magicmodels.groups import extend_automorphism
+    from magicmodels.induced import VirtuallyAbelianData
+    from magicmodels.quasiflat import uniform_check
+    z3 = PermGroup.from_generators([Perm([2, 3, 1])])
+    t12 = Perm([2, 1, 3])
+    if name == "NotInGroup":
+        extend_automorphism(z3, [t12])
+    elif name == "FreePartPresent":
+        z2 = PermGroup.from_generators([Perm([2, 1])])
+        VirtuallyAbelianData.split(1, [], z2, [[[-1]]]).char_structure()
+    elif name == "InvalidFamily":
+        uniform_check(z3, [t12])
+
+
+LIBRARY_ONLY_ERRORS = ("NotInGroup", "FreePartPresent", "InvalidFamily")
+
+
+def _input_error_classes():
+    classes, todo = [], [magicmodels.ModelInputError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    return {cls.__name__: cls for cls in classes}
+
+
+def test_error_contract_covers_every_input_error(capsys, tmp_path):
+    """Every ModelInputError class is raised by a command that exits 2 and
+    names it, or, if no command can raise it, by a library call."""
+    classes = _input_error_classes()
+    assert sorted(classes) == sorted([*ERROR_CONTRACT, *LIBRARY_ONLY_ERRORS])
+    for i, (name, argv) in enumerate(ERROR_CONTRACT.items()):
+        args = []
+        for j, arg in enumerate(argv):
+            if arg.startswith(("{", "[")):
+                path = tmp_path / f"contract{i}_{j}.json"
+                path.write_text(arg)
+                arg = str(path)
+            args.append(arg)
+        code, report, cap = run_cli(capsys, *args)
+        assert code == 2 and report["error"]["type"] == name, (name, report)
+        assert "Traceback" not in cap.err
+    for name in LIBRARY_ONLY_ERRORS:
+        with pytest.raises(classes[name]) as info:
+            _raise_library_only(name)
+        assert type(info.value) is classes[name]
+
+
 @pytest.mark.parametrize("command", ["cyclic-build", "cyclic-verify"])
 def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
     path = tmp_path / "cyclic.json"
@@ -566,6 +665,14 @@ def test_cyclic_k_at_the_bound_builds(capsys, tmp_path):
     path.write_text(_cyclic_k_payload(_CYCLIC_K_MAX))
     code, report, _ = run_cli(capsys, "cyclic-build", "--input", str(path))
     assert code == 0 and report["k"] == _CYCLIC_K_MAX
+
+
+def test_config_echo_is_the_run_config(files, capsys):
+    _, report, _ = run_cli(capsys, "orbits", "--group", files["s3"], "--seed", "7")
+    assert report["config"] == {"mode": "exact", "tolerance": 1e-09, "max_word_len": 3,
+                                "cap": cli.DEFAULT_CAP, "seed": 7,
+                                "inputs": {"group": files["s3"]}, "out": None}
+    assert not hasattr(cli.RunConfig, "echo")
 
 
 def test_reports_are_byte_identical(files, capsys):

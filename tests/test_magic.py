@@ -217,6 +217,26 @@ def test_fixed_point_matrix_orbit_blocks(klein6):
     assert q == block_projection(orbits_from_source(klein6), 6)
 
 
+def test_dual_stationarity_witness_of_the_identity_representation():
+    z2 = FinAbelian([2])
+    rep = dual_group_stationarity(z2, {g: CMatrix.identity(1) for g in z2.elements})
+    assert not rep.passed and rep.checked == 2
+    assert rep.witnesses == ({"element": "(1,)", "value": "1", "expected": 0},)
+
+
+def test_fixed_point_matrix_witnesses():
+    # One point: Q = [[1/2]] from a rank-one 2 x 2 fiber, and Q = diag(1, 0).
+    half = FiberModel(1, 2, ["a"], [1], [[[CMatrix.exact([[1, 0], [0, 0]])]]])
+    q, rep = fixed_point_matrix(half)
+    assert q == CMatrix.exact([[F(1, 2)]])
+    assert rep.witnesses == ({"kind": "not_projection"}, {"kind": "ones_not_fixed"})
+    one, zero = CMatrix.exact([[1]]), CMatrix.exact([[0]])
+    corner = FiberModel(2, 1, ["a"], [1], [[[one], [zero]], [[zero], [zero]]])
+    q, rep = fixed_point_matrix(corner)
+    assert q == CMatrix.exact([[1, 0], [0, 0]])
+    assert rep.witnesses == ({"kind": "ones_not_fixed"},)
+
+
 def test_fixed_point_matrix_from_model(m2):
     q, rep = fixed_point_matrix(m2)
     assert rep.passed

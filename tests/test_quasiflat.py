@@ -252,11 +252,13 @@ def test_uniform_certificates_positive():
                                 Perm.from_cycles(4, [(3, 4)])])
     assert cert.passed
     assert cert.details["order"] == 2 and cert.details["count"] == 2
-    s3 = pg(3, [(1, 2)], [(1, 3)])
-    cert3 = uniform_check(s3, [Perm.from_cycles(3, [(1, 2)]),
-                               Perm.from_cycles(3, [(1, 3)])])
-    assert cert3.passed and cert3.details["order"] == 2
-    assert cert3.details["abelian_factors"] == (2,)
+    # Condition 4 extends the swap over the group the marked set generates,
+    # whatever generators the group was built from.
+    marked = [Perm.from_cycles(3, [(1, 2)]), Perm.from_cycles(3, [(1, 3)])]
+    for s3 in (pg(3, [(1, 2)], [(1, 3)]), pg(3, [(1, 2)], [(1, 2, 3)])):
+        cert3 = uniform_check(s3, marked)
+        assert cert3.passed and cert3.details["order"] == 2
+        assert cert3.details["abelian_factors"] == (2,)
 
 
 def test_uniform_certificate_negative_swap_obstruction():
@@ -269,6 +271,32 @@ def test_uniform_certificate_negative_swap_obstruction():
     assert cert.details["conditions"] == {1: True, 2: True, 3: True, 4: False}
     assert cert.details["first_failing"] == 4
     assert cert.witnesses == ({"condition": 4, "pair": (1, 3)},)
+
+
+def test_uniform_witnesses_of_conditions_1_and_2():
+    s3 = pg(3, [(1, 2)], [(1, 2, 3)])
+    t, r = Perm.from_cycles(3, [(1, 2)]), Perm.from_cycles(3, [(1, 2, 3)])
+    cert = uniform_check(s3, [t])
+    assert cert.witnesses == ({"condition": 1, "generated_order": 2, "group_order": 6},)
+    assert cert.details["first_failing"] == 1
+    cert = uniform_check(s3, [t, r])
+    assert cert.witnesses == ({"condition": 2, "orders": [2, 3]},
+                              {"condition": 4, "pair": (1, 2)})
+    assert cert.details["conditions"] == {1: True, 2: False, 3: True, 4: False}
+
+
+def test_uniform_witness_of_condition_3_on_a_marked_set_unlike_the_generators():
+    # Z6 built from g, marked with g^2 and g^3: condition 4 works on a
+    # marked set of another length than the group's generator list.
+    g = Perm.from_cycles(6, [(1, 2, 3, 4, 5, 6)])
+    cert = uniform_check(pg(6, [(1, 2, 3, 4, 5, 6)]), [g * g, g * g * g])
+    assert cert.witnesses == (
+        {"condition": 2, "orders": [3, 2]},
+        {"condition": 3, "well_defined": False, "image_subgroup_order": 6,
+         "abelianization_order": 6},
+        {"condition": 4, "pair": (1, 2)},
+    )
+    assert cert.details["conditions"] == {1: True, 2: False, 3: False, 4: False}
 
 
 def test_trace_vector_values():
