@@ -335,7 +335,7 @@ def criterion_8(cap=DEFAULT_CAP):
             "details": {"cases": cases}}
 
 
-def _cyclic_models(include_d5=True):
+def _cyclic_models():
     z3 = FinAbelian([3])
     one = CyclicModelData(
         z3, abelian_rep(z3, [CMatrix.diagonal([zeta(3), zeta(3, 2)])]),
@@ -344,11 +344,7 @@ def _cyclic_models(include_d5=True):
     three = CyclicModelData(
         z7, abelian_rep(z7, [CMatrix.exact([[zeta(7)]])]),
         AutoMap.from_function(z7, lambda a: ((2 * a[0]) % 7,)), 3)
-    cases = [("K1", one)]
-    if include_d5:
-        cases.append(("K2", _d5_data()))
-    cases.append(("K3", three))
-    return cases
+    return [("K1", one), ("K2", _d5_data()), ("K3", three)]
 
 
 def criterion_9(cap=DEFAULT_CAP):
@@ -448,10 +444,15 @@ def _float_reverify(cap, tol):
     return checks
 
 
-def _determinism_float(first, cap, seed, samples, tol):
-    """Criterion 11 with `first` as the first of its two compared runs."""
+def criterion_11(cap=DEFAULT_CAP, seed=0, samples=200, tol=TOL_FLOAT_AGREE, first=None):
+    """Two identically configured runs render byte-identical output, and
+    float re-verification of the exact passes stays within tolerance.  The
+    first run is `first` when given (run_suite passes its reported payload);
+    otherwise both runs are made here."""
     from .serialize import render_json
 
+    if first is None:
+        first = _payload(cap, seed, samples)
     deterministic = render_json(first) == render_json(_payload(cap, seed, samples))
 
     float_checks = _float_reverify(cap, tol)
@@ -469,16 +470,9 @@ def _determinism_float(first, cap, seed, samples, tol):
     }
 
 
-def criterion_11(cap=DEFAULT_CAP, seed=0, samples=200, tol=TOL_FLOAT_AGREE):
-    """Two identically configured runs render byte-identical output, and
-    float re-verification of the exact passes stays within tolerance.  Both
-    runs are made here; run_suite's reported payload is its first run."""
-    return _determinism_float(_payload(cap, seed, samples), cap, seed, samples, tol)
-
-
 def run_suite(cap=DEFAULT_CAP, seed=0, samples=200, tol=TOL_FLOAT_AGREE):
     """Run every criterion in order and aggregate; the reported payload is
     the first of criterion 11's two compared runs, checked against a rerun."""
     results = _payload(cap, seed, samples)
-    results.append(_determinism_float(results, cap, seed, samples, tol))
+    results.append(criterion_11(cap, seed, samples, tol, first=results))
     return {"criteria": results, "passed": all(r["passed"] for r in results)}

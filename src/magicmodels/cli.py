@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from . import serialize as sz
@@ -223,7 +223,7 @@ def _handle_dual_build(args, config):
                     "witnesses": []}
 
 
-def _parse_cyclic_input(payload, config):
+def _parse_cyclic_input(payload):
     if not isinstance(payload, dict):
         raise sz.BadInput("cyclic input must be an object")
     for fieldname in ("factors", "rep_generators", "auto_images", "k"):
@@ -243,7 +243,7 @@ def _parse_cyclic_input(payload, config):
 
 
 def _handle_cyclic_build(args, config):
-    data = _parse_cyclic_input(sz.load_json(args.input), config)
+    data = _parse_cyclic_input(sz.load_json(args.input))
     model = build_cyclic_model(data)
     artifact = sz.model_to_json(model)
     if config.out:
@@ -253,7 +253,7 @@ def _handle_cyclic_build(args, config):
 
 
 def _handle_cyclic_verify(args, config):
-    data = _parse_cyclic_input(sz.load_json(args.input), config)
+    data = _parse_cyclic_input(sz.load_json(args.input))
     model = build_cyclic_model(data)
     tol = _tol(config, model)
     checked = _maybe_float(model, config)
@@ -388,7 +388,8 @@ def dispatch(argv) -> int:
     report = {"command": args.command, "config": None}
     try:
         config = _config_from_args(args)
-        report["config"] = asdict(config)
+        report["config"] = ({f.name: getattr(config, f.name) for f in fields(config)}
+                            | {"inputs": dict(config.inputs)})
         status, body = HANDLERS[args.command](args, config)
     except (ModelInputError, Inconsistent) as exc:
         report.update(status="error", witnesses=[],

@@ -312,16 +312,18 @@ def evaluate_at_character(model: InducedModel, chi: CharacterOf):
 def frobenius_trace(data: VirtuallyAbelianData, chi: CharacterOf, g) -> Cyc:
     """Character of the induced representation at g, computed directly as the
     sum of chi over the representatives that conjugate g into the subgroup."""
-    fin, to_tuple, _ = data.char_structure()
-    if chi.group.factors != fin.factors:
+    if chi.group.factors != data.char_structure()[0].factors:
         raise ValueError("character does not match the subgroup structure")
+    return sum(map(chi.value, _conjugates_in_subgroup(data, g)), Cyc.from_rational(0))
+
+
+def _conjugates_in_subgroup(data: VirtuallyAbelianData, g) -> list:
+    """The conjugates x^-1 g x that lie in the subgroup, as arguments of its
+    characters, over the representatives x in order."""
+    _, to_tuple, _ = data.char_structure()
     mul, inv = data.gamma.mul, data.gamma.inv
-    total = Cyc.from_rational(0)
-    for x in data.reps:
-        t = mul(inv(x), mul(g, x))
-        if data.in_lambda(t):
-            total = total + chi.value(to_tuple[data.lam_key(t)])
-    return total
+    conjugates = (mul(inv(x), mul(g, x)) for x in data.reps)
+    return [to_tuple[data.lam_key(t)] for t in conjugates if data.in_lambda(t)]
 
 
 def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> CheckReport:
@@ -358,9 +360,11 @@ def check_stationarity(data: VirtuallyAbelianData, word_len: int = 4) -> CheckRe
         expected = Fraction(1) if g == ident else Fraction(0)
         agree = True
         if chars is not None:
+            # frobenius_trace for each character, conjugating g only once.
+            conjugates = _conjugates_in_subgroup(data, g)
             char_total = Cyc.from_rational(0)
             for chi in chars:
-                char_total = char_total + frobenius_trace(data, chi, g)
+                char_total = char_total + sum(map(chi.value, conjugates), Cyc.from_rational(0))
             agree = char_total * scale == value
             routes_agree = routes_agree and agree
         tested.append((label, value, expected, agree))

@@ -9,22 +9,19 @@ extracting the identity coefficient in a group algebra (dual reference).
 A reference is read as the state of its stationary model, a model whose
 state is the Haar state: a permutation group G as its permutation model over
 the points of G, and a group dual as its regular model at one point.  So
-both sides are the one weighted automaton of a model, whose state after a
-word is the list of its live points, each with its nonzero fiber product;
-no live point is the zero state.  An exact verdict is decided by automaton
-equivalence (shortest_difference).  The witnesses of a failing check, and
-every float verdict, come from one walk over the words of both automata at
-once.  A word's values, and those of all its extensions, depend only on the
-joint state it reaches: the live points of both models.  The products are
-hash-consed (each distinct stored form is kept once, and each product of a
-kept matrix by a fiber is taken once), each distinct joint state is stepped
-once per letter, and the differing suffixes of a joint state are listed once
-per remaining length, so words that reach one state share that work.
+both sides are the one weighted automaton of a model (_ModelWords), whose
+state after a word is the list of its live points, each with its nonzero
+fiber product, and the value they give; no live point is the zero state.
+Products and states are hash-consed, and each kept state is stepped once per
+letter, so words that reach one state share that work.  An exact verdict is
+decided by automaton equivalence (shortest_difference), which reads each
+pair of states once.  The witnesses of a failing check, and every float
+verdict, come from one walk over the words of both automata at once, which
+lists the differing suffixes of a pair of states once per remaining length.
 States merge only when products repeat exactly in their stored form, as
 0/1 and +-1 fibers do; float products that round differently on different
-words merge less, and the walk's tables are caches of bounded size.  Only
-the convolution square reads a table of the model state's values
-(StateOnWords).
+words merge less, and the tables are caches of bounded size.  Only the
+convolution square reads a table of the model state's values (StateOnWords).
 """
 from __future__ import annotations
 
@@ -375,42 +372,47 @@ _SHARED_MAX = 1 << 13
 
 
 class _ModelWords:
-    """The state of a model on words as a weighted automaton.  A state is the
-    tuple of its live (point, kept product) pairs, in point order: the points
-    at which the product of the fibers of the word read so far is nonzero,
-    each with that product.  The empty tuple is the zero state, and every
-    step leaves it empty.
+    """The state of a model on words as a weighted automaton.  A state is a
+    kept (serial, live, value, successors) tuple: live holds the (point, kept
+    product) pairs, in point order, of the points at which the product of the
+    fibers of the word read so far is nonzero; value is sum_x w_x ntrace over
+    them, added in point order; successors maps each letter stepped so far to
+    its state.  No live point is the zero state, and every step keeps it.
 
-    Matrices are hash-consed.  A kept matrix is a (serial, matrix, ntrace)
-    triple, one for each distinct stored form, fibers and products alike,
-    with its ntrace taken once; each distinct fiber object is looked up
-    once.  The product of a kept matrix by a fiber is taken once and
-    remembered by their serials, and a state's value is summed once, in
-    point order.  A state's key is hashable and equal for two states only if
-    they hold the same stored values, so that they give the same printed
-    values on every extension.  The three tables are emptied together when
-    one of them is full (_SHARED_MAX); a matrix kept after that gets a new
-    serial, so states are never merged across the emptying, only not
-    shared."""
+    Matrices and states are hash-consed.  A kept matrix is a (serial, matrix,
+    ntrace) triple, one for each distinct stored form, fibers and products
+    alike; each distinct fiber object is looked up once.  The product of a
+    kept matrix by a fiber is taken once, remembered by their serials.  A
+    state is kept once per tuple of its (point, matrix serial) pairs, so two
+    words reach one state object exactly when their products have the same
+    stored forms, and so the same printed values on every extension.  The
+    tables are emptied together when one is full (_SHARED_MAX).  What is kept
+    after that gets a new serial from the one counter, so states never merge
+    across an emptying; the states kept before it lose their successors and
+    gain none, so no state, start included, keeps the emptied part alive."""
 
     def __init__(self, model: FiberModel):
         self.weights = _point_weights(model)
         self.zero = 0 if model.mode == "exact" else 0j
         self._serials = itertools.count()
+        self._since = 0     # the first serial drawn since the last emptying
         self._kept = {}
         self._products = {}
-        self._values = {}
+        self._states = {}
         fiber = _once_per_object(lambda f: None if f.is_zero() else self._keep(f))
         self.fibers = {letter: tuple(map(fiber, model.entries[letter[0]][letter[1]]))
                        for letter in _letters(model.n)}
         one = self._keep(CMatrix.identity(model.dim, model.mode))
-        self.start = tuple((x, one) for x in range(model.n_points))
+        self.start = self._state(tuple((x, one) for x in range(model.n_points)))
 
     def _room(self, table: dict):
         if len(table) >= _SHARED_MAX:
+            for state in self._states.values():
+                state[3].clear()
             self._kept.clear()
             self._products.clear()
-            self._values.clear()
+            self._states.clear()
+            self._since = next(self._serials)
 
     def _keep(self, m: CMatrix) -> tuple:
         # A float matrix is looked up by its values, which hash fast.  Equal
@@ -428,44 +430,47 @@ class _ModelWords:
             kept = self._kept[key] = (next(self._serials), m, m.ntrace())
         return kept
 
-    def step(self, state, letter):
-        fibers = self.fibers[letter]
-        products = self._products
-        live = []
-        for x, a in state:
-            f = fibers[x]
-            if f is None:
-                continue
-            key = (a[0], f[0])
-            q = products.get(key, False)    # a product is a kept triple or None
-            if q is False:
-                q = a[1] * f[1]
-                q = None if q.is_zero() else self._keep(q)
-                self._room(products)
-                products[key] = q
-            if q is not None:
-                live.append((x, q))
-        return tuple(live)
+    def _state(self, live: tuple) -> tuple:
+        key = tuple([(x, a[0]) for x, a in live])
+        state = self._states.get(key)
+        if state is None:
+            value = _weighted_sum([self.weights[x] for x, _ in live],
+                                  [a[2] for _, a in live], self.zero)
+            self._room(self._states)
+            state = self._states[key] = (next(self._serials), live, value, {})
+        return state
 
-    def key(self, state) -> tuple:
-        return tuple([(x, a[0]) for x, a in state])
-
-    def value(self, state):
-        key = self.key(state)
-        v = self._values.get(key)
-        if v is None:
-            v = _weighted_sum([self.weights[x] for x, _ in state],
-                              [a[2] for _, a in state], self.zero)
-            self._room(self._values)
-            self._values[key] = v
-        return v
+    def step(self, state: tuple, letter) -> tuple:
+        """The kept state that the letter leads to from the state."""
+        nxt = state[3].get(letter)
+        if nxt is None:
+            fibers = self.fibers[letter]
+            products = self._products
+            live = []
+            for x, a in state[1]:
+                f = fibers[x]
+                if f is None:
+                    continue
+                key = (a[0], f[0])
+                q = products.get(key, False)    # a product is a kept triple or None
+                if q is False:
+                    q = a[1] * f[1]
+                    q = None if q.is_zero() else self._keep(q)
+                    self._room(products)
+                    products[key] = q
+                if q is not None:
+                    live.append((x, q))
+            nxt = self._state(tuple(live))
+            if state[0] >= self._since:
+                state[3][letter] = nxt
+        return nxt
 
     def coordinates(self, state, side) -> list:
         """The nonzero entries of the state's products, keyed by (side,
         point, row, column): each letter acts on them linearly, and the value
         is a linear function of them.  Two automata read together are given
         different sides, so that their keys never coincide."""
-        return [((side, x, r, c), v) for x, a in state
+        return [((side, x, r, c), v) for x, a in state[1]
                 for r, row in enumerate(a[1]._nonzero_rows()) for c, v in row]
 
 
@@ -522,7 +527,7 @@ def _word_table(words: _ModelWords, n: int, bound: int) -> dict:
     table = {}
 
     def rec(word, state):
-        table[word] = words.value(state)
+        table[word] = state[2]
         if len(word) < bound:
             for letter in letters:
                 rec(word + (letter,), words.step(state, letter))
@@ -574,17 +579,22 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
     Comput. 21).  Every word's vector is a combination of kept vectors of
     words no longer than it, so the states agree on every word if they agree
     on the kept words, and the first word on which they differ is a shortest
-    one."""
+    one.  A word that reaches a pair of states already read is skipped: an
+    earlier word had its values and vector, compared equal and spanned it."""
     if model.mode != "exact":
         raise ModeMismatch("the automaton search needs an exact model")
     ref = _ModelWords(_reference_model(reference, model.n))
     mod = _ModelWords(model)
     letters = _letters(model.n)
     basis = {}
+    read = set()
     queue = deque([((), mod.start, ref.start)])
     while queue:
         word, p, r = queue.popleft()
-        if not scalars_equal(mod.value(p), ref.value(r)):
+        if (p[0], r[0]) in read:
+            continue
+        read.add((p[0], r[0]))
+        if not scalars_equal(p[2], r[2]):
             return word
         vec = dict(mod.coordinates(p, 0) + ref.coordinates(r, 1))
         if _enlarges_span(basis, vec) and (max_len is None or len(word) < max_len):
@@ -600,58 +610,37 @@ def _differing_words(mod: _ModelWords, ref: _ModelWords, n: int, bound: int,
     order.
 
     Each word is read into both automata at once.  A word's values and those
-    of its extensions depend only on the joint state it reaches, so each
-    distinct joint state (keyed by the two states' keys) gets a serial, its
-    values are compared once, each letter steps it once, and its differing
-    suffixes are listed once per remaining length and shared by every word
-    that reaches it.  The suffixes of a leaf (no letters left) are its own
-    entry alone, and are not stored, so that the leaves, which are most of
-    the states, do not fill the tables.  The tables are emptied together
-    when one of them is full (_SHARED_MAX); a state met again after that
-    gets a new serial and is stepped again."""
+    of its extensions depend only on the pair of states it reaches, so the
+    differing suffixes of a pair are listed once per remaining length, under
+    the two states' serials, and shared by every word that reaches it.  A
+    child is compared in its parent's loop, so the leaves (no letters left),
+    which are most of the pairs, never fill the memo.  The memo is emptied
+    when it is full (_SHARED_MAX); a pair met after that is listed again."""
     letters = _letters(n)
-    serials = itertools.count()
-    ids = {}        # key -> (serial, model state, reference state, own entry if differing)
-    steps = {}
     memo = {}
 
-    def room(table):
-        if len(table) >= _SHARED_MAX:
-            ids.clear()
-            steps.clear()
-            memo.clear()
-
-    def joint(p, r):
-        key = (mod.key(p), ref.key(r))
-        state = ids.get(key)
-        if state is None:
-            a, b = mod.value(p), ref.value(r)
-            own = [] if scalars_equal(b, a, tol) else [((), a, b)]
-            room(ids)
-            state = ids[key] = (next(serials), p, r, own)
-        return state
-
-    def suffixes(state, left):
-        j, p, r, own = state
-        if not left:
-            return own
-        found = memo.get((j, left))
+    def suffixes(p, r, left):
+        """The nonempty differing suffixes of length at most left."""
+        key = (p[0], r[0], left)
+        found = memo.get(key)
         if found is None:
-            found = list(own)
+            found = []
             for letter in letters:
-                child = steps.get((j, letter))
-                if child is None:
-                    child = joint(mod.step(p, letter), ref.step(r, letter))
-                    room(steps)
-                    steps[j, letter] = child
-                found += [((letter,) + s, a, b) for s, a, b in suffixes(child, left - 1)]
-            room(memo)
-            memo[j, left] = found
+                p1, r1 = mod.step(p, letter), ref.step(r, letter)
+                if not scalars_equal(r1[2], p1[2], tol):
+                    found.append(((letter,), p1[2], r1[2]))
+                if left > 1:
+                    found += [((letter,) + w, a, b) for w, a, b in suffixes(p1, r1, left - 1)]
+            if len(memo) >= _SHARED_MAX:
+                memo.clear()
+            memo[key] = found
         return found
 
-    differing = list(suffixes(joint(mod.start, ref.start), bound))
-    differing.sort(key=lambda found: (len(found[0]), found[0]))
-    return differing
+    p, r = mod.start, ref.start
+    differing = [] if scalars_equal(r[2], p[2], tol) else [((), p[2], r[2])]
+    if bound:
+        differing += suffixes(p, r, bound)
+    return sorted(differing, key=lambda found: (len(found[0]), found[0]))
 
 
 def stationarity_check(reference, model: FiberModel, word_len: int = 3,
@@ -667,13 +656,13 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     and the automaton's word must be one of them, as long as the first (or,
     past the bound, the walk must find none); any other outcome raises
     Inconsistent.  A float model is compared by the walk alone, since a rank
-    decision under a tolerance is no proof.  Words that reach one joint
-    state share its products, its comparison and its differing suffixes.
-    When the model's products repeat exactly in their stored form (0/1 and
-    +-1 fibers do), the walk's work grows with the distinct joint states
-    times the letters and the bound, not with the words.  Float products
-    that round differently on different words merge fewer states, and the
-    work then tends to one step per word, in memory bounded by _SHARED_MAX.
+    decision under a tolerance is no proof.  Words that reach one pair of
+    states share its steps and its differing suffixes.  When the model's
+    products repeat exactly in their stored form (0/1 and +-1 fibers do), the
+    walk's work grows with the distinct pairs of states times the letters
+    and the bound, not with the words.  Float products that round
+    differently on different words merge fewer states, and the work then
+    tends to one step per word, in memory bounded by _SHARED_MAX.
 
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
@@ -804,14 +793,14 @@ def regular_rep(group) -> dict:
 
 
 def dual_group_stationarity(group, rep, tol=None) -> CheckReport:
-    """ntrace of the representing matrix must be the delta at the identity,
-    for every group element."""
+    """ntrace of the representing matrix rep[g] must be the delta at the
+    identity, for every group element g."""
     witnesses = []
     checked = 0
     for g in group.elements:
         checked += 1
         expected = 1 if g == group.identity else 0
-        value = rep(g).ntrace() if callable(rep) else rep[g].ntrace()
+        value = rep[g].ntrace()
         if not scalars_equal(value, expected, tol):
             witnesses.append({"element": str(g), "value": str(value),
                               "expected": expected})

@@ -1,6 +1,8 @@
 """Magic-unitary models: construction, verification, states, and flatness."""
 import hashlib
 import itertools
+import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -35,7 +37,7 @@ from magicmodels.magic import (
     stationarity_check,
     verify_magic,
 )
-from magicmodels.matrices import CMatrix, scalars_equal, spectral_projection
+from magicmodels.matrices import CMatrix, _enlarges_span, scalars_equal, spectral_projection
 from magicmodels.quasiflat import classical_model_from_family, latin_family_search
 from magicmodels.serialize import check_to_json, render_json
 
@@ -885,9 +887,132 @@ def test_walk_that_empties_its_tables_matches_the_plain_walk(d4_s4_models, monke
             m = m.to_float()
         found += assert_shared_walk_matches_plain(reference, m, 3, tol)
         mod = magic._ModelWords(m)
+        memo_sizes = walk_memo_sizes(mod)
         magic._differing_words(mod, reference_words(reference, m.n), m.n, 3, tol)
-        assert max(len(mod._kept), len(mod._products), len(mod._values)) <= 4
+        assert max(len(mod._kept), len(mod._products), len(mod._states)) <= 4
+        assert memo_sizes and max(memo_sizes) <= 4
+        # The start state was kept before an emptying, so it holds no
+        # successor that would keep the emptied states alive.
+        assert mod._since > mod.start[0] and not mod.start[3]
     assert found
+
+
+def walk_memo_sizes(mod):
+    """The size of the walk's memo at each step of mod, read from the frame
+    of the _differing_words call that makes the step."""
+    sizes = []
+    step = mod.step
+
+    def spy(state, letter):
+        sizes.append(len(sys._getframe(1).f_locals["memo"]))
+        return step(state, letter)
+
+    mod.step = spy
+    return sizes
+
+
+# -- one state object per distinct content, and the span search over pairs ---
+
+def plain_live_forms(model, word):
+    """The (point, stored form) pairs of the word's nonzero fiber products,
+    multiplied out on their own."""
+    forms = []
+    for x in range(model.n_points):
+        p = CMatrix.identity(model.dim, model.mode)
+        for i, j in word:
+            f = model.entries[i][j][x]
+            p = None if p is None or f.is_zero() else p * f
+            p = None if p is None or p.is_zero() else p
+        if p is not None:
+            forms.append((x, magic._stored_form(p)))
+    return tuple(forms)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_words_with_equal_stored_products_reach_one_state(d4_s4_models, monkeypatch, mode):
+    """Two words reach the identical state object exactly when their fiber
+    products have equal stored forms at the same points, and the product
+    loop of a state runs once per letter, however many words step it."""
+    group, model = d4_s4_models[0]
+    model = model if mode == "exact" else model.to_float()
+    mod = magic._ModelWords(model)
+    loops = []
+    intern = mod._state
+    monkeypatch.setattr(mod, "_state", lambda live: loops.append(live) or intern(live))
+    states = {(): mod.start}
+    stepped = set()
+    for word in words_up_to(model.n, 3)[1:]:
+        before = states[word[:-1]]
+        stepped.add((id(before), word[-1]))
+        states[word] = mod.step(before, word[-1])
+        assert mod.step(before, word[-1]) is states[word]
+    assert len(loops) == len(stepped) < len(states) - 1
+    by_form = {}
+    for word, state in states.items():
+        by_form.setdefault(plain_live_forms(model, word), set()).add(id(state))
+        assert state[2] == magic._weighted_sum(
+            [magic._point_weights(model)[x] for x, _ in state[1]],
+            [a[2] for _, a in state[1]], mod.zero)
+    assert all(len(ids) == 1 for ids in by_form.values())
+    assert len(set.union(*by_form.values())) == len(by_form) > 1
+
+
+def span_search_reading_every_word(reference, model, max_len=None):
+    """shortest_difference as it was before pairs of states were told apart:
+    every word popped is compared and its vector reduced, even when an
+    earlier word reached the same pair of states."""
+    ref = reference_words(reference, model.n)
+    mod = magic._ModelWords(model)
+    basis = {}
+    queue = deque([((), mod.start, ref.start)])
+    while queue:
+        word, p, r = queue.popleft()
+        if not scalars_equal(p[2], r[2]):
+            return word
+        vec = dict(mod.coordinates(p, 0) + ref.coordinates(r, 1))
+        if _enlarges_span(basis, vec) and (max_len is None or len(word) < max_len):
+            for letter in itertools.product(range(model.n), repeat=2):
+                queue.append((word + (letter,), mod.step(p, letter), ref.step(r, letter)))
+    return None
+
+
+def span_search_cases(d4_s4_models):
+    for group, model in d4_s4_models:
+        yield f"{group.order} family", group, model
+        for x in range(model.n_points):
+            yield f"{group.order} fiber {x}", group, single_fiber(model, x)
+    blocks = {"Z2xZ2": block_model_and_reference([2, 2]), "Z4": block_model_and_reference([4]),
+              "Z2xZ3": block_model_and_reference([2, 3])}
+    for name, (model, _) in blocks.items():
+        for other, (_, ref) in blocks.items():
+            if ref.n == model.n:
+                yield f"{name} model, {other} reference", ref, model
+
+
+def test_span_search_skipping_pairs_finds_the_word_of_the_full_search(d4_s4_models,
+                                                                      monkeypatch):
+    """The search reads each pair of states once and returns the same
+    shortest word, or None, as the search that reads every word."""
+    read = []
+    coordinates = magic._ModelWords.coordinates
+    monkeypatch.setattr(magic._ModelWords, "coordinates",
+                        lambda self, state, side: read.append((side, state[0]))
+                        or coordinates(self, state, side))
+    outcomes = set()
+    skipped = 0
+    for label, reference, model in span_search_cases(d4_s4_models):
+        for max_len in (None, 1, 2, 3, 4):
+            read.clear()
+            want = span_search_reading_every_word(reference, model, max_len)
+            every_word = len(read)
+            read.clear()
+            got = shortest_difference(reference, model, max_len)
+            assert got == want, (label, max_len)
+            pairs = list(zip(read[::2], read[1::2]))
+            assert len(set(pairs)) == len(pairs), (label, max_len)
+            skipped += every_word - len(read)
+            outcomes.add(got is None)
+    assert outcomes == {True, False} and skipped > 0
 
 
 # -- one object per distinct fiber against fresh copies ----------------------
