@@ -7,11 +7,11 @@ is available for cross-checking.
 """
 from .cyclotomic import Cyc, cyc, zeta
 from .errors import (
-    BadSetting, CapExceeded, DegreeMismatch, DivisionByZero, FreePartPresent,
-    Inconsistent, InvalidAutomorphism, InvalidFamily, MagicModelsError,
-    ModeMismatch, ModelInputError, NotBijective, NotFiniteOrder, NotInGroup,
-    NotNormal, NotQuasiTransitive, NotRepresentation, NotSubgroup,
-    NotUnitary, NotWellDefined, ShapeMismatch,
+    BadArgument, BadSetting, CapExceeded, DegreeMismatch, DivisionByZero,
+    FreePartPresent, Inconsistent, InvalidAutomorphism, InvalidFamily,
+    MagicModelsError, ModeMismatch, ModelInputError, NotBijective,
+    NotFiniteOrder, NotInGroup, NotNormal, NotQuasiTransitive,
+    NotRepresentation, NotSubgroup, NotUnitary, NotWellDefined, ShapeMismatch,
 )
 from .groups import (
     AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,

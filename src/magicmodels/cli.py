@@ -35,6 +35,10 @@ EXIT_CODES = {"pass": 0, "fail": 1, "no-family": 1, "error": 2}
 # A cyclic model holds one dense K x K fiber per entry and point.
 _CYCLIC_K_MAX = 64
 
+# A dual-build model is n x n for n the total of the block sizes, and a block
+# of size K takes K powers and K Fourier sums of K terms per entry.
+_DUAL_N_MAX = 64
+
 # A stationarity check counts (n^2)^m words of each length m up to the bound,
 # and a failing check may list most of them.
 _WORD_LEN_MAX = 64
@@ -207,6 +211,8 @@ def _parse_dual_input(payload):
     if not (isinstance(sizes, list) and sizes
             and all(sz._is_int(s) and s >= 1 for s in sizes)):
         raise sz.BadInput("sizes must be a nonempty list of positive integers")
+    if sum(sizes) > _DUAL_N_MAX:
+        raise sz.BadInput(f"sizes must total at most {_DUAL_N_MAX}")
     if not isinstance(payload["generators"], list):
         raise sz.BadInput("generators must be a list of matrices")
     gens = [sz.matrix_from_json(m) for m in payload["generators"]]

@@ -10,6 +10,7 @@ __all__ = [
     "MagicModelsError",
     "ModelInputError",
     "BadSetting",
+    "BadArgument",
     "CapExceeded",
     "DegreeMismatch",
     "NotSubgroup",
@@ -42,6 +43,11 @@ class ModelInputError(MagicModelsError):
 class BadSetting(ModelInputError, ValueError):
     """A run setting (mode, tolerance, word length, cap or seed) is out of
     range."""
+
+
+class BadArgument(ModelInputError, ValueError):
+    """A numeric argument of a library call (a matrix power, an order or a
+    block size) is out of range."""
 
 
 class CapExceeded(ModelInputError):

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
+    BadArgument,
     Inconsistent,
     ModeMismatch,
     NotFiniteOrder,
@@ -239,7 +240,7 @@ def orbits_from_source(source, tol=None) -> OrbitStructure:
         return OrbitStructure(_joined_blocks(n, joined), "model", lower_bound=True)
     sizes = [int(s) for s in source]
     if any(s < 1 for s in sizes):
-        raise ValueError("block sizes must be positive")
+        raise BadArgument("block sizes must be positive")
     blocks, at = [], 1
     for s in sizes:
         blocks.append(tuple(range(at, at + s)))
@@ -816,7 +817,7 @@ def bichon_build(sizes, generator_matrices, tol=None) -> FiberModel:
     if len(sizes) != len(generator_matrices):
         raise ShapeMismatch("need one generator per block size")
     if any(k < 1 for k in sizes):
-        raise ValueError("block sizes must be positive")
+        raise BadArgument("block sizes must be positive")
     mats = list(generator_matrices)
     dim = mats[0].rows
     mode = mats[0].mode

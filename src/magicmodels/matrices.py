@@ -15,6 +15,13 @@ form, and the terms of an exact sum may be added in any order, so every entry
 equals, in type, order, numerators and denominator, what adding the Cyc terms
 one by one gives.  Every other product adds the terms one by one.
 
+The spectral layer reads a unitary U with U^K = 1 through Fourier sums
+(1/K) sum_b zeta_K^(-ab) x_b over its powers: entrywise over U^b for the
+projection onto the zeta_K^a eigenspace, and over the traces Tr U^b for the
+multiplicity of zeta_K^a.  In exact mode each such sum is one integer vector
+(_fourier_entry), for the same reason as the product kernel; in float mode
+the terms are added one by one.  Exact unitarity is one product, U U* = 1.
+
 Exact linear algebra has one row-echelon routine, _enlarges_span: it keeps a
 sparse reduced row-echelon basis and tells whether a new sparse vector
 enlarges its span.  Rational rows are primitive integer vectors, each with
@@ -30,6 +37,7 @@ from math import gcd, lcm
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
+    BadArgument,
     Inconsistent,
     ModeMismatch,
     NotFiniteOrder,
@@ -331,7 +339,7 @@ class CMatrix:
         if self.rows != self.cols:
             raise ShapeMismatch("powers need a square matrix")
         if k < 0:
-            raise ValueError("negative powers are not supported")
+            raise BadArgument("negative powers are not supported")
         result = CMatrix.identity(self.rows, self.mode)
         base = self
         while k:
@@ -421,10 +429,16 @@ class CMatrix:
         return self.is_self_adjoint(tol) and (self * self).close_to(self, tol)
 
     def is_unitary(self, tol=None) -> bool:
+        """U U* = 1 and U* U = 1 for a square U.  In exact mode U U* = 1
+        alone decides it, since over a field a one-sided inverse of a square
+        matrix is two-sided; in float mode both products are tested within
+        the tolerance."""
         if self.rows != self.cols:
             return False
         adj = self.adjoint()
-        return (self * adj).is_identity(tol) and (adj * self).is_identity(tol)
+        if not (self * adj).is_identity(tol):
+            return False
+        return self.mode == "exact" or (adj * self).is_identity(tol)
 
     def max_abs(self) -> float:
         return max(abs(complex(x)) for row in self.data for x in row)
@@ -538,18 +552,60 @@ def _check_square_order(u: CMatrix, k: int):
     if u.rows != u.cols:
         raise ShapeMismatch("need a square matrix")
     if k < 1:
-        raise ValueError("order must be positive")
+        raise BadArgument("order must be positive")
+
+
+def _fourier_entry(xs, a: int) -> Cyc:
+    """(1/K) sum_b zeta_K^(-ab) x_b for the K exact scalars x_b (int,
+    Fraction or Cyc), as one integer vector.  The result has order N, the lcm
+    of K and of the order of every Cyc among the x_b (zero or not): each x_b's
+    numerators are lifted to order N, shifted by (-ab mod K) N/K and scaled to
+    the lcm of the denominators, and Cyc._of normalises the sum over that lcm
+    times K.  At a fixed order (num, den) is canonical, so the result equals,
+    in order, numerators and denominator, what adding the terms
+    zeta_K^(-ab) * x_b as Cyc values one by one and scaling by 1/K gives."""
+    k = len(xs)
+    n, den = k, 1
+    for x in xs:
+        if type(x) is not int:
+            if isinstance(x, Cyc):
+                n, den = lcm(n, x.order), lcm(den, x.den)
+            else:
+                den = lcm(den, x.denominator)
+    step = n // k
+    v = [0] * n
+    for b, x in enumerate(xs):
+        s = (-a * b) % k * step
+        if type(x) is int:
+            if x:
+                v[s] += x * den
+            continue
+        if isinstance(x, Cyc):
+            lift, f = n // x.order, den // x.den
+            for i, c in enumerate(x.num):
+                if c:
+                    t = (i * lift + s) % n
+                    v[t] += c * f
+        else:
+            v[s] += x.numerator * (den // x.denominator)
+    return Cyc._of(n, tuple(v), den * k)
 
 
 def _fourier_sum(powers: list, a: int) -> CMatrix:
     """(1/K) sum_b zeta_K^(-ab) U^b from the powers U^0, ..., U^(K-1): the
-    projection onto the zeta_K^a eigenspace of a unitary with U^K = 1."""
+    projection onto the zeta_K^a eigenspace of a unitary with U^K = 1.  In
+    exact mode each entry is one _fourier_entry over the K powers; in float
+    mode the K scaled powers are added one by one."""
     k = len(powers)
     n, mode = powers[0].rows, powers[0].mode
+    if mode == "exact":
+        return CMatrix._of("exact", tuple(
+            tuple(_fourier_entry(xs, a) for xs in zip(*[p.data[i] for p in powers]))
+            for i in range(n)))
     acc = CMatrix.zeros(n, n, mode)
     for b, power in enumerate(powers):
         acc = acc + power.scale(zeta(k, (-a * b) % k))
-    return acc.scale(Fraction(1, k) if mode == "exact" else 1.0 / k)
+    return acc.scale(1.0 / k)
 
 
 def spectral_projection(u: CMatrix, k: int, a: int, tol=None) -> CMatrix:
@@ -573,11 +629,7 @@ def _traces_and_multiplicities(powers: list, tol=None) -> tuple:
     mults = []
     for a in range(k):
         if mode == "exact":
-            total = Cyc.from_rational(0)
-            for b, t in enumerate(traces):
-                total = total + zeta(k, (-a * b) % k) * t
-            total = total * Fraction(1, k)
-            m = total.as_int() if isinstance(total, Cyc) else None
+            m = _fourier_entry(traces, a).as_int()
             if m is None:
                 raise Inconsistent("spectral multiplicity is not an integer")
         else:

@@ -10,7 +10,7 @@ import pytest
 
 import magicmodels
 from magicmodels import cli, serialize as sz
-from magicmodels.cli import _CYCLIC_K_MAX, _WORD_LEN_MAX, dispatch
+from magicmodels.cli import _CYCLIC_K_MAX, _DUAL_N_MAX, _WORD_LEN_MAX, dispatch
 from magicmodels.cyclotomic import zeta
 from magicmodels.groups import Perm, PermGroup
 from magicmodels.magic import single_fiber
@@ -250,7 +250,7 @@ def test_cyclic_build_and_verify(files, capsys, tmp_path):
                               files["cyclic_d5"], "--out", out)
     assert code == 0
     assert report["k"] == 2 and report["dim"] == 2
-    stored = json.loads(open(out).read())
+    stored = json.loads(Path(out).read_text())
     assert stored == report["model"]
     code2, rep2, _ = run_cli(capsys, "cyclic-verify", "--input",
                              files["cyclic_d5"])
@@ -274,7 +274,7 @@ def test_latin_search_family_and_no_family(files, capsys, tmp_path):
                               "--out", out)
     assert code == 0
     assert report["family"]["size"] == 3
-    assert json.loads(open(out).read())["family"] == report["family"]
+    assert json.loads(Path(out).read_text())["family"] == report["family"]
     code2, rep2, _ = run_cli(capsys, "latin-search", "--group",
                              files["klein6"])
     assert code2 == 1
@@ -441,6 +441,10 @@ def _fuzz_model(entry):
             '"entries": [[{"mode": "float", "rows": [[%s]]}]]}]}' % entry)
 
 
+def _dual_sizes_payload(sizes):
+    return json.dumps({"sizes": sizes, "generators": [{"rows": [["1"]]}] * len(sizes)})
+
+
 def _cyclic_k_payload(k):
     return ('{"factors": [1], "rep_generators": [{"rows": [["1"]]}], '
             '"auto_images": [[0]], "k": %d}' % k)
@@ -486,6 +490,7 @@ FUZZ_PAYLOADS = [
     ("cyclic-verify", "--input", _cyclic_k_payload(_CYCLIC_K_MAX + 1)),
     # A huge k stops at the fiber shape check, before any work.
     ("dual-flat-check", "--input", '{"k": 1000000000, "generators": [[{"rows": [["1"]]}]]}'),
+    ("dual-build", "--input", _dual_sizes_payload([_DUAL_N_MAX - 1, 2])),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -590,8 +595,8 @@ FUZZ_PAYLOADS += [argv for argv in ERROR_CONTRACT.values() if len(argv) == 3]
 def _raise_library_only(name):
     """Raise a ModelInputError class that no command can raise: the CLI
     builds only finite permutation data, extends swaps only over the group
-    the marked set generates, and marks or searches families inside the
-    group."""
+    the marked set generates, marks or searches families inside the group,
+    and checks every order and block size before the library sees it."""
     from magicmodels.groups import extend_automorphism
     from magicmodels.induced import VirtuallyAbelianData
     from magicmodels.quasiflat import uniform_check
@@ -604,9 +609,11 @@ def _raise_library_only(name):
         VirtuallyAbelianData.split(1, [], z2, [[[-1]]]).char_structure()
     elif name == "InvalidFamily":
         uniform_check(z3, [t12])
+    elif name == "BadArgument":
+        CMatrix.identity(2).power(-1)
 
 
-LIBRARY_ONLY_ERRORS = ("NotInGroup", "FreePartPresent", "InvalidFamily")
+LIBRARY_ONLY_ERRORS = ("NotInGroup", "FreePartPresent", "InvalidFamily", "BadArgument")
 
 
 def _input_error_classes():
@@ -648,6 +655,21 @@ def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
     assert code == 2
     assert report["error"] == {"type": "BadInput",
                                "message": f"k must be at most {_CYCLIC_K_MAX}"}
+    assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("sizes", [[_DUAL_N_MAX + 1], [_DUAL_N_MAX - 1, 2]])
+def test_dual_sizes_above_the_bound_are_input_error(capsys, tmp_path, monkeypatch, sizes):
+    def refuse(*args):
+        raise AssertionError("bichon_build ran")
+
+    monkeypatch.setattr(cli, "bichon_build", refuse)
+    path = tmp_path / "dual.json"
+    path.write_text(_dual_sizes_payload(sizes))
+    code, report, cap = run_cli(capsys, "dual-build", "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "BadInput",
+                               "message": f"sizes must total at most {_DUAL_N_MAX}"}
     assert "Traceback" not in cap.err
 
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from magicmodels import magic
 from magicmodels.cyclotomic import Cyc, cyc, zeta
 from magicmodels.errors import (
-    ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
+    BadArgument, Inconsistent, ModeMismatch, NotFiniteOrder, NotUnitary, ShapeMismatch,
 )
 from magicmodels.matrices import (
-    EPS, CMatrix, _enlarges_span, scalar_is_zero, scalars_equal,
-    spectral_multiplicities, spectral_projection,
+    EPS, CMatrix, _enlarges_span, _fourier_sum, _traces_and_multiplicities,
+    scalar_is_zero, scalars_equal, spectral_multiplicities, spectral_projection,
 )
 from magicmodels.quasiflat import classical_model_from_family, latin_family_search
 from magicmodels.serialize import model_from_json, model_to_json
@@ -659,3 +659,208 @@ def test_enlarges_span_keeps_integer_rows_on_a_model_read_from_json(d4, monkeypa
     basis = bases[-1]
     assert basis and all(b is basis for b in bases)
     assert all(type(x) is int for row in basis.values() for x in row.values())
+
+
+# -- exact Fourier sums and unitarity against the term-by-term routes ----------
+
+def loop_fourier_sum(powers, a):
+    """(1/K) sum_b zeta_K^(-ab) U^b as it is summed without the integer
+    vectors: the K scaled powers added one by one as Cyc values."""
+    k = len(powers)
+    n = powers[0].rows
+    acc = CMatrix.zeros(n, n)
+    for b, power in enumerate(powers):
+        acc = acc + power.scale(zeta(k, (-a * b) % k))
+    return acc.scale(Fraction(1, k))
+
+
+def loop_multiplicities(traces):
+    """The exact multiplicities from the power traces, one Cyc term at a
+    time, with the checks of the spectral layer."""
+    k = len(traces)
+    mults = []
+    for a in range(k):
+        total = Cyc.from_rational(0)
+        for b, t in enumerate(traces):
+            total = total + zeta(k, (-a * b) % k) * t
+        m = (total * Fraction(1, k)).as_int()
+        if m is None:
+            raise Inconsistent("spectral multiplicity is not an integer")
+        if m < 0:
+            raise Inconsistent("negative spectral multiplicity")
+        mults.append(m)
+    if sum(mults) != traces[0]:
+        raise Inconsistent("spectral multiplicities do not sum to the dimension")
+    return tuple(mults)
+
+
+def assert_fourier_sums_match_loop(powers):
+    for a in range(len(powers)):
+        got = _fourier_sum(powers, a)
+        assert got.mode == "exact"
+        assert stored_keys(got.data) == stored_keys(loop_fourier_sum(powers, a).data)
+
+
+def _fourier_scalar(rng, orders):
+    pick = rng.randrange(6)
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return rng.randint(-3, 3)
+    if pick == 2:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    if pick == 3:
+        return rng.choice(UNREDUCED_ZEROS + [Cyc.from_rational(0)])
+    order = rng.choice(orders)
+    return Cyc(order, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                       if rng.random() < 0.5 else 0 for _ in range(order)])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exact_fourier_sum_matches_the_cyc_loop(k):
+    rng = random.Random(f"fourier:{k}")
+    dividing = [d for d in range(1, k + 1) if k % d == 0]
+    for orders in (dividing, [3, 4, 5, 6, 12]):
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            assert_fourier_sums_match_loop([CMatrix.exact(
+                [[_fourier_scalar(rng, orders) for _ in range(n)] for _ in range(n)])
+                for _ in range(k)])
+
+
+def test_exact_fourier_sum_edge_cases():
+    f = Fraction
+    cases = [
+        [CMatrix.zeros(2, 2)] * 3,                                  # all int zeros
+        [CMatrix.exact([[Cyc(3, (1, 1, 1))]])] * 2,                 # zero in the field only
+        [CMatrix.exact([[0]]), CMatrix.exact([[Cyc(5, (0,) * 5)]])],  # a stored zero of order 5
+        [CMatrix.exact([[f(1, 2), 3], [0, f(-5, 4)]])],              # K = 1, rationals
+        [CMatrix.exact([[zeta(12, 5)]])],                           # K = 1, a Cyc
+        [CMatrix.exact([[f(1, 3), zeta(4)], [Cyc.from_rational(f(-2, 5)), 0]]),
+         CMatrix.exact([[zeta(6), f(3, 7)], [1, Cyc(3, (1, 1, 1))]]),
+         CMatrix.exact([[0, 0], [zeta(8, 3), f(1, 6)]])],           # N = 24 > K = 3
+    ]
+    for powers in cases:
+        assert_fourier_sums_match_loop(powers)
+
+
+def test_fourier_sum_on_spectral_power_tables_matches_the_cyc_loop():
+    d = CMatrix.diagonal([zeta(3), zeta(3, 2), 1])
+    for u, k in ((shift(4), 4), (shift(6), 6), (d, 3), (d, 6), (shift(5) * shift(5), 5)):
+        powers = [u.power(b) for b in range(k)]
+        assert_fourier_sums_match_loop(powers)
+
+
+def test_float_fourier_sum_keeps_its_bits():
+    u = shift(5).to_float()
+    powers = [u.power(b) for b in range(5)]
+    for a in range(5):
+        acc = CMatrix.zeros(5, 5, "float")
+        for b, power in enumerate(powers):
+            acc = acc + power.scale(zeta(5, (-a * b) % 5))
+        assert _fourier_sum(powers, a).data == acc.scale(1.0 / 5).data
+
+
+@pytest.mark.parametrize("traces", [
+    [3, 0, 0], [4, 0, 0, 0], [3, -1, -1], [2, zeta(4) + zeta(4, 3), 0, 0],
+    [3, zeta(3) + 2, zeta(3, 2) + 2], [1, zeta(6)], [2, Fraction(1, 2)],
+    [2, 5], [1, 3], [1, 1, 1], [2, zeta(3)], [4, Cyc(3, (1, 1, 1)), 0, 0],
+    [Fraction(3), Cyc.from_rational(-1), zeta(12, 4) + zeta(12, 8)],
+])
+def test_exact_multiplicities_match_the_cyc_loop(traces):
+    n = traces[0]
+    powers = [CMatrix.diagonal([t] + [0] * (int(n) - 1)) for t in traces]
+    try:
+        expected = loop_multiplicities(traces)
+    except Inconsistent as exc:
+        with pytest.raises(Inconsistent, match=f"^{exc}$"):
+            _traces_and_multiplicities(powers)
+    else:
+        assert _traces_and_multiplicities(powers) == (tuple(traces), expected)
+
+
+def test_exact_multiplicities_refuse_a_fractional_one():
+    powers = [CMatrix.exact([[1]]), CMatrix.exact([[Fraction(1, 2)]])]
+    with pytest.raises(Inconsistent, match="not an integer"):
+        _traces_and_multiplicities(powers)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts CMatrix products by mode."""
+    calls = []
+    real = CMatrix.__mul__
+
+    def spy(a, b):
+        calls.append(a.mode)
+        return real(a, b)
+
+    monkeypatch.setattr(CMatrix, "__mul__", spy)
+    return calls
+
+
+def two_product_unitary(m, tol=None):
+    if m.rows != m.cols:
+        return False
+    adj = m.adjoint()
+    return (m * adj).is_identity(tol) and (adj * m).is_identity(tol)
+
+
+def _unitary_cases():
+    f = Fraction
+    r2 = (zeta(8) + zeta(8, 7)) * f(1, 2)  # 1/sqrt(2)
+    rng = random.Random("unitary")
+    out = [
+        shift(5), CMatrix.identity(3), CMatrix.diagonal([zeta(3), zeta(3, 2)]),
+        CMatrix.exact([[f(3, 5), f(4, 5)], [f(-4, 5), f(3, 5)]]),
+        CMatrix.exact([[r2, r2], [r2, -r2]]),
+        CMatrix.exact([[1, 1], [0, 1]]), CMatrix.diagonal([2, 1]),
+        CMatrix.exact([[f(3, 5), f(4, 5)], [f(4, 5), f(3, 5)]]),
+        CMatrix.exact([[r2, r2], [r2, r2]]), CMatrix.zeros(2, 2),
+        CMatrix.exact([[1, 0]]), CMatrix.exact([[1], [0]]), CMatrix.exact([[zeta(4), 0, 1]]),
+    ]
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = CMatrix.exact([[zeta(6, rng.randrange(6)) if perm[i] == j else 0
+                            for j in range(n)] for i in range(n)])
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            m = m + CMatrix.exact([[f(1, 3) if (r, c) == (i, j) else 0 for c in range(n)]
+                                   for r in range(n)])
+        out.append(m)
+    return out
+
+
+def test_exact_unitarity_is_the_two_product_test_with_one_product(products):
+    verdicts = []
+    for m in _unitary_cases():
+        expected = two_product_unitary(m)
+        products.clear()
+        assert m.is_unitary() is expected
+        assert products == (["exact"] if m.rows == m.cols else [])
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_float_unitarity_keeps_both_products(products):
+    for m in _unitary_cases():
+        fm = m.to_float()
+        for tol in (None, 1e-12, 0.2):
+            expected = two_product_unitary(fm, tol)
+            products.clear()
+            assert fm.is_unitary(tol) is expected
+            if m.rows == m.cols and expected:
+                assert products == ["float", "float"]
+
+
+def test_out_of_range_arguments_are_input_errors():
+    u = shift(3)
+    for call in (lambda: u.power(-1), lambda: spectral_projection(u, 0, 0),
+                 lambda: spectral_multiplicities(u, 0),
+                 lambda: magic.bichon_build([0], [u]),
+                 lambda: magic.orbits_from_source([2, 0])):
+        with pytest.raises(BadArgument) as info:
+            call()
+        assert isinstance(info.value, ValueError)
