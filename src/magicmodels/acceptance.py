@@ -196,7 +196,7 @@ def _circulant_blocks(model, sizes):
     return True
 
 
-def criterion_5(cap=DEFAULT_CAP):
+def criterion_5():
     """Spectral-projection block models over regular representations are
     magic, circulant within blocks, and reproduce the dual Haar state."""
     cases = []
@@ -227,7 +227,7 @@ def _d5_data():
     return CyclicModelData(z5, rep, AutoMap.from_function(z5, z5.inv), 2)
 
 
-def criterion_6(cap=DEFAULT_CAP):
+def criterion_6():
     """The order-two twisted model over the five-cycle passes the relation
     checks and is stationary for the full twisted product."""
     data = _d5_data()
@@ -272,7 +272,7 @@ def _random_conjugate(rng, eigs):
                               for j in range(k)] for i in range(k)])
 
 
-def criterion_7(seed=0, samples=200, cap=DEFAULT_CAP):
+def criterion_7(seed=0, samples=200):
     """Trace-vector flatness agrees with multiplicity-one spectra on every
     diagonal pattern (exact) and on seeded random conjugates Q D Q* (float),
     Q Haar-distributed as the Gram-Schmidt factor of a complex Gaussian matrix
@@ -347,7 +347,7 @@ def _cyclic_models():
     return [("K1", one), ("K2", _d5_data()), ("K3", three)]
 
 
-def criterion_9(cap=DEFAULT_CAP):
+def criterion_9():
     """Diagonal twist symmetry holds for every built cyclic model and fails
     for the two-block dual model."""
     cases = []
@@ -357,7 +357,7 @@ def criterion_9(cap=DEFAULT_CAP):
                       "symmetric": verify_k_symmetry(model).passed})
     z2 = FinAbelian([2])
     magic2 = bichon_build([2], [regular_rep(z2)[(1,)]])
-    counter = verify_k_symmetry(magic2, 2)
+    counter = verify_k_symmetry(magic2)
     ok = all(c["symmetric"] for c in cases) and not counter.passed
     return {"criterion": 9, "name": "k-symmetry", "passed": ok,
             "details": {"cases": cases, "dual_model_symmetric": counter.passed}}
@@ -396,11 +396,11 @@ def _payload(cap=DEFAULT_CAP, seed=0, samples=200):
         criterion_2(cap),
         criterion_3(cap),
         criterion_4(cap),
-        criterion_5(cap),
-        criterion_6(cap),
-        criterion_7(seed=seed, samples=samples, cap=cap),
+        criterion_5(),
+        criterion_6(),
+        criterion_7(seed=seed, samples=samples),
         criterion_8(cap),
-        criterion_9(cap),
+        criterion_9(),
         criterion_10(cap),
     ]
 
@@ -425,7 +425,7 @@ def _float_reverify(cap, tol):
 
     d5 = build_cyclic_model(_d5_data()).to_float()
     checks.append(("K2 relations", verify_half_liberation(d5, tol).passed))
-    checks.append(("K2 symmetry", verify_k_symmetry(d5, 2, tol).passed))
+    checks.append(("K2 symmetry", verify_k_symmetry(d5, tol).passed))
 
     for label, group in [("Z4", _pg(4, [(1, 2, 3, 4)], cap=cap))]:
         q, _ = fixed_point_matrix(group)

@@ -264,7 +264,7 @@ def _handle_cyclic_verify(args, config):
     tol = _tol(config, model)
     checked = _maybe_float(model, config)
     reports = [verify_half_liberation(checked, tol),
-               verify_k_symmetry(checked, data.k, tol)]
+               verify_k_symmetry(checked, tol)]
     if model.mode == "exact":
         reports.append(semidirect_stationarity(data))
     witnesses = []

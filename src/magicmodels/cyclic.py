@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .cyclotomic import zeta
 from .errors import (
+    BadArgument,
     Inconsistent,
     InvalidAutomorphism,
     ModeMismatch,
@@ -59,7 +60,7 @@ def cycle_fill(xs):
     xs = list(xs)
     k = len(xs)
     if k < 1:
-        raise ValueError("need at least one element")
+        raise BadArgument("need at least one element")
     if isinstance(xs[0], CMatrix):
         d, mode = xs[0].rows, xs[0].mode
         for x in xs:
@@ -85,7 +86,7 @@ class CyclicModelData:
 
     def __init__(self, group, rep: dict, auto: AutoMap, k: int):
         if k < 1:
-            raise ValueError("K must be positive")
+            raise BadArgument("K must be positive")
         powers = [AutoMap.identity(group)]
         step = auto
         while not step.is_identity() and len(powers) < k:
@@ -331,15 +332,11 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
                        tuple(witnesses))
 
 
-def verify_k_symmetry(model: FiberModel, k: int | None = None,
-                      tol=None) -> CheckReport:
-    """Conjugation by diag(1, zeta_K, ..., zeta_K^(K-1)) must multiply every
-    fiber of every entry by zeta_K.  Each fiber object is tested once; every
-    entry it fills is counted and reported."""
-    if k is None:
-        k = model.dim
-    if k != model.dim:
-        raise ShapeMismatch("fiber dimension does not match K")
+def verify_k_symmetry(model: FiberModel, tol=None) -> CheckReport:
+    """Conjugation by diag(1, zeta_K, ..., zeta_K^(K-1)), K the fiber
+    dimension, must multiply every fiber of every entry by zeta_K.  Each fiber
+    object is tested once; every entry it fills is counted and reported."""
+    k = model.dim
     dmat = CMatrix(model.mode,
                    [[zeta(k, r) if r == c else 0 for c in range(k)]
                     for r in range(k)])

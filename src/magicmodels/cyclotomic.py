@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DivisionByZero
+from .errors import BadArgument, DivisionByZero
 
 __all__ = ["Cyc", "cyclotomic_poly", "zeta", "cyc"]
 
@@ -62,7 +62,7 @@ def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise BadArgument("order must be positive")
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
@@ -96,9 +96,9 @@ class Cyc:
     def __init__(self, order: int, coeffs):
         coeffs = [_coerce(c) for c in coeffs]
         if order < 1:
-            raise ValueError("order must be positive")
+            raise BadArgument("order must be positive")
         if len(coeffs) != order:
-            raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
+            raise BadArgument(f"expected {order} coefficients, got {len(coeffs)}")
         # The least common denominator leaves no common factor to remove.
         den = lcm(*[c.denominator for c in coeffs])
         num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
@@ -151,7 +151,7 @@ class Cyc:
         if order == self.order:
             return self
         if order % self.order:
-            raise ValueError("can only lift to a multiple of the order")
+            raise BadArgument("can only lift to a multiple of the order")
         step = order // self.order
         num = [0] * order
         for a, c in enumerate(self.num):

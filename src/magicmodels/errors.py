@@ -46,8 +46,9 @@ class BadSetting(ModelInputError, ValueError):
 
 
 class BadArgument(ModelInputError, ValueError):
-    """A numeric argument of a library call (a matrix power, an order or a
-    block size) is out of range."""
+    """An argument of a library call is out of range or malformed: a matrix
+    power, an order, a block size, a factor, a permutation, a table or a
+    count that does not fit the data."""
 
 
 class CapExceeded(ModelInputError):

@@ -14,6 +14,7 @@ from math import gcd, lcm, prod
 
 from .cyclotomic import Cyc, zeta
 from .errors import (
+    BadArgument,
     CapExceeded,
     DegreeMismatch,
     NotBijective,
@@ -54,7 +55,7 @@ class Perm:
         images = tuple(int(x) for x in images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
+            raise BadArgument(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -147,7 +148,7 @@ def generate(generators, degree: int | None = None, cap: int = DEFAULT_CAP):
     generators = list(generators)
     if degree is None:
         if not generators:
-            raise ValueError("need a degree when there are no generators")
+            raise BadArgument("need a degree when there are no generators")
         degree = generators[0].degree
     for g in generators:
         if g.degree != degree:
@@ -188,7 +189,7 @@ class PermGroup:
                         cap: int = DEFAULT_CAP) -> "PermGroup":
         generators = [g if isinstance(g, Perm) else Perm(g) for g in generators]
         if degree is None and not generators:
-            raise ValueError("need a degree when there are no generators")
+            raise BadArgument("need a degree when there are no generators")
         deg = degree if degree is not None else generators[0].degree
         elements, words = generate(generators, deg, cap)
         return cls(deg, generators, elements, words)
@@ -264,9 +265,9 @@ class TableGroup:
         n = len(self.table)
         for row in self.table:
             if len(row) != n:
-                raise ValueError("table is not square")
+                raise BadArgument("table is not square")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
-            raise ValueError("element 0 is not the identity")
+            raise BadArgument("element 0 is not the identity")
         self.elements = tuple(range(n))
         inv = [None] * n
         for a in range(n):
@@ -274,7 +275,7 @@ class TableGroup:
                 if self.table[a][b] == 0:
                     inv[a] = b
         if any(v is None for v in inv):
-            raise ValueError("table has no inverses")
+            raise BadArgument("table has no inverses")
         self._inv = tuple(inv)
 
     @classmethod
@@ -330,7 +331,7 @@ class FinAbelian:
     def __init__(self, factors):
         self.factors = tuple(int(d) for d in factors)
         if any(d < 1 for d in self.factors):
-            raise ValueError("factors must be positive")
+            raise BadArgument("factors must be positive")
         self.elements = tuple(itertools.product(*(range(d) for d in self.factors)))
 
     @property
@@ -379,7 +380,7 @@ class CharacterOf:
 
     def __post_init__(self):
         if len(self.exponents) != len(self.group.factors):
-            raise ValueError("exponent tuple has the wrong length")
+            raise BadArgument("exponent tuple has the wrong length")
 
     @property
     def modulus(self) -> int:
@@ -420,7 +421,7 @@ def extend_generator_map(group, generator_images, target_mul, target_identity):
     The group must expose .elements, .words, .generators and .mul; raises
     NotWellDefined if the assignment does not extend to a homomorphism."""
     if len(generator_images) != len(group.generators):
-        raise ValueError("need one image per generator")
+        raise BadArgument("need one image per generator")
     mapping = {}
     for element, word in zip(group.elements, group.words):
         value = target_identity
@@ -580,7 +581,7 @@ def abelian_structure(group):
     for a in table.elements:
         for b in table.elements:
             if table.mul(a, b) != table.mul(b, a):
-                raise ValueError("group is not abelian")
+                raise BadArgument("group is not abelian")
     basis = _abelian_basis(table)
     factors = tuple(order for _, order in basis)
     fin = FinAbelian(factors)

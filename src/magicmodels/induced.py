@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .errors import (
+    BadArgument,
     FreePartPresent,
     Inconsistent,
     InvalidAutomorphism,
@@ -54,11 +55,11 @@ class AbelianWithFreePart:
 
     def __init__(self, free_rank: int, factors):
         if free_rank < 0:
-            raise ValueError("free rank cannot be negative")
+            raise BadArgument("free rank cannot be negative")
         self.free_rank = free_rank
         self.factors = tuple(int(d) for d in factors)
         if any(d < 1 for d in self.factors):
-            raise ValueError("factors must be positive")
+            raise BadArgument("factors must be positive")
         self.rank = free_rank + len(self.factors)
 
     @property
@@ -68,7 +69,7 @@ class AbelianWithFreePart:
     def normalize(self, vec):
         vec = tuple(vec)
         if len(vec) != self.rank:
-            raise ValueError("wrong coordinate count")
+            raise BadArgument("wrong coordinate count")
         head = vec[: self.free_rank]
         tail = tuple(x % d for x, d in zip(vec[self.free_rank:], self.factors))
         return head + tail
@@ -119,7 +120,7 @@ class _IntMatrixAction:
         m = tuple(tuple(int(x) for x in row) for row in m)
         n = self.lam.rank
         if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError(f"action matrices must be {n}x{n}")
+            raise BadArgument(f"action matrices must be {n}x{n}")
         free = self.lam.free_rank
         for j, d in enumerate(self.lam.factors):
             col = free + j
@@ -300,7 +301,7 @@ def evaluate_at_character(model: InducedModel, chi: CharacterOf):
 
     fin, to_tuple, _ = model.data.char_structure()
     if chi.group.factors != fin.factors:
-        raise ValueError("character does not match the subgroup structure")
+        raise BadArgument("character does not match the subgroup structure")
     rows = []
     for y, t in zip(model.columns, model.labels):
         row = [Cyc.from_rational(0)] * model.size
@@ -313,7 +314,7 @@ def frobenius_trace(data: VirtuallyAbelianData, chi: CharacterOf, g) -> Cyc:
     """Character of the induced representation at g, computed directly as the
     sum of chi over the representatives that conjugate g into the subgroup."""
     if chi.group.factors != data.char_structure()[0].factors:
-        raise ValueError("character does not match the subgroup structure")
+        raise BadArgument("character does not match the subgroup structure")
     return sum(map(chi.value, _conjugates_in_subgroup(data, g)), Cyc.from_rational(0))
 
 

@@ -12,16 +12,18 @@ the points of G, and a group dual as its regular model at one point.  So
 both sides are the one weighted automaton of a model (_ModelWords), whose
 state after a word is the list of its live points, each with its nonzero
 fiber product, and the value they give; no live point is the zero state.
-Products and states are hash-consed, and each kept state is stepped once per
-letter, so words that reach one state share that work.  An exact verdict is
-decided by automaton equivalence (shortest_difference), which reads each
-pair of states once.  The witnesses of a failing check, and every float
-verdict, come from one walk over the words of both automata at once, which
-lists the differing suffixes of a pair of states once per remaining length.
-States merge only when products repeat exactly in their stored form, as
-0/1 and +-1 fibers do; float products that round differently on different
-words merge less, and the tables are caches of bounded size.  Only the
-convolution square reads a table of the model state's values (StateOnWords).
+Products and states are hash-consed, and each kept state is stepped once
+per letter, so words that reach one state share that work.  A check builds
+its two automata once.  An exact verdict is decided by automaton equivalence
+(shortest_difference), which reads each pair of states once.  The witnesses
+of a failing check, and every float verdict, come from one walk over the
+words of the same two automata, which lists the differing suffixes of a
+pair of states, and compares the pair's own values, once per remaining
+length.  States merge only when products repeat exactly in their stored
+form, as 0/1 and +-1 fibers do; float products that round differently on
+different words merge less, and the tables are caches of bounded size.
+Only the convolution square reads a table of the model state's values
+(StateOnWords).
 """
 from __future__ import annotations
 
@@ -585,8 +587,12 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
     if model.mode != "exact":
         raise ModeMismatch("the automaton search needs an exact model")
     ref = _ModelWords(_reference_model(reference, model.n))
-    mod = _ModelWords(model)
-    letters = _letters(model.n)
+    return _first_difference(_ModelWords(model), ref, model.n, max_len)
+
+
+def _first_difference(mod: _ModelWords, ref: _ModelWords, n: int, max_len=None):
+    """The span search of shortest_difference over two built automata."""
+    letters = _letters(n)
     basis = {}
     read = set()
     queue = deque([((), mod.start, ref.start)])
@@ -612,36 +618,31 @@ def _differing_words(mod: _ModelWords, ref: _ModelWords, n: int, bound: int,
 
     Each word is read into both automata at once.  A word's values and those
     of its extensions depend only on the pair of states it reaches, so the
-    differing suffixes of a pair are listed once per remaining length, under
-    the two states' serials, and shared by every word that reaches it.  A
-    child is compared in its parent's loop, so the leaves (no letters left),
-    which are most of the pairs, never fill the memo.  The memo is emptied
-    when it is full (_SHARED_MAX); a pair met after that is listed again."""
+    differing suffixes of a pair, the empty one included, are listed once per
+    remaining length, under the two states' serials, and shared by every word
+    that reaches it; a pair compares its own values once per listing.  The
+    memo is emptied when it is full (_SHARED_MAX); a pair met after that is
+    listed again."""
     letters = _letters(n)
     memo = {}
 
     def suffixes(p, r, left):
-        """The nonempty differing suffixes of length at most left."""
+        """The differing suffixes of length at most left."""
         key = (p[0], r[0], left)
         found = memo.get(key)
         if found is None:
-            found = []
-            for letter in letters:
-                p1, r1 = mod.step(p, letter), ref.step(r, letter)
-                if not scalars_equal(r1[2], p1[2], tol):
-                    found.append(((letter,), p1[2], r1[2]))
-                if left > 1:
-                    found += [((letter,) + w, a, b) for w, a, b in suffixes(p1, r1, left - 1)]
+            found = [] if scalars_equal(r[2], p[2], tol) else [((), p[2], r[2])]
+            if left:
+                for letter in letters:
+                    found += [((letter,) + w, a, b) for w, a, b in
+                              suffixes(mod.step(p, letter), ref.step(r, letter), left - 1)]
             if len(memo) >= _SHARED_MAX:
                 memo.clear()
             memo[key] = found
         return found
 
-    p, r = mod.start, ref.start
-    differing = [] if scalars_equal(r[2], p[2], tol) else [((), p[2], r[2])]
-    if bound:
-        differing += suffixes(p, r, bound)
-    return sorted(differing, key=lambda found: (len(found[0]), found[0]))
+    return sorted(suffixes(mod.start, ref.start, bound),
+                  key=lambda found: (len(found[0]), found[0]))
 
 
 def stationarity_check(reference, model: FiberModel, word_len: int = 3,
@@ -649,16 +650,18 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     """Compare the model state with the reference Haar state on every word up
     to the bound; checked counts every such word.  The reference is a
     classical permutation group or a DualWordReference, read as the state of
-    its stationary model, which is built once.
+    its stationary model.  The model's automaton and the reference's are
+    built once, and the span search and the walk read the same two.
 
-    An exact model is decided by shortest_difference up to the bound.  When
-    the states agree, the report passes and no word is read.  Otherwise the
-    joint walk of _differing_words lists the witnesses in length-major order,
-    and the automaton's word must be one of them, as long as the first (or,
-    past the bound, the walk must find none); any other outcome raises
-    Inconsistent.  A float model is compared by the walk alone, since a rank
-    decision under a tolerance is no proof.  Words that reach one pair of
-    states share its steps and its differing suffixes.  When the model's
+    An exact model is decided by the span search of shortest_difference up
+    to the bound.  When the states agree, the report passes and no word is
+    read.  Otherwise the joint walk of _differing_words lists the witnesses
+    in length-major order, and the automaton's word must be one of them, as
+    long as the first (or, past the bound, the walk must find none); any
+    other outcome raises Inconsistent.  A float model is compared by the
+    walk alone, since a rank decision under a tolerance is no proof.  Words
+    that reach one pair of states share its steps, its differing suffixes
+    and the comparison of its values.  When the model's
     products repeat exactly in their stored form (0/1 and +-1 fibers do), the
     walk's work grows with the distinct pairs of states times the letters
     and the bound, not with the words.  Float products that round
@@ -670,14 +673,14 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     rank-one property of in-block entries is forced; that implication is
     re-checked, its verdict is details["single_point_flatness"], and a
     violation raises Inconsistent."""
-    ref = _reference_model(reference, model.n)
+    ref = _ModelWords(_reference_model(reference, model.n))
+    mod = _ModelWords(model)
     exact = model.mode == "exact"
-    shortest = shortest_difference(ref, model, word_len) if exact else None
+    shortest = _first_difference(mod, ref, model.n, word_len) if exact else None
     checked = sum((model.n * model.n) ** m for m in range(word_len + 1))
     differing = []
     if not exact or shortest is not None:
-        differing = _differing_words(_ModelWords(model), _ModelWords(ref), model.n,
-                                     word_len, tol)
+        differing = _differing_words(mod, ref, model.n, word_len, tol)
         failing = [word for word, _, _ in differing]
         if shortest is not None and (
                 bool(failing) != (len(shortest) <= word_len)
@@ -750,22 +753,20 @@ def convolution_idempotency(state: StateOnWords, tol=None) -> CheckReport:
 
 
 def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
-    """The matrix of integrated coordinates: Q_ij = integral of u_ij.  Must
+    """The matrix of integrated coordinates: Q_ij = integral of u_ij, read
+    off a model, or off the permutation model of a permutation group.  Must
     always be an orthogonal projection fixing the all-ones vector."""
     if isinstance(source, PermGroup):
-        n = source.degree
-        rows = [[haar_word_classical(source, [(i + 1, j + 1)]) for j in range(n)]
-                for i in range(n)]
-        q = CMatrix.exact(rows)
-    elif isinstance(source, FiberModel):
-        n = source.n
-        weights = _point_weights(source)
-        rows = [[_weighted_sum(weights, [f.ntrace() for f in source.entries[i][j]])
-                 for j in range(n)]
-                for i in range(n)]
-        q = CMatrix(source.mode, rows)
-    else:
+        source = _reference_model(source, source.degree)
+    if not isinstance(source, FiberModel):
         raise TypeError("source must be a PermGroup or FiberModel")
+    n = source.n
+    weights = _point_weights(source)
+    ntrace = _once_per_object(CMatrix.ntrace)
+    rows = [[_weighted_sum(weights, list(map(ntrace, source.entries[i][j])))
+             for j in range(n)]
+            for i in range(n)]
+    q = CMatrix(source.mode, rows)
     witnesses = []
     if not q.is_projection(tol):
         witnesses.append({"kind": "not_projection"})

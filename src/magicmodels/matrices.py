@@ -140,7 +140,7 @@ class CMatrix:
 
     def __init__(self, mode: str, data):
         if mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise BadArgument(f"unknown mode {mode!r}")
         rows = tuple(tuple(r) for r in data)
         if not rows or not rows[0]:
             raise ShapeMismatch("matrices must have at least one row and column")

@@ -153,8 +153,6 @@ def matrix_from_json(v) -> CMatrix:
                 raise BadInput("matrix entries do not match the declared mode")
     try:
         return CMatrix(mode, data)
-    except ModelInputError:
-        raise
     except ValueError as exc:
         raise BadInput(str(exc)) from exc
 
@@ -170,8 +168,6 @@ def perm_from_json(v) -> Perm:
             "permutation must be a list of 1-based images")
     try:
         return Perm(tuple(v))
-    except ModelInputError:
-        raise
     except ValueError as exc:
         raise BadInput(str(exc)) from exc
 

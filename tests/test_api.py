@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import magicmodels
+from magicmodels.groups import Perm, PermGroup
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(magicmodels.__path__))
 
@@ -111,3 +112,78 @@ def test_package_runs_without_numpy():
         "print(result['details']['float_checked'])\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "25\n"
+
+
+def _z4_in_d4():
+    """The data of Z4 normal in D4 and the induced model of its reflection."""
+    from magicmodels.induced import VirtuallyAbelianData, induce
+    d4 = PermGroup.from_generators([Perm.from_cycles(4, [(1, 2, 3, 4)]),
+                                    Perm.from_cycles(4, [(1, 3)])])
+    z4 = d4.subgroup([Perm.from_cycles(4, [(1, 2, 3, 4)])])
+    data = VirtuallyAbelianData.from_permutation_groups(d4, z4)
+    reflection = Perm.from_cycles(4, [(1, 3)])
+    return data, induce(data, reflection), reflection
+
+
+def _z2():
+    return PermGroup.from_generators([Perm([2, 1])])
+
+
+# Every check of a caller's argument outside a run setting: (module, the
+# call, the message).
+BAD_ARGUMENTS = [
+    ("cyclic", lambda m: m.cycle_fill([]), "need at least one element"),
+    ("cyclic", lambda m: m.CyclicModelData(None, {}, None, 0), "K must be positive"),
+    ("cyclotomic", lambda m: m.cyclotomic_poly(0), "order must be positive"),
+    ("cyclotomic", lambda m: m.Cyc(0, ()), "order must be positive"),
+    ("cyclotomic", lambda m: m.Cyc(2, [1]), "expected 2 coefficients, got 1"),
+    ("cyclotomic", lambda m: m.zeta(3).lift(4), "can only lift to a multiple of the order"),
+    ("groups", lambda m: m.Perm((1, 1)), "not a permutation of 1..2: (1, 1)"),
+    ("groups", lambda m: m.generate([]), "need a degree when there are no generators"),
+    ("groups", lambda m: m.PermGroup.from_generators([]),
+     "need a degree when there are no generators"),
+    ("groups", lambda m: m.TableGroup([[0, 1], [1]]), "table is not square"),
+    ("groups", lambda m: m.TableGroup([[1, 0], [0, 1]]), "element 0 is not the identity"),
+    ("groups", lambda m: m.TableGroup([[0, 1], [1, 1]]), "table has no inverses"),
+    ("groups", lambda m: m.FinAbelian([0]), "factors must be positive"),
+    ("groups", lambda m: m.CharacterOf(m.FinAbelian([2]), (1, 1)),
+     "exponent tuple has the wrong length"),
+    ("groups", lambda m: m.extend_generator_map(_z2(), [], None, None),
+     "need one image per generator"),
+    ("groups", lambda m: m.abelian_structure(PermGroup.from_generators(
+        [Perm([2, 1, 3]), Perm([2, 3, 1])])), "group is not abelian"),
+    ("induced", lambda m: m.AbelianWithFreePart(-1, []), "free rank cannot be negative"),
+    ("induced", lambda m: m.AbelianWithFreePart(0, [0]), "factors must be positive"),
+    ("induced", lambda m: m.AbelianWithFreePart(0, [2]).normalize((0, 0)),
+     "wrong coordinate count"),
+    ("induced", lambda m: m.VirtuallyAbelianData.split(1, [], _z2(), [[[1, 0]]]),
+     "action matrices must be 1x1"),
+    ("induced", lambda m: m.evaluate_at_character(
+        _z4_in_d4()[1], m.CharacterOf(m.FinAbelian([2]), (1,))),
+     "character does not match the subgroup structure"),
+    ("induced", lambda m: m.frobenius_trace(
+        _z4_in_d4()[0], m.CharacterOf(m.FinAbelian([2]), (1,)), _z4_in_d4()[2]),
+     "character does not match the subgroup structure"),
+    ("matrices", lambda m: m.CMatrix("bogus", [[1]]), "unknown mode 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("module, call, message", BAD_ARGUMENTS,
+                         ids=[f"{m}-{msg}" for m, _, msg in BAD_ARGUMENTS])
+def test_bad_library_arguments_raise_bad_argument(module, call, message):
+    """A bad argument raises BadArgument, which is still a ValueError, with
+    its message."""
+    with pytest.raises(magicmodels.BadArgument) as info:
+        call(importlib.import_module(f"magicmodels.{module}"))
+    assert type(info.value) is magicmodels.BadArgument
+    assert isinstance(info.value, ValueError) and str(info.value) == message
+
+
+def test_no_bare_value_error_is_raised():
+    """Every input error of the library is a ModelInputError."""
+    for path in Path(magicmodels.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raised = [node.exc.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and isinstance(node.exc.func, ast.Name)]
+        assert "ValueError" not in raised, path.name

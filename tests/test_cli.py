@@ -516,6 +516,9 @@ BAD_INTEGER_PAYLOADS = [
     ("orbits", "--group", '{"generators": [[]]}'),
 ]
 FUZZ_PAYLOADS += BAD_INTEGER_PAYLOADS
+# A list of images that is no permutation: Perm raises BadArgument, and the
+# reader reports it as BadInput.
+FUZZ_PAYLOADS.append(("orbits", "--group", '{"generators": [[1, 1]]}'))
 
 # Run settings out of range on a valid input: (command, flag, file text,
 # setting flag, value).  Each must be BadSetting.
@@ -544,6 +547,15 @@ def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
             assert report["error"]["type"] == "BadInput", argv
         if settings:
             assert report["error"]["type"] == "BadSetting", argv
+
+
+def test_a_group_file_that_is_no_permutation_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text('{"generators": [[1, 1]]}')
+    code, report, _ = run_cli(capsys, "orbits", "--group", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "BadInput",
+                               "message": "not a permutation of 1..2: (1, 1)"}
 
 
 _S3 = '{"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}'

@@ -439,9 +439,10 @@ def test_k_symmetry_matches_the_legacy_loop(check_model, mode):
     tol = None
     if mode == "float":
         model, tol = model.to_float(), 1e-9
-    report = verify_k_symmetry(model, k, tol)
+    assert k == model.dim
+    report = verify_k_symmetry(model, tol)
     assert report == _legacy_verify_k_symmetry(model, k, tol)
-    assert verify_k_symmetry(_unshared(model), k, tol) == report
+    assert verify_k_symmetry(_unshared(model), tol) == report
     assert report.passed == (name not in ("block", "noncommuting"))
 
 

@@ -621,7 +621,7 @@ def test_automaton_and_tables_disagreeing_raise(d4_s4_models, monkeypatch, plant
     witness of length 2) and on a passing model, raises Inconsistent."""
     group, model = d4_s4_models[0]
     ident = single_fiber(model, list(group.elements).index(group.identity))
-    monkeypatch.setattr(magic, "shortest_difference", lambda *args: planted)
+    monkeypatch.setattr(magic, "_first_difference", lambda *args: planted)
     for m in (ident, model):
         with pytest.raises(Inconsistent, match="automaton search and the word tables"):
             stationarity_check(group, m, word_len=3)
@@ -1010,6 +1010,138 @@ def test_span_search_skipping_pairs_finds_the_word_of_the_full_search(d4_s4_mode
             skipped += every_word - len(read)
             outcomes.add(got is None)
     assert outcomes == {True, False} and skipped > 0
+
+
+# -- one reading per pair of states and per check ------------------------------
+
+def differing_words_compared_in_the_parent(mod, ref, n, bound, tol=None):
+    """_differing_words as it was when the root was compared before the walk
+    and every child in its parent's loop, once per edge, so that the leaves
+    never entered the memo."""
+    letters = [(i, j) for i in range(n) for j in range(n)]
+    memo = {}
+
+    def suffixes(p, r, left):
+        key = (p[0], r[0], left)
+        found = memo.get(key)
+        if found is None:
+            found = []
+            for letter in letters:
+                p1, r1 = mod.step(p, letter), ref.step(r, letter)
+                if not scalars_equal(r1[2], p1[2], tol):
+                    found.append(((letter,), p1[2], r1[2]))
+                if left > 1:
+                    found += [((letter,) + w, a, b) for w, a, b in suffixes(p1, r1, left - 1)]
+            if len(memo) >= magic._SHARED_MAX:
+                memo.clear()
+            memo[key] = found
+        return found
+
+    p, r = mod.start, ref.start
+    differing = [] if scalars_equal(r[2], p[2], tol) else [((), p[2], r[2])]
+    if bound:
+        differing += suffixes(p, r, bound)
+    return sorted(differing, key=lambda found: (len(found[0]), found[0]))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_walk_comparing_each_pair_once_lists_the_words_of_the_parent_loop(
+        d4_s4_models, monkeypatch, mode):
+    """The same words, values and value types as the walk that compared each
+    child in its parent's loop: up to length 4 with the tables at their size
+    (3 on the single S4 fibers, which take seconds at 4), and up to length 2
+    with room for four entries, so that the memo and the automata's tables
+    are emptied again and again."""
+    tol = None if mode == "exact" else 1e-9
+    cases = list(span_search_cases(d4_s4_models))
+    found = 0
+    for room, longest in ((magic._SHARED_MAX, 4), (4, 2)):
+        monkeypatch.setattr(magic, "_SHARED_MAX", room)
+        for label, reference, model in cases:
+            if tol is not None:
+                model = model.to_float()
+            top = 3 if room > 4 and label.startswith("24 fiber") else longest
+            for bound in range(top + 1):
+                walks = [walk(magic._ModelWords(model), reference_words(reference, model.n),
+                              model.n, bound, tol)
+                         for walk in (magic._differing_words,
+                                      differing_words_compared_in_the_parent)]
+                got, want = ([(w, type(a), str(a), type(b), str(b)) for w, a, b in words]
+                             for words in walks)
+                assert got == want, (label, room, bound)
+                found += len(got)
+    assert found
+
+
+def test_walk_compares_each_pair_once_per_memo_key(d4_s4_models, monkeypatch):
+    """A float check compares the values of a pair of states once per
+    (model state, reference state, letters left), where comparing each child
+    in its parent's loop took one comparison per edge: 2,114 on the D4 and S4
+    family models at length 3."""
+    keys = []
+    compare = magic.scalars_equal
+
+    def spy(a, b, tol=None):
+        keys.append(sys._getframe(1).f_locals["key"])
+        return compare(a, b, tol)
+
+    monkeypatch.setattr(magic, "scalars_equal", spy)
+    for group, model in d4_s4_models:
+        keys.clear()
+        assert stationarity_check(group, model.to_float(), 3, tol=1e-9).passed
+        assert 0 < len(keys) == len(set(keys))
+        assert {left for _, _, left in keys} == {0, 1, 2, 3}
+
+
+def test_failing_exact_check_builds_its_two_automata_once(d4_s4_models, monkeypatch):
+    """The span search and the walk read one model automaton and one
+    reference automaton, so the check takes no product that the walk alone
+    would not take."""
+    group, model = d4_s4_models[0]
+    ident = single_fiber(model, list(group.elements).index(group.identity))
+    built, products = [], []
+    init, mul = magic._ModelWords.__init__, CMatrix.__mul__
+    monkeypatch.setattr(magic._ModelWords, "__init__",
+                        lambda self, m: built.append(m) or init(self, m))
+    monkeypatch.setattr(CMatrix, "__mul__",
+                        lambda self, other: products.append(1) or mul(self, other))
+    report = stationarity_check(group, ident, word_len=3)
+    assert len(report.witnesses) == 448
+    assert built[1] is ident and len(built) == 2
+    check_products = len(products)
+    products.clear()
+    magic._differing_words(magic._ModelWords(ident), reference_words(group, ident.n),
+                           ident.n, 3)
+    assert check_products == len(products) > 0
+
+
+def fixed_point_matrix_by_enumeration(group, tol=None):
+    """fixed_point_matrix of a permutation group as it read when each entry
+    counted the group elements: Q_ij = |{g : g(j) = i}| / |G|."""
+    n = group.degree
+    q = CMatrix.exact([[haar_word_classical(group, [(i + 1, j + 1)]) for j in range(n)]
+                       for i in range(n)])
+    witnesses = []
+    if not q.is_projection(tol):
+        witnesses.append({"kind": "not_projection"})
+    ones = CMatrix(q.mode, [[1]] * q.rows)
+    if not (q * ones).close_to(ones, tol):
+        witnesses.append({"kind": "ones_not_fixed"})
+    return q, magic.CheckReport("fixed_point_matrix", not witnesses, 2, tuple(witnesses))
+
+
+@pytest.mark.parametrize("group", [
+    pg(4, [(1, 2, 3, 4)]), pg(4, [(1, 2, 3, 4)], [(1, 3)]), pg(4, [(1, 2)], [(1, 2, 3, 4)]),
+    pg(6, [(1, 2), (3, 4)], [(1, 2), (5, 6)]), pg(5, [(1, 2)], [(1, 2, 3, 4, 5)]),
+    pg(6, [(1, 2), (3, 4), (5, 6)]),
+], ids=["Z4", "D4", "S4", "V4 in S6", "S5", "Z2 in S6"])
+def test_fixed_point_matrix_of_a_group_reads_its_permutation_model(group):
+    q, report = fixed_point_matrix(group)
+    want_q, want_report = fixed_point_matrix_by_enumeration(group)
+    assert q.mode == want_q.mode == "exact"
+    assert [(type(x), repr(x)) for row in q.data for x in row] == \
+        [(type(x), repr(x)) for row in want_q.data for x in row]
+    assert report == want_report
 
 
 # -- one object per distinct fiber against fresh copies ----------------------
