@@ -22,11 +22,12 @@ pair of states, and compares the pair's own values, once per remaining
 length.  States merge only when products repeat exactly in their stored
 form, as 0/1 and +-1 fibers do; float products that round differently on
 different words merge less, and the tables are caches of bounded size.
-Only the convolution square reads a table of the model state's values
-(StateOnWords).
+The convolution square is again such an automaton, over pairs of model
+states (_SquareWords), read by the same walk; no check builds a word table.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -477,6 +478,53 @@ class _ModelWords:
                 for r, row in enumerate(a[1]._nonzero_rows()) for c, v in row]
 
 
+class _SquareWords:
+    """The convolution square of a model's state, Delta(u_ij) = sum_k u_ik (x)
+    u_kj, as a weighted automaton over the model automaton's states.  A state
+    is a kept (serial, pairs, value) tuple: pairs maps the serials of each
+    pair (p, q) of model states that (i_1 k_1) ... (i_m k_m) and (k_1 j_1)
+    ... (k_m j_m) reach, over the middle tuples k, to (p, q, count), in the
+    order that increasing k first reach them; value is sum count v(p) v(q),
+    added in that order.  Pairs with the zero state, which every letter
+    keeps, are left out.  A state is kept once per set of (pair serials,
+    count), under a serial of the square's own, in a table emptied at
+    _SHARED_MAX states; it stores no successors, as the walk's memo shares
+    its suffixes."""
+
+    def __init__(self, words: _ModelWords, n: int):
+        self.words = words
+        self.n = n
+        self._serials = itertools.count()
+        self._states = {}
+        s = words.start
+        self.start = self._state({(s[0], s[0]): (s, s, 1)})
+
+    def _state(self, pairs: dict) -> tuple:
+        key = frozenset([(serials, c) for serials, (_, _, c) in pairs.items()])
+        state = self._states.get(key)
+        if state is None:
+            value = _weighted_sum([c for _, _, c in pairs.values()],
+                                  [p[2] * q[2] for p, q, _ in pairs.values()],
+                                  self.words.zero)
+            if len(self._states) >= _SHARED_MAX:
+                self._states.clear()
+            state = self._states[key] = (next(self._serials), pairs, value)
+        return state
+
+    def step(self, state: tuple, letter) -> tuple:
+        """The kept state that the letter leads to from the state."""
+        i, j = letter
+        step = self.words.step
+        pairs = {}
+        for p, q, c in state[1].values():
+            for k in range(self.n):
+                a, b = step(p, (i, k)), step(q, (k, j))
+                if a[1] and b[1]:
+                    hit = pairs.get((a[0], b[0]))
+                    pairs[(a[0], b[0])] = (a, b, c if hit is None else hit[2] + c)
+        return self._state(pairs)
+
+
 def _regular_matrix(group, coeffs: dict) -> CMatrix:
     """The left regular matrix of sum_g coeffs[g] [g] in the group's element
     order: entry [gh][h] is the coefficient of g, stored as given."""
@@ -496,8 +544,7 @@ def _reference_model(reference, n: int) -> FiberModel:
     fibers [g(j) = i], one shared object for 1 and one for 0.  A
     DualWordReference gives its regular model at one point, whose fiber at
     (i, j) is the left regular matrix of the coordinate; the normalised trace
-    of a regular matrix is its identity coefficient.  An exact model is
-    taken as it is."""
+    of a regular matrix is its identity coefficient."""
     if isinstance(reference, PermGroup):
         if reference.degree != n:
             raise ShapeMismatch("group degree does not match the model size")
@@ -514,49 +561,40 @@ def _reference_model(reference, n: int) -> FiberModel:
         return FiberModel(
             n, len(reference.group.elements), ("pt",), (Fraction(1),),
             [[(regular(reference.coords[(i, j)]),) for j in range(n)] for i in range(n)])
-    if isinstance(reference, FiberModel):
-        if reference.n != n:
-            raise ShapeMismatch("reference size does not match the model size")
-        if reference.mode != "exact":
-            raise ModeMismatch("a reference model must be exact")
-        return reference
-    raise TypeError("reference must be a PermGroup, DualWordReference or exact FiberModel")
+    raise TypeError("reference must be a PermGroup or DualWordReference")
 
 
-def _word_table(words: _ModelWords, n: int, bound: int) -> dict:
-    """The automaton's value on every word up to the bound, in depth-first
-    order."""
-    letters = _letters(n)
-    table = {}
-
-    def rec(word, state):
-        table[word] = state[2]
-        if len(word) < bound:
-            for letter in letters:
-                rec(word + (letter,), words.step(state, letter))
-
-    rec((), words.start)
-    return table
+def _word_bound(bound, name: str) -> int:
+    """The bound, which must be an int (not a bool) of at least 0."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise BadArgument(f"{name} must be an int of at least 0")
+    return bound
 
 
 class StateOnWords:
-    """A state evaluated on all coordinate words up to a length bound."""
+    """A model's state on the words up to a bound: its automaton and the bound."""
 
-    def __init__(self, n: int, bound: int, table: dict):
-        self.n = n
-        self.bound = bound
-        self.table = table
-
-    def words_by_length(self):
-        """All words in length-major, lexicographic order."""
-        letters = _letters(self.n)
-        for m in range(self.bound + 1):
-            for combo in itertools.product(letters, repeat=m):
-                yield combo
+    def __init__(self, model: FiberModel, bound: int):
+        self.n = model.n
+        self.bound = _word_bound(bound, "bound")
+        self.words = _ModelWords(model)
 
     @classmethod
     def from_model(cls, model: FiberModel, bound: int) -> "StateOnWords":
-        return cls(model.n, bound, _word_table(_ModelWords(model), model.n, bound))
+        return cls(model, bound)
+
+    @functools.cached_property
+    def table(self) -> dict:
+        """The value on every word up to the bound, depth first; no check reads it."""
+        table = {}
+
+        def rec(word, state):
+            table[word] = state[2]
+            for letter in _letters(self.n) if len(word) < self.bound else ():
+                rec(word + (letter,), self.words.step(state, letter))
+
+        rec((), self.words.start)
+        return table
 
 
 def _word_label(word) -> str:
@@ -569,8 +607,8 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
     """A shortest word, as a tuple of 0-based letters (i, j), on which the
     state of an exact model differs from the Haar state of the reference (a
     classical permutation group or a DualWordReference, read as the state of
-    its stationary model; or an exact model); None when the two agree on
-    every word, or on every word of length at most max_len.
+    its stationary model); None when the two agree on every word, or on every
+    word of length at most max_len (None, or an int of at least 0).
 
     Both states are weighted automata (Schützenberger 1961).  A word's joint
     vector holds the fiber products at the live points of both models; each
@@ -584,6 +622,7 @@ def shortest_difference(reference, model: FiberModel, max_len=None):
     on the kept words, and the first word on which they differ is a shortest
     one.  A word that reaches a pair of states already read is skipped: an
     earlier word had its values and vector, compared equal and spanned it."""
+    _word_bound(0 if max_len is None else max_len, "max_len")
     if model.mode != "exact":
         raise ModeMismatch("the automaton search needs an exact model")
     ref = _ModelWords(_reference_model(reference, model.n))
@@ -610,11 +649,11 @@ def _first_difference(mod: _ModelWords, ref: _ModelWords, n: int, max_len=None):
     return None
 
 
-def _differing_words(mod: _ModelWords, ref: _ModelWords, n: int, bound: int,
-                     tol=None) -> list:
-    """(word, model value, reference value) for every word up to the bound on
-    which the two states differ beyond tol, in length-major lexicographic
-    order.
+def _differing_words(mod: _ModelWords, ref, n: int, bound: int, tol=None) -> list:
+    """(word, mod's value, ref's value) for every word up to the bound on
+    which the two automata differ beyond tol, in length-major lexicographic
+    order.  ref is a reference's automaton, or the square of mod
+    (_SquareWords); its states are kept (serial, ..., value) tuples too.
 
     Each word is read into both automata at once.  A word's values and those
     of its extensions depend only on the pair of states it reaches, so the
@@ -622,7 +661,8 @@ def _differing_words(mod: _ModelWords, ref: _ModelWords, n: int, bound: int,
     remaining length, under the two states' serials, and shared by every word
     that reaches it; a pair compares its own values once per listing.  The
     memo is emptied when it is full (_SHARED_MAX); a pair met after that is
-    listed again."""
+    listed again.  So the work grows with the distinct pairs of states, not
+    with the words, where products repeat exactly (as 0/1 and +-1 do)."""
     letters = _letters(n)
     memo = {}
 
@@ -659,20 +699,14 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     in length-major order, and the automaton's word must be one of them, as
     long as the first (or, past the bound, the walk must find none); any
     other outcome raises Inconsistent.  A float model is compared by the
-    walk alone, since a rank decision under a tolerance is no proof.  Words
-    that reach one pair of states share its steps, its differing suffixes
-    and the comparison of its values.  When the model's
-    products repeat exactly in their stored form (0/1 and +-1 fibers do), the
-    walk's work grows with the distinct pairs of states times the letters
-    and the bound, not with the words.  Float products that round
-    differently on different words merge fewer states, and the work then
-    tends to one step per word, in memory bounded by _SHARED_MAX.
+    walk alone, since a rank decision under a tolerance is no proof.
 
     When the check passes on a single-point model whose reference is
     quasi-transitive with block size equal to the fiber dimension, the
     rank-one property of in-block entries is forced; that implication is
     re-checked, its verdict is details["single_point_flatness"], and a
     violation raises Inconsistent."""
+    _word_bound(word_len, "word_len")
     ref = _ModelWords(_reference_model(reference, model.n))
     mod = _ModelWords(model)
     exact = model.mode == "exact"
@@ -702,54 +736,18 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
     return CheckReport("stationarity", passed, checked, witnesses, details)
 
 
-def _full_convolution(table, word, n: int):
-    """The convolution square at the word (i_1 j_1) ... (i_m j_m): the sum of
-    phi(i_1 k_1 ... i_m k_m) * phi(k_1 j_1 ... k_m j_m) over every middle
-    tuple k in [n]^m, zero terms included, added in increasing order."""
-    total = None
-    for mids in itertools.product(range(n), repeat=len(word)):
-        term = (table[tuple((i, k) for (i, _), k in zip(word, mids))]
-                * table[tuple((k, j) for (_, j), k in zip(word, mids))])
-        total = term if total is None else total + term
-    return total
-
-
 def convolution_idempotency(state: StateOnWords, tol=None) -> CheckReport:
     """Whether the state equals its own convolution square on every word up
-    to the bound.
-
-    The verdict adds only the terms of the square whose two factors are
-    nonzero, found by matching the column tuples of the nonzero words with
-    the row tuples of the nonzero words, in increasing middle tuple.  The
-    terms left out are zero: they change no exact value, and at most the sign
-    of a float zero, which scalars_equal does not see.  A witness prints the
-    full sum of _full_convolution."""
-    table = state.table
-    by_rows = {}
-    for word, v in table.items():
-        if v:
-            by_rows.setdefault(tuple(i for i, _ in word), []).append(
-                (tuple(j for _, j in word), v))
-    sums = {}
-    for rows, lefts in by_rows.items():
-        lefts.sort(key=lambda pair: pair[0])
-        for mids, a in lefts:
-            for cols, b in by_rows.get(mids, ()):
-                word = tuple(zip(rows, cols))
-                term = a * b
-                sums[word] = term if word not in sums else sums[word] + term
-    witnesses = []
-    checked = 0
-    for word in state.words_by_length():
-        checked += 1
-        if not scalars_equal(sums.get(word, 0), table[word], tol):
-            witnesses.append({
-                "word": _word_label(word),
-                "state": str(table[word]),
-                "convolution": str(_full_convolution(table, word, state.n)),
-            })
-    return CheckReport("convolution_idempotency", not witnesses, checked,
-                       tuple(witnesses))
+    to the bound; checked counts every such word.  The walk of
+    _differing_words reads the model's automaton against its square
+    (_SquareWords).  A float square may print other last bits, or another
+    sign of a zero part, than the sum over middle tuples in their order."""
+    square = _SquareWords(state.words, state.n)
+    differing = _differing_words(state.words, square, state.n, state.bound, tol)
+    witnesses = tuple({"word": _word_label(word), "state": str(a), "convolution": str(b)}
+                      for word, a, b in differing)
+    checked = sum((state.n * state.n) ** m for m in range(state.bound + 1))
+    return CheckReport("convolution_idempotency", not witnesses, checked, witnesses)
 
 
 def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
@@ -817,6 +815,8 @@ def bichon_build(sizes, generator_matrices, tol=None) -> FiberModel:
     sizes = [int(k) for k in sizes]
     if len(sizes) != len(generator_matrices):
         raise ShapeMismatch("need one generator per block size")
+    if not sizes:
+        raise BadArgument("need at least one block")
     if any(k < 1 for k in sizes):
         raise BadArgument("block sizes must be positive")
     mats = list(generator_matrices)

@@ -63,7 +63,8 @@ def test_merged_model_types_are_gone(module, name):
     ("group_algebra", "delta"), ("InducedModel", "grid"),
     ("AlgebraElement", "__add__"), ("AlgebraElement", "__neg__"),
     ("AlgebraElement", "scale"), ("AlgebraElement", "__rmul__"),
-    ("AlgebraElement", "adjoint"),
+    ("AlgebraElement", "adjoint"), ("StateOnWords", "words_by_length"),
+    ("magic", "_full_convolution"), ("magic", "_word_table"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member
@@ -129,6 +130,13 @@ def _z2():
     return PermGroup.from_generators([Perm([2, 1])])
 
 
+def _swap_model():
+    """The block model of the swap of two coordinates."""
+    from magicmodels.magic import bichon_build
+    from magicmodels.matrices import CMatrix
+    return bichon_build([2], [CMatrix.exact([[0, 1], [1, 0]])])
+
+
 # Every check of a caller's argument outside a run setting: (module, the
 # call, the message).
 BAD_ARGUMENTS = [
@@ -164,6 +172,13 @@ BAD_ARGUMENTS = [
     ("induced", lambda m: m.frobenius_trace(
         _z4_in_d4()[0], m.CharacterOf(m.FinAbelian([2]), (1,)), _z4_in_d4()[2]),
      "character does not match the subgroup structure"),
+    ("magic", lambda m: m.bichon_build([], []), "need at least one block"),
+    ("magic", lambda m: m.stationarity_check(_z2(), _swap_model(), -1),
+     "word_len must be an int of at least 0"),
+    ("magic", lambda m: m.shortest_difference(_z2(), _swap_model(), 2.5),
+     "max_len must be an int of at least 0"),
+    ("magic", lambda m: m.StateOnWords.from_model(_swap_model(), True),
+     "bound must be an int of at least 0"),
     ("matrices", lambda m: m.CMatrix("bogus", [[1]]), "unknown mode 'bogus'"),
 ]
 

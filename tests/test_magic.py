@@ -186,7 +186,7 @@ def test_dual_reference_state_matches_model_state(m4):
     s_model = StateOnWords.from_model(m4, 2)
     s_dual = dense_reference_table(ref, 4, 2)
     assert len(s_dual) == len(s_model.table) == 273
-    for w in s_model.words_by_length():
+    for w in words_up_to(4, 2):
         assert scalars_equal(s_model.table[w], s_dual[w]), w
 
 
@@ -297,8 +297,9 @@ def test_reflection_fiber_fails_idempotency(rotation_model):
 
 
 def test_group_state_is_idempotent(s3):
-    assert convolution_idempotency(
-        StateOnWords(3, 2, dense_reference_table(s3, 3, 2))).passed
+    """The Haar state of S3, read off its permutation model."""
+    permutation_model = magic._reference_model(s3, 3)
+    assert convolution_idempotency(StateOnWords.from_model(permutation_model, 2)).passed
 
 
 def test_stationary_state_is_idempotent(m2, m4):
@@ -548,7 +549,7 @@ def test_dual_reference_matches_k_squared_construction(factors, gens):
     assert list(ref.coords) == list(want)
     assert [repr(v) for v in ref.coords.values()] == [repr(v) for v in want.values()]
     expected = DualWordReference(group, ref.n, want)
-    for word in StateOnWords(ref.n, 2, {}).words_by_length():
+    for word in words_up_to(ref.n, 2):
         got, exp = ref.haar(word), expected.haar(word)
         assert (type(got), repr(got)) == (type(exp), repr(exp)), word
 
@@ -1275,40 +1276,48 @@ def test_states_with_different_stored_forms_are_never_merged():
         assert [magic._scalar_key(x) for x in k[1].data[0]] == [magic._scalar_key(c), (int, 0)]
 
 
-# -- the sparse convolution square against the nested loop over middle tuples --
+# -- the square automaton against the nested loop over middle tuples ----------
 
 def nested_loop_idempotency(state, tol=None):
     """convolution_idempotency as a sum over every middle tuple, zero terms
-    included."""
-    n = state.n
+    included, in increasing order, read off the state's table."""
+    n, table = state.n, state.table
     witnesses = []
     checked = 0
-    for word in state.words_by_length():
+    for word in words_up_to(n, state.bound):
         m = len(word)
         checked += 1
         if m == 0:
-            conv = state.table[()] * state.table[()]
+            conv = table[()] * table[()]
         else:
             conv = None
             for mids in itertools.product(range(n), repeat=m):
                 left = tuple((word[a][0], mids[a]) for a in range(m))
                 right = tuple((mids[a], word[a][1]) for a in range(m))
-                term = state.table[left] * state.table[right]
+                term = table[left] * table[right]
                 conv = term if conv is None else conv + term
-        if not scalars_equal(conv, state.table[word], tol):
+        if not scalars_equal(conv, table[word], tol):
             witnesses.append({
                 "word": magic._word_label(word),
-                "state": str(state.table[word]),
+                "state": str(table[word]),
                 "convolution": str(conv),
             })
     return magic.CheckReport("convolution_idempotency", not witnesses, checked,
                              tuple(witnesses))
 
 
-def assert_same_idempotency(state):
-    got, want = convolution_idempotency(state), nested_loop_idempotency(state)
-    assert got == want
-    return got
+def assert_same_idempotency(model, bound, monkeypatch):
+    """The report of the square automaton equals the nested loop's, witness
+    strings included, also when every table empties at 4 entries up to bound
+    2 (at bound 3 that takes the D4 family model 5 s in both modes)."""
+    want = nested_loop_idempotency(StateOnWords.from_model(model, bound))
+    assert convolution_idempotency(StateOnWords.from_model(model, bound)) == want
+    if bound > 2:
+        return want
+    with monkeypatch.context() as patched:
+        patched.setattr(magic, "_SHARED_MAX", 4)
+        assert convolution_idempotency(StateOnWords.from_model(model, bound)) == want
+    return want
 
 
 def reflection_fiber_point(group):
@@ -1317,78 +1326,99 @@ def reflection_fiber_point(group):
     return next(x for x, g in enumerate(group.elements) if g not in members)
 
 
-def test_sparse_idempotency_matches_nested_loop_on_family_models(d4_s4_models):
-    """Each model at length 3, each of its single fibers at length 2 (over
-    all of them at length 3 the nested loop takes about 54 s), and criterion
-    4's reflection fiber at length 3."""
+def test_sparse_idempotency_matches_nested_loop_on_family_models(d4_s4_models, monkeypatch):
+    """The D4 family model at bounds 0 to 3, the S4 one at bounds 0 to 2,
+    every single fiber of both at bounds 0 to 2, and criterion 4's
+    reflection fiber at bound 3, in both modes."""
+    (d4, d4_model), (_, s4_model) = d4_s4_models
+    refl = single_fiber(d4_model, reflection_fiber_point(d4))
+    cases = [(d4_model, bound) for bound in range(4)]
+    cases += [(s4_model, bound) for bound in range(3)] + [(refl, 3)]
+    for model in (d4_model, s4_model):
+        cases += [(single_fiber(model, x), bound)
+                  for x in range(model.n_points) for bound in range(3)]
     failing = 0
-    for group, model in d4_s4_models:
-        assert assert_same_idempotency(StateOnWords.from_model(model, 3)).passed
-        for x in range(model.n_points):
-            rep = assert_same_idempotency(StateOnWords.from_model(single_fiber(model, x), 2))
+    for model, bound in cases:
+        for m in (model, model.to_float()):
+            rep = assert_same_idempotency(m, bound, monkeypatch)
             failing += not rep.passed
-    assert failing
-    d4, model = d4_s4_models[0]
-    refl = single_fiber(model, reflection_fiber_point(d4))
-    assert not assert_same_idempotency(StateOnWords.from_model(refl, 3)).passed
+            if model is d4_model or model is s4_model:
+                assert rep.passed
+            if model is refl and bound == 3:
+                assert len(rep.witnesses) == 448
+    assert failing == 50
 
 
-def test_sparse_idempotency_matches_nested_loop_on_cyc_and_float_states(d4_s4_models):
-    for factors in ([2], [3], [2, 2]):
+def test_sparse_idempotency_matches_nested_loop_on_cyc_and_float_states(monkeypatch):
+    """The Z2, Z3, Z2xZ2 and Z4 block models at bounds 0 to 2, in both modes."""
+    for factors in ([2], [3], [2, 2], [4]):
         model, _ = block_model_and_reference(factors)
-        assert assert_same_idempotency(StateOnWords.from_model(model, 2)).passed
+        for bound in range(3):
+            assert assert_same_idempotency(model, bound, monkeypatch).passed
+            assert assert_same_idempotency(model.to_float(), bound, monkeypatch).passed
+
+
+def test_idempotency_builds_no_word_table(d4_s4_models, monkeypatch):
+    """Criteria 3 to 5 and a check of the D4 family model at length 3 give
+    their verdicts without reading a table of words."""
+    from magicmodels.acceptance import criterion_3, criterion_4, criterion_5
+
+    def refuse(self):
+        raise RuntimeError("word table built")
+
+    monkeypatch.setattr(StateOnWords, "table", property(refuse))
+    with pytest.raises(RuntimeError, match="word table built"):
+        StateOnWords.from_model(d4_s4_models[0][1], 1).table
+    assert criterion_3()["passed"] and criterion_4()["passed"] and criterion_5()["passed"]
+    report = convolution_idempotency(StateOnWords.from_model(d4_s4_models[0][1], 3))
+    assert report.passed and report.checked == 4369
+
+
+def test_square_table_empties_when_full(d4_s4_models, monkeypatch):
+    """With _SHARED_MAX patched to 4 the square keeps at most 4 states, and
+    the reports are those of the unpatched run."""
     d4, model = d4_s4_models[0]
-    refl = reflection_fiber_point(d4)
-    float_model = model.to_float()
-    assert assert_same_idempotency(StateOnWords.from_model(float_model, 2)).passed
-    rep = assert_same_idempotency(StateOnWords.from_model(single_fiber(float_model, refl), 2))
-    assert not rep.passed
-
-
-def test_idempotency_verdict_reads_only_the_sparse_sum(d4_s4_models, monkeypatch):
-    """The full sum over every middle tuple is taken once per witness and
-    never for a word that passes."""
-    calls = []
-    full = magic._full_convolution
-
-    def counted(*args):
-        calls.append(args[1])
-        return full(*args)
-
-    monkeypatch.setattr(magic, "_full_convolution", counted)
-    d4, model = d4_s4_models[0]
-    assert convolution_idempotency(StateOnWords.from_model(model, 3)).passed
-    assert not calls
     refl = single_fiber(model, reflection_fiber_point(d4))
-    for state in (StateOnWords.from_model(refl, 2), StateOnWords.from_model(refl.to_float(), 2)):
-        calls.clear()
-        rep = convolution_idempotency(state)
-        assert not rep.passed
-        assert [magic._word_label(w) for w in calls] == [w["word"] for w in rep.witnesses]
+    want = [convolution_idempotency(StateOnWords.from_model(m, 2)) for m in (model, refl)]
+    sizes = []
+
+    class Recorded(magic._SquareWords):
+        def _state(self, pairs):
+            state = super()._state(pairs)
+            sizes.append(len(self._states))
+            return state
+
+    monkeypatch.setattr(magic, "_SquareWords", Recorded)
+    monkeypatch.setattr(magic, "_SHARED_MAX", 4)
+    got = [convolution_idempotency(StateOnWords.from_model(m, 2)) for m in (model, refl)]
+    assert got == want and not want[1].passed
+    assert max(sizes) == 4 and sizes.count(1) > 2
 
 
-def test_sparse_idempotency_keeps_the_form_zero_terms_give():
-    """Zero terms left out of the sum still decide two things about how it
-    prints: a Cyc zero of order 4 lifts z3^2 to order 12, and a float 0j
-    term turns the imaginary part -0.0 of (-1/2)^2 into 0.0."""
-    zero4 = zeta(4) - zeta(4)
-    cyc_state = StateOnWords(2, 1, {(): 1, ((0, 0),): zeta(3), ((0, 1),): zero4,
-                                    ((1, 0),): 1, ((1, 1),): 0})
-    rep = assert_same_idempotency(cyc_state)
-    assert rep.witnesses[0]["convolution"] != repr(zeta(3) * zeta(3))
-    float_state = StateOnWords(2, 1, {(): 1 + 0j, ((0, 0),): -0.5 + 0j, ((0, 1),): 0j,
-                                      ((1, 0),): 1 + 0j, ((1, 1),): 0j})
-    rep = assert_same_idempotency(float_state)
-    assert rep.witnesses[0]["convolution"] == "(0.25+0j)"
+def one_point_model(mode, grid):
+    """A one-point model of 2 x 2 diagonal fibers: grid[i][j] is the pair of
+    diagonal entries of the fiber at (i, j)."""
+    n = len(grid)
+    fibers = [[(CMatrix(mode, [[a, 0], [0, b]]),) for a, b in row] for row in grid]
+    return FiberModel(n, 2, ("pt",), (F(1),), fibers)
 
 
-def test_sparse_idempotency_adds_in_increasing_middle_tuple():
+def test_sparse_idempotency_keeps_the_form_zero_terms_give(monkeypatch):
+    """A live state whose value is zero still adds its term, which decides
+    how the sum prints: the Cyc zero of order 4 that diag(z4, -z4) gives
+    lifts z3^2 to order 12.  The zero state (of the zero fiber at (2, 2))
+    adds nothing."""
+    z3, z4 = zeta(3), zeta(4)
+    model = one_point_model("exact", [[(z3, z3), (z4, -z4)], [(1, 1), (0, 0)]])
+    rep = assert_same_idempotency(model, 1, monkeypatch)
+    assert rep.witnesses[0]["word"] == "u[1,1]"
+    assert rep.witnesses[0]["convolution"] != repr(z3 * z3)
+
+
+def test_sparse_idempotency_adds_in_increasing_middle_tuple(monkeypatch):
     """The square at u[1,2] sums 1 * 0.1, 0.1 * 2 and 0.3 * 1 in this order;
     float addition in another order would print 0.6."""
-    table = {(): 1 + 0j}
-    table.update({((i, j),): 0j for i in range(3) for j in range(3)})
-    table.update({((0, 0),): 1 + 0j, ((0, 1),): 0.1 + 0j, ((1, 1),): 2 + 0j,
-                  ((0, 2),): 0.3 + 0j, ((2, 1),): 1 + 0j})
-    rep = assert_same_idempotency(StateOnWords(3, 1, table))
+    grid = [[(x, x) for x in row] for row in [[1, 0.1, 0.3], [0, 2, 0], [0, 1, 0]]]
+    rep = assert_same_idempotency(one_point_model("float", grid), 1, monkeypatch)
     assert {"word": "u[1,2]", "state": "(0.1+0j)",
             "convolution": "(0.6000000000000001+0j)"} in rep.witnesses
