@@ -143,6 +143,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # -- handlers ---------------------------------------------------------------
+# Each handler returns (status, body, artifact): body goes into the report,
+# and artifact is what --out writes, or None.
 
 def _maybe_float(model, config: RunConfig):
     if config.mode == "float" and model.mode == "exact":
@@ -168,13 +170,13 @@ def _handle_thoma(args, config):
     data = VirtuallyAbelianData.from_permutation_groups(gamma, lam)
     rep = check_stationarity(data, word_len=config.max_word_len)
     return _status(rep), {"checked": rep.checked, **rep.details,
-                          "witnesses": list(rep.witnesses)}
+                          "witnesses": list(rep.witnesses)}, None
 
 
 def _handle_magic_verify(args, config):
     model = sz.model_from_json(sz.load_json(args.model))
     rep = verify_magic(_maybe_float(model, config), _tol(config, model))
-    return _status(rep), sz.check_to_json(rep)
+    return _status(rep), sz.check_to_json(rep), None
 
 
 def _handle_orbits(args, config):
@@ -193,7 +195,7 @@ def _handle_orbits(args, config):
         "lower_bound": orb.lower_bound,
         "witnesses": [],
     }
-    return "pass", body
+    return "pass", body, None
 
 
 def _handle_stationarity(args, config):
@@ -201,7 +203,7 @@ def _handle_stationarity(args, config):
     group = sz.group_from_json(sz.load_json(args.group), cap=config.cap)
     rep = stationarity_check(group, _maybe_float(model, config),
                              word_len=config.max_word_len, tol=_tol(config, model))
-    return _status(rep), sz.check_to_json(rep)
+    return _status(rep), sz.check_to_json(rep), None
 
 
 def _parse_dual_input(payload):
@@ -223,10 +225,8 @@ def _handle_dual_build(args, config):
     sizes, gens = _parse_dual_input(sz.load_json(args.input))
     model = bichon_build(sizes, gens, _tol(config, *gens))
     artifact = sz.model_to_json(model)
-    if config.out:
-        sz.dump_json(artifact, config.out)
     return "pass", {"n": model.n, "dim": model.dim, "model": artifact,
-                    "witnesses": []}
+                    "witnesses": []}, artifact
 
 
 def _parse_cyclic_input(payload):
@@ -252,10 +252,8 @@ def _handle_cyclic_build(args, config):
     data = _parse_cyclic_input(sz.load_json(args.input))
     model = build_cyclic_model(data)
     artifact = sz.model_to_json(model)
-    if config.out:
-        sz.dump_json(artifact, config.out)
     return "pass", {"n": model.n, "dim": model.dim, "k": data.k,
-                    "model": artifact, "witnesses": []}
+                    "model": artifact, "witnesses": []}, artifact
 
 
 def _handle_cyclic_verify(args, config):
@@ -275,7 +273,7 @@ def _handle_cyclic_verify(args, config):
     return ("pass" if passed else "fail"), {
         "checks": {rep.name: rep.passed for rep in reports},
         "witnesses": witnesses,
-    }
+    }, None
 
 
 def _handle_latin_search(args, config):
@@ -288,15 +286,11 @@ def _handle_latin_search(args, config):
         square = SparseLatinSquare.from_family(res)
         artifact = {"family": sz.family_to_json(res),
                     "square": sz.square_to_json(square)}
-        if config.out:
-            sz.dump_json(artifact, config.out)
-        return "pass", {**artifact, "witnesses": []}
+        return "pass", {**artifact, "witnesses": []}, artifact
     body = {"group_order": res.group_order, "size": res.size,
             "explored": res.explored, "exhaustive": res.exhaustive,
             "witnesses": []}
-    if config.out:
-        sz.dump_json(body, config.out)
-    return "no-family", body
+    return "no-family", body, body
 
 
 def _handle_uniform_check(args, config):
@@ -308,7 +302,7 @@ def _handle_uniform_check(args, config):
     rep = uniform_check(group, gens)
     # The int condition keys render as the strings "1" ... "4" in key order.
     return _status(rep), {**rep.details, "uniform": rep.passed,
-                          "witnesses": list(rep.witnesses)}
+                          "witnesses": list(rep.witnesses)}, None
 
 
 def _parse_flat_input(payload):
@@ -335,7 +329,7 @@ def _handle_dual_flat(args, config):
     if config.mode == "float":
         fibers = [[m.to_float() for m in per] for per in fibers]
     rep = quasiflat_dual_check(fibers, k, labels=labels, tol=tol)
-    return _status(rep), sz.check_to_json(rep)
+    return _status(rep), sz.check_to_json(rep), None
 
 
 def _handle_suite(args, config):
@@ -344,7 +338,7 @@ def _handle_suite(args, config):
     witnesses = [{"criterion": r["criterion"], "name": r["name"]}
                  for r in res["criteria"] if not r["passed"]]
     status = "pass" if res["passed"] else "fail"
-    return status, {"criteria": res["criteria"], "witnesses": witnesses}
+    return status, {"criteria": res["criteria"], "witnesses": witnesses}, None
 
 
 HANDLERS = {
@@ -372,16 +366,24 @@ def _config_from_args(args) -> RunConfig:
                      seed=args.seed, inputs=inputs, out=args.out)
 
 
-def _emit(report: dict, config: RunConfig | None):
-    text = sz.render_json(report)
-    sys.stdout.write(text)
+def _report_text(report: dict, config: RunConfig | None, artifact) -> str:
+    """The report's text, once the artifact, if any, is written to --out.
+    An error report is its own artifact, and a report that embeds its
+    artifact reuses the written text, so each is rendered once."""
+    if artifact is None or not (config and config.out):
+        return sz.render_json(report)
+    if artifact is report:
+        return sz.dump_json(report, config.out)
+    return sz.render_json(report, sz.embedded(artifact, sz.dump_json(artifact, config.out)))
+
+
+def _emit(report: dict, config: RunConfig | None, artifact):
+    sys.stdout.write(_report_text(report, config, artifact))
     summary = f"{report['command']}: {report['status']}"
     witnesses = report.get("witnesses", [])
     if witnesses:
         summary += f" ({len(witnesses)} witness{'es' if len(witnesses) != 1 else ''})"
     print(summary, file=sys.stderr)
-    if config and config.out and report["status"] == "error":
-        sz.dump_json(report, config.out)
 
 
 def dispatch(argv) -> int:
@@ -396,16 +398,16 @@ def dispatch(argv) -> int:
         config = _config_from_args(args)
         report["config"] = ({f.name: getattr(config, f.name) for f in fields(config)}
                             | {"inputs": dict(config.inputs)})
-        status, body = HANDLERS[args.command](args, config)
+        status, body, artifact = HANDLERS[args.command](args, config)
     except (ModelInputError, Inconsistent) as exc:
         report.update(status="error", witnesses=[],
                       error={"type": type(exc).__name__, "message": str(exc)})
-        _emit(report, config)
+        _emit(report, config, report)
         return EXIT_CODES["error"]
     report["status"] = status
     report.update(body)
     report.setdefault("witnesses", [])
-    _emit(report, config)
+    _emit(report, config, artifact)
     return EXIT_CODES[status]
 
 

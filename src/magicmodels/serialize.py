@@ -13,8 +13,11 @@ payload once and shares the matrix, keyed by the payload's stored form (its
 marshal bytes, which tell true from 1 and -0.0 from 0.0), never by Python
 equality.  model_to_json builds one payload per distinct fiber object.
 Reports and artifacts are written by render_json, which gives the bytes of
-json.dumps with indent=2 and sorted keys from a string-joining renderer, and
-reuses the text of a dict that it meets again at one indentation.
+json.dumps with indent=2 and sorted keys.  It appends every piece of text to
+one list of parts and joins the list once, and it reuses the text of a dict
+that it meets again at one indentation.  A command renders each artifact
+once: dump_json returns the text it wrote, and the report that embeds the
+artifact takes that text, re-indented by embedded, in place of another walk.
 """
 from __future__ import annotations
 
@@ -324,59 +327,50 @@ def load_json(path: str):
         raise BadInput(f"{path} is not valid JSON: {exc}") from exc
 
 
-def dump_json(value, path: str):
+def dump_json(value, path: str) -> str:
+    """Write render_json(value) to path and return the text.  The text is
+    rendered before the file is opened, so a value that does not render
+    leaves the file as it was."""
+    text = render_json(value)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(value))
+        fh.write(text)
+    return text
 
 
-def render_json(value) -> str:
+def render_json(value, memo=None) -> str:
     """The bytes of json.dumps(value, indent=2, sort_keys=True) plus a
     newline.  With an indent, json encodes through its pure-Python generator
-    encoder; this renderer builds the same text by joining strings.
+    encoder; this renderer appends every piece of the same text to one list
+    and joins the list once.
 
     A dict object met more than once at one indentation, as the shared fiber
     payloads of model_to_json are, renders to the same text each time.  Its
-    first meeting notes only its id; the text of its second meeting is kept
-    and reused after that, so only shared dicts hold their text.  Every dict
-    stays alive in value while it renders, so no id is reused."""
-    return _render(value, "", {}) + "\n"
+    first meeting notes where its text lies in the list; its second meeting
+    joins that slice, and the text is reused after that.  Every dict stays
+    alive in value while it renders, so no id is reused.  memo, as embedded
+    makes it, holds a text that the renderer takes without a walk; the call
+    fills it in, so it serves one call."""
+    out = []
+    _render(value, "", {} if memo is None else memo, out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def embedded(d: dict, text: str) -> dict:
+    """A render_json memo under which the dict d, held by the rendered value
+    as one of its own members, renders as text without a walk.  text is
+    render_json(d), as dump_json returns it.  The json escapes leave no
+    newline inside a string, so d's text two spaces in is text with two
+    spaces after each newline.  Only that copy is kept, so the written text
+    can go before the report's text is joined."""
+    return {(id(d), "  "): text[:-1].replace("\n", "\n  ")}
 
 
-def _key_text(k) -> str:
-    """A dict key as json writes it, before quoting."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _render(v, pad: str, seen: dict) -> str:
-    """One value at indentation pad, tested in json's order; containers put
-    each member on its own line, two spaces deeper, and dicts sort their
-    items by the original keys.  seen maps (id, pad) of each nonempty dict
-    rendered so far to its text once it is met twice, else to the empty
-    string."""
+def _scalar_text(v):
+    """The text json writes for a str (before quoting), None, bool, int or
+    float, as a value or as a key; None for any other type."""
     if isinstance(v, str):
-        return _quote(v)
+        return v
     if v is None:
         return "null"
     if v is True:
@@ -386,23 +380,69 @@ def _render(v, pad: str, seen: dict) -> str:
     if isinstance(v, int):
         return int.__repr__(v)
     if isinstance(v, float):
-        return _float_text(v)
-    inner = pad + "  "
-    if isinstance(v, (list, tuple)):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    return None
+
+
+def _render(v, pad: str, seen: dict, out: list):
+    """Append the text of one value at indentation pad to out; containers
+    put each member on its own line, two spaces deeper, and dicts sort their
+    items by the original keys.  seen maps (id, pad) of each nonempty dict
+    rendered so far to its text once that is known, else to the (start, end)
+    slice of out that holds it."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, (list, tuple)):
         if not v:
-            return "[]"
-        body = [_quote(x) if type(x) is str else _render(x, inner, seen) for x in v]
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
-    if isinstance(v, dict):
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        for x in v:
+            if type(x) is str:
+                out.append(_quote(x))
+            else:
+                _render(x, inner, seen, out)
+            out.append(sep)
+        out[-1] = "\n" + pad + "]"
+    elif isinstance(v, dict):
         if not v:
-            return "{}"
+            out.append("{}")
+            return
         key = (id(v), pad)
-        text = seen.get(key)
-        if text:
-            return text
-        body = [_quote(_key_text(k)) + ": " + _render(x, inner, seen)
-                for k, x in sorted(v.items())]
-        out = "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
-        seen[key] = "" if text is None else out
-        return out
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        mark = seen.get(key)
+        if mark is not None:
+            if type(mark) is tuple:
+                mark = seen[key] = "".join(out[mark[0]:mark[1]])
+            out.append(mark)
+            return
+        start = len(out)
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for k, x in sorted(v.items()):
+            name = k if type(k) is str else _scalar_text(k)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(k).__name__}")
+            name = _quote(name) + ": "
+            if type(x) is str:
+                out.append(name + _quote(x))
+            else:
+                out.append(name)
+                _render(x, inner, seen, out)
+            out.append(sep)
+        out[-1] = "\n" + pad + "}"
+        seen[key] = (start, len(out))
+    else:
+        text = _scalar_text(v)
+        if text is None:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        out.append(text)

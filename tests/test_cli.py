@@ -276,17 +276,22 @@ def test_latin_search_family_and_no_family(files, capsys, tmp_path):
     assert report["family"]["size"] == 3
     assert json.loads(Path(out).read_text())["family"] == report["family"]
     code2, rep2, _ = run_cli(capsys, "latin-search", "--group",
-                             files["klein6"])
+                             files["klein6"], "--out", out)
     assert code2 == 1
     assert rep2["status"] == "no-family"
     assert rep2["explored"] == 3 and rep2["exhaustive"] is True
+    assert json.loads(Path(out).read_text()) == {
+        k: rep2[k] for k in ("group_order", "size", "explored", "exhaustive", "witnesses")}
 
 
-def test_latin_search_cap_exceeded(files, capsys):
-    code, report, _ = run_cli(capsys, "latin-search", "--group", files["d4"],
-                              "--cap", "1")
+def test_latin_search_cap_exceeded(files, capsys, tmp_path):
+    out = tmp_path / "error.json"
+    code = dispatch(["latin-search", "--group", files["d4"], "--cap", "1", "--out", str(out)])
+    stdout = capsys.readouterr().out
     assert code == 2
-    assert report["error"]["type"] == "CapExceeded"
+    assert json.loads(stdout)["error"]["type"] == "CapExceeded"
+    # An error report is written to --out as it is to standard output.
+    assert out.read_text() == stdout
 
 
 def test_uniform_check_pass_and_fail(files, capsys):
@@ -754,12 +759,14 @@ GOLDEN_ARTIFACTS = {
 def rendered(monkeypatch):
     """Records, for each value rendered through serialize.render_json, its
     text and the text of json.dumps with indent=2 and sorted keys, taken
-    when it is rendered (the suite extends its payload afterwards)."""
+    when it is rendered (the suite extends its payload afterwards).  A
+    report that embeds a written artifact is rendered with a memo that holds
+    the artifact's text, and is compared whole all the same."""
     calls = []
     real = sz.render_json
 
-    def spy(value):
-        text = real(value)
+    def spy(value, memo=None):
+        text = real(value, memo)
         calls.append((text, json.dumps(value, indent=2, sort_keys=True) + "\n"))
         return text
 
@@ -773,21 +780,59 @@ def assert_rendered_as_json_dumps(calls):
         assert text == want
 
 
-def test_build_artifacts_keep_their_bytes(capsys, tmp_path, rendered):
+def _build_inputs():
     shift = [[1 if r == (c + 1) % 4 else 0 for c in range(4)] for r in range(4)]
-    inputs = {
+    return {
         "dual-build": {"sizes": [4],
                        "generators": [sz.matrix_to_json(CMatrix.exact(shift))]},
         "cyclic-build": {"factors": [7],
                          "rep_generators": [sz.matrix_to_json(CMatrix.exact([[zeta(7)]]))],
                          "auto_images": [[2]], "k": 3},
     }
-    for command, payload in inputs.items():
+
+
+def test_build_artifacts_keep_their_bytes(capsys, tmp_path, rendered):
+    for command, payload in _build_inputs().items():
         src, out = tmp_path / f"{command}.json", tmp_path / f"{command}-model.json"
         src.write_text(sz.render_json(payload))
         code, _, _ = run_cli(capsys, command, "--input", str(src), "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS[command]
+    assert_rendered_as_json_dumps(rendered)
+
+
+@pytest.mark.parametrize("command", ["dual-build", "cyclic-build"])
+def test_build_with_out_renders_its_artifact_once(capsys, tmp_path, monkeypatch,
+                                                  rendered, command):
+    src, out = tmp_path / "input.json", tmp_path / "model.json"
+    src.write_text(sz.render_json(_build_inputs()[command]))
+    artifacts = []
+    real_model_to_json = sz.model_to_json
+
+    def model_to_json(model):
+        artifacts.append(real_model_to_json(model))
+        return artifacts[-1]
+
+    visits = []
+    real_render = sz._render
+
+    def render(v, *args):
+        visits.append(v)
+        return real_render(v, *args)
+
+    monkeypatch.setattr(sz, "model_to_json", model_to_json)
+    monkeypatch.setattr(sz, "_render", render)
+    assert dispatch([command, "--input", str(src), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    [artifact] = artifacts
+    fiber = artifact["points"][0]["entries"][0][0]
+    places = sum(c is fiber for pt in artifact["points"] for row in pt["entries"] for c in row)
+    # One render of the artifact meets each of the fiber's places once; the
+    # report takes the artifact's text without walking into it.
+    assert sum(v is artifact["points"] for v in visits) == 1
+    assert sum(v is fiber for v in visits) == places
+    text = out.read_text()
+    assert '\n  "model": ' + text[:-1].replace("\n", "\n  ") + ",\n" in stdout
     assert_rendered_as_json_dumps(rendered)
 
 

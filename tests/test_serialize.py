@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from magicmodels import serialize
 from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.groups import FinAbelian, Perm
 from magicmodels.magic import FiberModel, bichon_build, verify_magic
@@ -16,6 +17,8 @@ from magicmodels.serialize import (
     BadInput,
     abelian_auto_from_images,
     abelian_from_json,
+    dump_json,
+    embedded,
     family_to_json,
     group_from_json,
     matrix_from_json,
@@ -181,6 +184,11 @@ class Whole(int):
     pass
 
 
+# Dict objects that the edge inputs hold more than once.
+SHARED = {"b": [1, 2.5, {"c": None}], "a": "x"}
+OUTER = {"in": SHARED, "z": [SHARED]}
+EMPTY = {}
+
 RENDER_EDGES = [
     "plain", "é ü ☃ \U0001f600", "tab\tnew\nline \x00\x1f \"quoted\" back\\slash",
     -0.0, 0.0, 1e300, -1e-300, 0.1, float("nan"), float("inf"), float("-inf"),
@@ -191,6 +199,12 @@ RENDER_EDGES = [
     {True: 1, False: 0}, {None: "none"}, {1.5: "x", -0.0: "y", float("inf"): "z"},
     {"b": 1, "a": {"d": [1, 2.5, None], "c": ("t", True)}, "é": "\x7f"},
     Real(2.5), [Real(-0.0), Real(1e-7)], {"r": Real(3.0)}, [Whole(5)], {Whole(2): Whole(-3)},
+    # one dict at three indentations, four times at the second
+    {"p": SHARED, "q": [SHARED, SHARED, {"r": SHARED}], "s": [SHARED, SHARED]},
+    [[[SHARED, SHARED]], [[SHARED], SHARED], [[[SHARED]]]],
+    [EMPTY, {"a": EMPTY, "b": [EMPTY, EMPTY]}, EMPTY],
+    # a shared dict whose text holds the reused text of another
+    [OUTER, SHARED, OUTER, {"k": OUTER}, [OUTER, SHARED], OUTER],
 ]
 
 
@@ -208,6 +222,33 @@ def test_render_json_rejects_what_json_dumps_rejects(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         render_json(value)
+
+
+def test_render_json_reuses_an_embedded_text(monkeypatch):
+    value = {"m": OUTER, "n": [OUTER], "o": SHARED}
+    memo = embedded(OUTER, render_json(OUTER)) | embedded(SHARED, render_json(SHARED))
+    walked = []
+    real = serialize._render
+
+    def spy(v, *args):
+        walked.append(v)
+        return real(v, *args)
+
+    monkeypatch.setattr(serialize, "_render", spy)
+    assert render_json(value, memo) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    # The members OUTER and SHARED take their embedded texts; the OUTER one
+    # level deeper is walked, and so are the two SHARED inside it.
+    assert sum(v is OUTER["z"] for v in walked) == 1
+    assert sum(v is SHARED["b"] for v in walked) == 2
+
+
+def test_dump_json_keeps_the_file_when_the_value_does_not_render(tmp_path):
+    path = tmp_path / "kept.json"
+    assert dump_json({"a": [1, "x"]}, str(path)) == path.read_text()
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        dump_json({"a": object()}, str(path))
+    assert path.read_bytes() == before
 
 
 def test_cyc_coefficients_are_written_as_fraction_text():
