@@ -229,7 +229,7 @@ def _handle_dual_build(args, config):
                     "witnesses": []}, artifact
 
 
-def _parse_cyclic_input(payload):
+def _parse_cyclic_input(payload, cap):
     if not isinstance(payload, dict):
         raise sz.BadInput("cyclic input must be an object")
     for fieldname in ("factors", "rep_generators", "auto_images", "k"):
@@ -237,7 +237,7 @@ def _parse_cyclic_input(payload):
             raise sz.BadInput(f"cyclic input needs a {fieldname} field")
     if not isinstance(payload["rep_generators"], list):
         raise sz.BadInput("rep_generators must be a list of matrices")
-    group = sz.abelian_from_json({"factors": payload["factors"]})
+    group = sz.abelian_from_json({"factors": payload["factors"]}, cap=cap)
     gens = [sz.matrix_from_json(m) for m in payload["rep_generators"]]
     auto = sz.abelian_auto_from_images(group, payload["auto_images"])
     k = payload["k"]
@@ -249,7 +249,7 @@ def _parse_cyclic_input(payload):
 
 
 def _handle_cyclic_build(args, config):
-    data = _parse_cyclic_input(sz.load_json(args.input))
+    data = _parse_cyclic_input(sz.load_json(args.input), config.cap)
     model = build_cyclic_model(data)
     artifact = sz.model_to_json(model)
     return "pass", {"n": model.n, "dim": model.dim, "k": data.k,
@@ -257,7 +257,7 @@ def _handle_cyclic_build(args, config):
 
 
 def _handle_cyclic_verify(args, config):
-    data = _parse_cyclic_input(sz.load_json(args.input))
+    data = _parse_cyclic_input(sz.load_json(args.input), config.cap)
     model = build_cyclic_model(data)
     tol = _tol(config, model)
     checked = _maybe_float(model, config)
@@ -377,13 +377,18 @@ def _report_text(report: dict, config: RunConfig | None, artifact) -> str:
     return sz.render_json(report, sz.embedded(artifact, sz.dump_json(artifact, config.out)))
 
 
-def _emit(report: dict, config: RunConfig | None, artifact):
-    sys.stdout.write(_report_text(report, config, artifact))
+def _emit(report: dict, text: str):
+    sys.stdout.write(text)
     summary = f"{report['command']}: {report['status']}"
     witnesses = report.get("witnesses", [])
     if witnesses:
         summary += f" ({len(witnesses)} witness{'es' if len(witnesses) != 1 else ''})"
     print(summary, file=sys.stderr)
+
+
+def _error_report(head: dict, exc: Exception) -> dict:
+    return {**head, "status": "error", "witnesses": [],
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def dispatch(argv) -> int:
@@ -393,21 +398,24 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     # A setting out of range leaves no config to echo, and no --out to write.
     config = None
-    report = {"command": args.command, "config": None}
+    head = {"command": args.command, "config": None}
     try:
         config = _config_from_args(args)
-        report["config"] = ({f.name: getattr(config, f.name) for f in fields(config)}
-                            | {"inputs": dict(config.inputs)})
+        head["config"] = ({f.name: getattr(config, f.name) for f in fields(config)}
+                          | {"inputs": dict(config.inputs)})
         status, body, artifact = HANDLERS[args.command](args, config)
+        report = {**head, "status": status, "witnesses": [], **body}
     except (ModelInputError, Inconsistent) as exc:
-        report.update(status="error", witnesses=[],
-                      error={"type": type(exc).__name__, "message": str(exc)})
-        _emit(report, config, report)
-        return EXIT_CODES["error"]
-    report["status"] = status
-    report.update(body)
-    report.setdefault("witnesses", [])
-    _emit(report, config, artifact)
+        status = "error"
+        report = artifact = _error_report(head, exc)
+    try:
+        text = _report_text(report, config, artifact)
+    except sz.BadInput as exc:
+        # --out cannot be written: the error goes to stdout alone.
+        status = "error"
+        report = _error_report(head, exc)
+        text = sz.render_json(report)
+    _emit(report, text)
     return EXIT_CODES[status]
 
 

@@ -52,7 +52,7 @@ class BadArgument(ModelInputError, ValueError):
 
 
 class CapExceeded(ModelInputError):
-    """Group enumeration exceeded the configured element cap."""
+    """A group has more elements than the configured cap."""
 
 
 class DegreeMismatch(ModelInputError):

@@ -29,7 +29,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclotomic import Cyc
-from .errors import ModelInputError
+from .errors import CapExceeded, ModelInputError
 from .groups import DEFAULT_CAP, AutoMap, FinAbelian, Perm, PermGroup
 from .magic import FiberModel, _once_per_object
 from .matrices import CMatrix
@@ -187,11 +187,19 @@ def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
     return PermGroup.from_generators(gens, degree=degree, cap=cap)
 
 
-def abelian_from_json(v) -> FinAbelian:
+def abelian_from_json(v, cap: int = DEFAULT_CAP) -> FinAbelian:
+    """The group; an order above cap is CapExceeded, found by a running
+    product that stops at the first factor past cap, before any element is
+    listed."""
     _expect(isinstance(v, dict) and isinstance(v.get("factors"), list),
             "abelian group needs a factors list")
     _expect(all(_is_int(n) and n >= 1 for n in v["factors"]),
             "factors must be positive integers")
+    order = 1
+    for n in v["factors"]:
+        order *= n
+        if order > cap:
+            raise CapExceeded(f"more than {cap} elements")
     return FinAbelian(v["factors"])
 
 
@@ -330,10 +338,13 @@ def load_json(path: str):
 def dump_json(value, path: str) -> str:
     """Write render_json(value) to path and return the text.  The text is
     rendered before the file is opened, so a value that does not render
-    leaves the file as it was."""
+    leaves the file as it was.  A path that cannot be written is BadInput."""
     text = render_json(value)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadInput(f"cannot write {path}: {exc}") from exc
     return text
 
 

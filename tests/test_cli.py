@@ -294,6 +294,37 @@ def test_latin_search_cap_exceeded(files, capsys, tmp_path):
     assert out.read_text() == stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("dual-build", "--input", "dual_z2"),
+    ("latin-search", "--group", "d4"),
+    ("latin-search", "--group", "klein6"),
+    ("latin-search", "--group", "t12"),
+], ids=["model", "family", "no-family", "error"])
+def test_an_out_that_cannot_be_written_is_an_error_report(files, capsys, tmp_path,
+                                                          monkeypatch, argv):
+    """A build, a search with and without a family, and an input error whose
+    report cannot be written: the error report goes to standard output, and
+    the --out path is tried once."""
+    command, flag, name = argv
+    out = tmp_path / "missing" / "out.json"
+    writes = []
+    real_dump = sz.dump_json
+
+    def dump_json(value, path):
+        writes.append(path)
+        return real_dump(value, path)
+
+    monkeypatch.setattr(sz, "dump_json", dump_json)
+    code, report, cap = run_cli(capsys, command, flag, files[name], "--out", str(out))
+    assert code == 2 and report["status"] == "error"
+    assert report["error"]["type"] == "BadInput"
+    assert report["error"]["message"].startswith(f"cannot write {out}: ")
+    assert report["witnesses"] == [] and report["config"]["out"] == str(out)
+    assert cap.err == f"{command}: error\n"
+    assert writes == [str(out)]
+    assert not out.parent.exists()
+
+
 def test_uniform_check_pass_and_fail(files, capsys):
     code, report, _ = run_cli(capsys, "uniform-check", "--group",
                               files["s3_marked"])
@@ -534,6 +565,13 @@ BAD_SETTING_PAYLOADS = [
     ("magic-verify", "--model", _fuzz_model("1"), "--max-word-len", "0"),
 ]
 FUZZ_PAYLOADS += BAD_SETTING_PAYLOADS
+# Groups above the default cap of 20,160 elements.
+FUZZ_PAYLOADS += [
+    ("cyclic-build", "--input", '{"factors": [1000000], "rep_generators": [], '
+                                '"auto_images": [], "k": 1}'),
+    ("cyclic-verify", "--input", '{"factors": [1000000000000], "rep_generators": [], '
+                                 '"auto_images": [], "k": 1}'),
+]
 
 
 def test_malformed_json_never_escapes_as_an_exception(files, capsys, tmp_path):
@@ -673,6 +711,33 @@ def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
     assert report["error"] == {"type": "BadInput",
                                "message": f"k must be at most {_CYCLIC_K_MAX}"}
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("command", ["cyclic-build", "cyclic-verify"])
+@pytest.mark.parametrize("factors", [[10 ** 6], [10 ** 12], [2] * 10 ** 5])
+def test_cyclic_group_above_the_cap_lists_no_element(capsys, tmp_path, monkeypatch,
+                                                     command, factors):
+    def refuse(*args):
+        raise AssertionError("FinAbelian ran")
+
+    monkeypatch.setattr(sz, "FinAbelian", refuse)
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({"factors": factors, "rep_generators": [], "auto_images": [],
+                                "k": 1}))
+    code, report, cap = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "CapExceeded", "message": "more than 20160 elements"}
+    assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("cap, error", [("5", None), ("4", "CapExceeded")])
+def test_cyclic_group_of_the_cap_order_builds(capsys, tmp_path, cap, error):
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({"factors": [5], "rep_generators": [{"rows": [["1"]]}],
+                                "auto_images": [[4]], "k": 2}))
+    code, report, _ = run_cli(capsys, "cyclic-build", "--input", str(path), "--cap", cap)
+    assert report.get("error", {}).get("type") == error
+    assert code == (0 if error is None else 2)
 
 
 @pytest.mark.parametrize("sizes", [[_DUAL_N_MAX + 1], [_DUAL_N_MAX - 1, 2]])

@@ -1276,6 +1276,112 @@ def test_states_with_different_stored_forms_are_never_merged():
         assert [magic._scalar_key(x) for x in k[1].data[0]] == [magic._scalar_key(c), (int, 0)]
 
 
+# -- row and column sums against adding every row and column in full ---------
+
+def full_sum_verify_magic(model, tol=None):
+    """verify_magic as it read when every row and column was added up in full,
+    left to right, at every point."""
+    witnesses = []
+    checked = 0
+    ident = CMatrix.identity(model.dim, model.mode)
+    for x in range(model.n_points):
+        for i in range(model.n):
+            for j in range(model.n):
+                checked += 1
+                if not model.entries[i][j][x].is_projection(tol):
+                    witnesses.append({"kind": "not_projection", "row": i + 1,
+                                      "col": j + 1, "point": model.labels[x]})
+        for i in range(model.n):
+            total = model.entries[i][0][x]
+            for j in range(1, model.n):
+                total = total + model.entries[i][j][x]
+            checked += 1
+            if not total.close_to(ident, tol):
+                witnesses.append({"kind": "row_sum", "row": i + 1,
+                                  "point": model.labels[x]})
+        for j in range(model.n):
+            total = model.entries[0][j][x]
+            for i in range(1, model.n):
+                total = total + model.entries[i][j][x]
+            checked += 1
+            if not total.close_to(ident, tol):
+                witnesses.append({"kind": "col_sum", "col": j + 1,
+                                  "point": model.labels[x]})
+    return not witnesses, checked, witnesses
+
+
+def scalar_model(rows, mode="exact"):
+    """A one-point model of 1 x 1 fibers, one shared object per distinct
+    value in rows."""
+    fiber = {}
+    grid = [[(fiber.setdefault(v, CMatrix(mode, [[v]])),) for v in row] for row in rows]
+    return FiberModel(len(rows), 1, ("pt",), (F(1),), grid)
+
+
+def magic_sum_cases():
+    """(name, model) for the differential test of verify_magic."""
+    z8, z3z4 = FinAbelian([8]), FinAbelian([3, 4])
+    reg8, reg34 = regular_rep(z8), regular_rep(z3z4)
+    d4 = pg(4, [(1, 2, 3, 4)], [(1, 3)])
+    z3_model = bichon_build([3], [CMatrix.exact([[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
+    grid = [[z3_model.entry(i, j) for j in range(3)] for i in range(3)]
+    grid[1][2] = (CMatrix.zeros(3, 3),)
+    tenth = F(1, 10)
+    return [
+        ("Z8", bichon_build([8], [reg8[(1,)]])),
+        ("Z3xZ4", bichon_build([3, 4], [reg34[(1, 0)], reg34[(0, 1)]])),
+        ("D4 family", classical_model_from_family(d4, latin_family_search(d4, 4))),
+        ("row 2 and column 3 fail", FiberModel(3, 3, ("pt",), (F(1),), grid)),
+        # Each row and column holds 1/10, 2/10 and 7/10 in its own order.
+        ("one multiset in three orders",
+         scalar_model([[tenth, 2 * tenth, 7 * tenth], [7 * tenth, tenth, 2 * tenth],
+                       [2 * tenth, 7 * tenth, tenth]])),
+        ("not a projection", broken_family_model(d4)),
+        ("identity and zero fibers", scalar_model([[1, 0], [0, 1]])),
+        ("only zero fibers", scalar_model([[0, 0], [0, 0]])),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_magic_reports_what_adding_each_sum_in_full_reports(mode):
+    tol = None if mode == "exact" else 1e-9
+    failing = set()
+    for name, model in magic_sum_cases():
+        if mode == "float":
+            model = model.to_float()
+        rep = verify_magic(model, tol)
+        assert (rep.passed, rep.checked, list(rep.witnesses)) == \
+            full_sum_verify_magic(model, tol), name
+        failing |= {w["kind"] for w in rep.witnesses}
+    assert failing == {"not_projection", "row_sum", "col_sum"}
+
+
+def test_float_sums_keep_their_order():
+    """At tolerance 0, 0.1 + 0.2 + 0.7 is 1 in some orders and not in others:
+    rows and columns with one multiset of fibers in different orders get
+    their own float sums."""
+    model = scalar_model([[0.1, 0.2, 0.7], [0.7, 0.1, 0.2], [0.2, 0.7, 0.1]], "float")
+    rep = verify_magic(model, 0.0)
+    assert (rep.passed, rep.checked, list(rep.witnesses)) == full_sum_verify_magic(model, 0.0)
+    assert [w for w in rep.witnesses if w["kind"] != "not_projection"] == [
+        {"kind": "row_sum", "row": 3, "point": "pt"},
+        {"kind": "col_sum", "col": 3, "point": "pt"},
+    ]
+
+
+@pytest.mark.parametrize("name, sums", [("Z8", 1), ("Z3xZ4", 2)])
+def test_exact_circulant_rows_share_their_sums(monkeypatch, name, sums):
+    """Every row and column of a circulant block holds one multiset of
+    projections, so an exact check adds it up once per block."""
+    model = dict(magic_sum_cases())[name]
+    calls = []
+    add = CMatrix.__add__
+    monkeypatch.setattr(CMatrix, "__add__",
+                        lambda self, other: calls.append(1) or add(self, other))
+    assert verify_magic(model).passed
+    assert len(calls) == sums * (model.n - 1)
+
+
 # -- the square automaton against the nested loop over middle tuples ----------
 
 def nested_loop_idempotency(state, tol=None):
