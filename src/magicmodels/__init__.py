@@ -17,7 +17,7 @@ from .groups import (
     AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,
     abelian_dual, abelianization, extend_automorphism, orbit_blocks,
 )
-from .group_algebra import AlgebraElement
+from .group_algebra import regular_rep
 from .induced import (
     InducedModel, VirtuallyAbelianData,
     check_stationarity, evaluate_at_character, frobenius_trace, induce,
@@ -25,9 +25,9 @@ from .induced import (
 from .magic import (
     CheckReport, DualWordReference, FiberModel, OrbitStructure,
     StateOnWords, bichon_build, block_projection, convolution_idempotency,
-    dual_group_stationarity, fixed_point_matrix, haar_word_classical,
-    orbits_from_source, quasi_flat_check, regular_rep, shortest_difference,
-    single_fiber, stationarity_check, verify_magic,
+    dual_group_stationarity, fixed_point_matrix, orbits_from_source,
+    quasi_flat_check, shortest_difference, single_fiber, stationarity_check,
+    verify_magic,
 )
 from .matrices import CMatrix, spectral_multiplicities, spectral_projection
 from .cyclic import (

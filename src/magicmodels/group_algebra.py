@@ -1,71 +1,30 @@
-"""Finitely supported functions on a group, multiplied by convolution.
+"""The left regular representation of a finite group.
 
-Coefficients may be ints, Fractions or Cyc values.  The group is any object
-exposing .identity and .mul with hashable elements.  The dual-group reference
-reads products and identity coefficients of these elements.
+The group is any object exposing .elements, .identity and .mul with hashable
+elements.  The regular matrix of sum_g c_g [g] is the matrix model of that
+group-algebra element; its normalised trace is the identity coefficient c_e,
+the Haar state of the group's dual.
 """
 from __future__ import annotations
 
-from .matrices import scalar_is_zero
+from .matrices import CMatrix
 
-__all__ = ["AlgebraElement"]
+__all__ = ["regular_rep"]
 
 
-class AlgebraElement:
-    """An element of the group algebra, as a dict from group elements to
-    nonzero coefficients."""
+def _regular_matrix(group, coeffs: dict) -> CMatrix:
+    """The left regular matrix of sum_g coeffs[g] [g] in the group's element
+    order: entry [gh][h] is the coefficient of g, stored as given."""
+    elements = list(group.elements)
+    index = {g: y for y, g in enumerate(elements)}
+    rows = [[0] * len(elements) for _ in elements]
+    for g, c in coeffs.items():
+        for y, h in enumerate(elements):
+            rows[index[group.mul(g, h)]][y] = c
+    return CMatrix.exact(rows)
 
-    __slots__ = ("group", "coeffs")
 
-    def __init__(self, group, coeffs):
-        cleaned = {}
-        for g, c in coeffs.items():
-            if not scalar_is_zero(c):
-                cleaned[g] = c
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement values are immutable")
-
-    @classmethod
-    def zero(cls, group) -> "AlgebraElement":
-        return cls(group, {})
-
-    @classmethod
-    def one(cls, group) -> "AlgebraElement":
-        return cls(group, {group.identity: 1})
-
-    def at_identity(self):
-        """The coefficient of the identity, i.e. the Haar state on a dual."""
-        return self.coeffs.get(self.group.identity, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) - c
-        return AlgebraElement(self.group, out)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        mul = self.group.mul
-        out = {}
-        for g, cg in self.coeffs.items():
-            for h, ch in other.coeffs.items():
-                k = mul(g, h)
-                out[k] = out.get(k, 0) + cg * ch
-        return AlgebraElement(self.group, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c!r})[{g!r}]" for g, c in self.coeffs.items())
+def regular_rep(group) -> dict:
+    """Left regular representation of a finite group-like object as
+    permutation matrices in its element order."""
+    return {g: _regular_matrix(group, {g: 1}) for g in group.elements}

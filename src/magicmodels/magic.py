@@ -3,14 +3,16 @@
 A model assigns to each coordinate u_ij an entry of a matrix-valued function
 on a finite weighted point set.  Certification is word-based: the state
 word -> sum_x w_x ntrace(P_{i1 j1}(x) ... P_{im jm}(x)) is compared against a
-reference Haar state, either counting permutations (classical reference) or
-extracting the identity coefficient in a group algebra (dual reference).
+reference Haar state.
 
-A reference is read as the state of its stationary model, a model whose
-state is the Haar state: a permutation group G as its permutation model over
-the points of G, and a group dual as its regular model at one point.  So
-both sides are the one weighted automaton of a model (_ModelWords), whose
-state after a word is the list of its live points, each with its nonzero
+A reference is a permutation group or an exact model, read as the state of
+its stationary model, a model whose state is the Haar state.  A permutation
+group G is read as its permutation model over the points of G.  A group
+dual's reference is a model already: the block model of its regular
+representation at one point (DualWordReference.from_block_generators), whose
+normalised traces are identity coefficients in the group algebra.  So both
+sides are the one weighted automaton of a model (_ModelWords), whose state
+after a word is the list of its live points, each with its nonzero
 fiber product, and the value they give; no live point is the zero state.
 Products and states are hash-consed, and each kept state is stepped once
 per letter, so words that reach one state share that work.  A check builds
@@ -33,16 +35,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Cyc, zeta
+from .cyclotomic import Cyc
 from .errors import (
     BadArgument,
     Inconsistent,
     ModeMismatch,
-    NotFiniteOrder,
     NotQuasiTransitive,
     ShapeMismatch,
 )
-from .group_algebra import AlgebraElement
+from .group_algebra import _regular_matrix, regular_rep
 from .groups import PermGroup, _joined_blocks, orbit_blocks
 from .matrices import (
     CMatrix,
@@ -62,7 +63,6 @@ __all__ = [
     "convolution_idempotency",
     "dual_group_stationarity",
     "fixed_point_matrix",
-    "haar_word_classical",
     "orbits_from_source",
     "quasi_flat_check",
     "regular_rep",
@@ -276,57 +276,22 @@ def quasi_flat_check(model: FiberModel, orbits: OrbitStructure, tol=None) -> Che
     return CheckReport("quasi_flat", not witnesses, checked, tuple(witnesses))
 
 
-def haar_word_classical(group: PermGroup, word) -> Fraction:
-    """Haar integral of u_{i1 j1} ... u_{im jm} over a classical permutation
-    group: the proportion of elements with sigma(j_a) = i_a for all a."""
-    word = list(word)
-    kept = sum(all(g(j) == i for i, j in word) for g in group.elements)
-    return Fraction(kept, group.order)
-
-
 class DualWordReference:
-    """Haar-state reference for a group dual: coordinates of the magic
-    unitary as group algebra elements, integrated by taking the identity
-    coefficient."""
+    """The reference of a group dual is its block model; this class names
+    only the builder of that model."""
 
-    def __init__(self, group, n: int, coords):
-        self.group = group
-        self.n = n
-        self.coords = dict(coords)
-
-    @classmethod
-    def from_block_generators(cls, group, gens_with_orders) -> "DualWordReference":
-        """Block-diagonal coordinates: block i is the order-K_i cyclic pattern
-        (1/K_i) sum_a zeta^{(c - r) a} [g_i^a] for the i-th generator."""
-        n = sum(k for _, k in gens_with_orders)
-        zero = AlgebraElement.zero(group)
-        coords = {(i, j): zero for i in range(n) for j in range(n)}
-        offset = 0
-        for g, k in gens_with_orders:
-            powers = [group.identity]
-            for _ in range(k - 1):
-                powers.append(group.mul(powers[-1], g))
-            if group.mul(powers[-1], g) != group.identity:
-                raise NotFiniteOrder(f"generator order does not divide {k}")
-            projections = []
-            for d in range(k):
-                coeffs = {}
-                for a in range(k):
-                    w = zeta(k, (-d * a) % k) * Fraction(1, k)
-                    coeffs[powers[a]] = coeffs.get(powers[a], 0) + w
-                projections.append(AlgebraElement(group, coeffs))
-            for r in range(k):
-                for c in range(k):
-                    coords[(offset + r, offset + c)] = projections[(r - c) % k]
-            offset += k
-        return cls(group, n, coords)
-
-    def haar(self, word):
-        """Identity coefficient of the product of the word's coordinates."""
-        acc = AlgebraElement.one(self.group)
-        for letter in word:
-            acc = acc * self.coords[letter]
-        return acc.at_identity()
+    @staticmethod
+    def from_block_generators(group, gens_with_orders) -> FiberModel:
+        """The block model of the group's regular representation, bichon_build
+        of the regular matrix of each generator g_i with its order K_i: its
+        (r, c) entry in block i is the regular matrix of the coordinate
+        (1/K_i) sum_a zeta^{(c - r) a} [g_i^a], whose normalised trace is the
+        coordinate's identity coefficient.  As in bichon_build, no generator,
+        or an order below 1, raises BadArgument, and g_i^K_i other than the
+        identity raises NotFiniteOrder."""
+        pairs = list(gens_with_orders)
+        return bichon_build([k for _, k in pairs],
+                            [_regular_matrix(group, {g: 1}) for g, _ in pairs])
 
 
 def _point_weights(model: FiberModel) -> tuple:
@@ -528,26 +493,14 @@ class _SquareWords:
         return self._state(pairs)
 
 
-def _regular_matrix(group, coeffs: dict) -> CMatrix:
-    """The left regular matrix of sum_g coeffs[g] [g] in the group's element
-    order: entry [gh][h] is the coefficient of g, stored as given."""
-    elements = list(group.elements)
-    index = {g: y for y, g in enumerate(elements)}
-    rows = [[0] * len(elements) for _ in elements]
-    for g, c in coeffs.items():
-        for y, h in enumerate(elements):
-            rows[index[group.mul(g, h)]][y] = c
-    return CMatrix.exact(rows)
-
-
 def _reference_model(reference, n: int) -> FiberModel:
     """The stationary model of a reference on n x n coordinates: a model whose
     state is the reference's Haar state.  A permutation group G gives its
     permutation model over the points of G, with weights 1/|G| and 1 x 1
-    fibers [g(j) = i], one shared object for 1 and one for 0.  A
-    DualWordReference gives its regular model at one point, whose fiber at
-    (i, j) is the left regular matrix of the coordinate; the normalised trace
-    of a regular matrix is its identity coefficient."""
+    fibers [g(j) = i], one shared object for 1 and one for 0.  A model, such
+    as the block model of a group dual, is its own; it must be n x n and
+    exact, since Haar states are exact and the span search eliminates over
+    its fiber entries."""
     if isinstance(reference, PermGroup):
         if reference.degree != n:
             raise ShapeMismatch("group degree does not match the model size")
@@ -557,14 +510,13 @@ def _reference_model(reference, n: int) -> FiberModel:
             n, 1, [str(g) for g in elements], [Fraction(1, len(elements))] * len(elements),
             [[tuple(one if g(j + 1) == i + 1 else zero for g in elements) for j in range(n)]
              for i in range(n)])
-    if isinstance(reference, DualWordReference):
+    if isinstance(reference, FiberModel):
         if reference.n != n:
             raise ShapeMismatch("reference size does not match the model size")
-        regular = _once_per_object(lambda a: _regular_matrix(reference.group, a.coeffs))
-        return FiberModel(
-            n, len(reference.group.elements), ("pt",), (Fraction(1),),
-            [[(regular(reference.coords[(i, j)]),) for j in range(n)] for i in range(n)])
-    raise TypeError("reference must be a PermGroup or DualWordReference")
+        if reference.mode == "float":
+            raise ModeMismatch("a reference model must be exact")
+        return reference
+    raise TypeError("reference must be a PermGroup or FiberModel")
 
 
 def _word_bound(bound, name: str) -> int:
@@ -609,9 +561,12 @@ def _word_label(word) -> str:
 def shortest_difference(reference, model: FiberModel, max_len=None):
     """A shortest word, as a tuple of 0-based letters (i, j), on which the
     state of an exact model differs from the Haar state of the reference (a
-    classical permutation group or a DualWordReference, read as the state of
-    its stationary model); None when the two agree on every word, or on every
-    word of length at most max_len (None, or an int of at least 0).
+    permutation group, or an exact model of the same size such as a group
+    dual's block model, read as the state of its stationary model); None when
+    the two agree on every word, or on every word of length at most max_len
+    (None, or an int of at least 0).  A reference of another size raises
+    ShapeMismatch, a float reference model ModeMismatch, and a reference of
+    another type TypeError.
 
     Both states are weighted automata (Schützenberger 1961).  A word's joint
     vector holds the fiber products at the live points of both models; each
@@ -692,9 +647,11 @@ def stationarity_check(reference, model: FiberModel, word_len: int = 3,
                        tol=None) -> CheckReport:
     """Compare the model state with the reference Haar state on every word up
     to the bound; checked counts every such word.  The reference is a
-    classical permutation group or a DualWordReference, read as the state of
-    its stationary model.  The model's automaton and the reference's are
-    built once, and the span search and the walk read the same two.
+    permutation group, or an exact model of the same size such as a group
+    dual's block model, read as the state of its stationary model, and is
+    refused as shortest_difference refuses it.  The model's automaton and the
+    reference's are built once, and the span search and the walk read the
+    same two.
 
     An exact model is decided by the span search of shortest_difference up
     to the bound.  When the states agree, the report passes and no word is
@@ -787,12 +744,6 @@ def block_projection(orbits: OrbitStructure, n: int) -> CMatrix:
             for j in block:
                 rows[i - 1][j - 1] = w
     return CMatrix.exact(rows)
-
-
-def regular_rep(group) -> dict:
-    """Left regular representation of a finite group-like object as
-    permutation matrices in its element order."""
-    return {g: _regular_matrix(group, {g: 1}) for g in group.elements}
 
 
 def dual_group_stationarity(group, rep, tol=None) -> CheckReport:

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -44,6 +45,10 @@ def test_merged_model_types_are_gone(module, name):
     assert not hasattr(magicmodels.FiberModel, "entry_fn")
 
 
+# Classes removed whole, each with the module that defined it.
+REMOVED_CLASSES = {"AlgebraElement": "group_algebra"}
+
+
 @pytest.mark.parametrize("owner, name", [
     ("AlgebraElement", "support"), ("AlgebraElement", "coefficient"),
     ("StateOnWords", "from_group"), ("StateOnWords", "from_dual"),
@@ -65,10 +70,15 @@ def test_merged_model_types_are_gone(module, name):
     ("AlgebraElement", "scale"), ("AlgebraElement", "__rmul__"),
     ("AlgebraElement", "adjoint"), ("StateOnWords", "words_by_length"),
     ("magic", "_full_convolution"), ("magic", "_word_table"),
+    ("group_algebra", "AlgebraElement"), ("magic", "haar_word_classical"),
+    ("DualWordReference", "haar"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member
-    is gone from the package namespace too."""
+    is gone from the package namespace too.  A member of a class that is
+    gone whole (REMOVED_CLASSES) is gone with its class."""
+    if owner in REMOVED_CLASSES:
+        owner, name = REMOVED_CLASSES[owner], owner
     container = (getattr(magicmodels, owner) if owner[0].isupper()
                  else importlib.import_module(f"magicmodels.{owner}"))
     assert not hasattr(container, name)
@@ -173,6 +183,8 @@ BAD_ARGUMENTS = [
         _z4_in_d4()[0], m.CharacterOf(m.FinAbelian([2]), (1,)), _z4_in_d4()[2]),
      "character does not match the subgroup structure"),
     ("magic", lambda m: m.bichon_build([], []), "need at least one block"),
+    ("magic", lambda m: m.DualWordReference.from_block_generators(
+        magicmodels.FinAbelian([2]), [((1,), 0)]), "block sizes must be positive"),
     ("magic", lambda m: m.stationarity_check(_z2(), _swap_model(), -1),
      "word_len must be an int of at least 0"),
     ("magic", lambda m: m.shortest_difference(_z2(), _swap_model(), 2.5),
@@ -202,3 +214,51 @@ def test_no_bare_value_error_is_raised():
                   if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                   and isinstance(node.exc.func, ast.Name)]
         assert "ValueError" not in raised, path.name
+
+
+# -- the names the benchmark reads ------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_tracing():
+    """bench/tracing.py, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _program_chains(path):
+    """The attribute chains read off the program in a benchmark file, as
+    tuples of names after their root, mm or ctx.mm."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if not names or not isinstance(node, ast.Name):
+            continue
+        full = [node.id] + names[::-1]
+        if full[0] == "mm":
+            chains.add(tuple(full[1:]))
+        elif full[:2] == ["ctx", "mm"]:
+            chains.add(tuple(full[2:]))
+    return chains
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """The benchmark imports every module of tracing.LAYERS and passes them
+    to its jobs as mm; every mm.<module>.<name>... chain of bench/jobs.py
+    must resolve there, so that a removed name fails here, not in a run."""
+    _, modules = _bench_tracing().load_layers()
+    mm = types.SimpleNamespace(**modules)
+    chains = _program_chains(BENCH / "jobs.py")
+    assert ("magic", "DualWordReference", "from_block_generators") in chains
+    assert ("cli", "dispatch") in chains
+    for chain in sorted(chains):
+        obj = mm
+        for name in chain:
+            assert hasattr(obj, name), "mm." + ".".join(chain)
+            obj = getattr(obj, name)
