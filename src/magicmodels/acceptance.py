@@ -176,23 +176,16 @@ def _bichon_cases():
             ("Z2xZ2", FinAbelian([2, 2]))]
 
 
-def _block_offsets(sizes):
-    offsets, total = [], 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    return offsets
-
-
 def _circulant_blocks(model, sizes):
     # in-block entry (r, c) must depend only on (c - r) mod the block size
-    offsets = _block_offsets(sizes)
-    for off, size in zip(offsets, sizes):
+    off = 0
+    for size in sizes:
         for r in range(size):
             for c in range(size):
                 d = (c - r) % size
                 if not model.entries[off + r][off + c][0] == model.entries[off][off + d][0]:
                     return False
+        off += size
     return True
 
 
@@ -272,41 +265,51 @@ def _random_conjugate(rng, eigs):
                               for j in range(k)] for i in range(k)])
 
 
-def criterion_7(seed=0, samples=200):
-    """Trace-vector flatness agrees with multiplicity-one spectra on every
-    diagonal pattern (exact) and on seeded random conjugates Q D Q* (float),
-    Q Haar-distributed as the Gram-Schmidt factor of a complex Gaussian matrix
-    drawn from `random.Random(seed)` (Mezzadri, Notices AMS 54, 2007)."""
-    exact_checked, disagreements = 0, 0
+def _diagonal_patterns():
+    """(K, mask, exact diagonal, flat, multiplicities) per 0/1 pattern, K <= 6."""
     for k in range(1, 7):
         for mask in range(2 ** k):
             bits = [(mask >> j) & 1 for j in range(k)]
-            u = CMatrix.diagonal(_pattern_entries(k, bits))
-            rep = trace_vector_check(u, k)
-            flat, counts = _pattern_flat(k, bits)
-            exact_checked += 1
-            if rep.passed != flat or sorted(rep.details["multiplicities"]) != sorted(counts):
-                disagreements += 1
+            yield k, mask, CMatrix.diagonal(_pattern_entries(k, bits)), *_pattern_flat(k, bits)
 
+
+def _criterion_7_exact():
+    """Criterion 7's seed-independent half: (checked, disagreements)."""
+    checked, disagreements = 0, 0
+    for k, _, u, flat, counts in _diagonal_patterns():
+        rep = trace_vector_check(u, k)
+        checked += 1
+        disagreements += (rep.passed != flat
+                          or sorted(rep.details["multiplicities"]) != sorted(counts))
+    return checked, disagreements
+
+
+def _criterion_7_float(seed, samples):
+    """Criterion 7's seeded half: (checked, disagreements)."""
     rng = random.Random(seed)
-    float_checked = 0
+    checked, disagreements = 0, 0
     for k in range(2, 7):
         roots = _float_roots(k)
         for _ in range(samples):
             bits = [rng.randrange(2) for _ in range(k)]
             u = _random_conjugate(rng, [roots[(j * bits[j]) % k] for j in range(k)])
             rep = trace_vector_check(u, k, tol=TOL_RANDOM)
-            float_checked += 1
-            if rep.passed != _pattern_flat(k, bits)[0]:
-                disagreements += 1
-    return {
-        "criterion": 7,
-        "name": "trace-vector-equivalence",
-        "passed": disagreements == 0,
-        "details": {"exact_checked": exact_checked,
-                    "float_checked": float_checked,
-                    "disagreements": disagreements},
-    }
+            checked += 1
+            disagreements += rep.passed != _pattern_flat(k, bits)[0]
+    return checked, disagreements
+
+
+def criterion_7(seed=0, samples=200):
+    """Trace-vector flatness agrees with multiplicity-one spectra on every
+    diagonal pattern (exact) and on seeded random conjugates Q D Q* (float),
+    Q Haar-distributed as the Gram-Schmidt factor of a complex Gaussian matrix
+    drawn from `random.Random(seed)` (Mezzadri, Notices AMS 54, 2007)."""
+    exact_checked, exact_bad = _criterion_7_exact()
+    float_checked, float_bad = _criterion_7_float(seed, samples)
+    return {"criterion": 7, "name": "trace-vector-equivalence",
+            "passed": exact_bad + float_bad == 0,
+            "details": {"exact_checked": exact_checked, "float_checked": float_checked,
+                        "disagreements": exact_bad + float_bad}}
 
 
 def criterion_8(cap=DEFAULT_CAP):
@@ -434,13 +437,9 @@ def _float_reverify(cap, tol):
         checks.append((f"{label} fixed points",
                        q.to_float().close_to(flat, tol)))
 
-    for k in range(1, 7):
-        for mask in range(2 ** k):
-            bits = [(mask >> j) & 1 for j in range(k)]
-            u = CMatrix.diagonal(_pattern_entries(k, bits)).to_float()
-            rep = trace_vector_check(u, k, tol=tol)
-            flat, _ = _pattern_flat(k, bits)
-            checks.append((f"pattern K={k} mask={mask}", rep.passed == flat))
+    for k, mask, u, flat, _ in _diagonal_patterns():
+        rep = trace_vector_check(u.to_float(), k, tol=tol)
+        checks.append((f"pattern K={k} mask={mask}", rep.passed == flat))
     return checks
 
 

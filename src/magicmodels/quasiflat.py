@@ -109,12 +109,15 @@ def latin_family_search(group: PermGroup, size: int):
     exhaustive NoFamily certificate.  The explored count is the number of
     candidate placements tested.
 
-    Each element c gets a bitmask clash[c] over element indices, marking every
-    element that agrees with c at some point; it is the union of the
-    (point, image) buckets c lies in.  A candidate conflicts with the chosen
-    members exactly when clash[c] meets the bitmask of their indices, so the
-    test is one AND.  Candidate order and the explored count are those of
-    the plain point-by-point comparison."""
+    clash[c] is a bitmask over element indices marking every element that
+    agrees with c at some point: the union of the (point, image) buckets c
+    lies in.  Agreement is symmetric, so c conflicts with the chosen members
+    exactly when its bit lies in `forbidden`, the union of their clash masks,
+    and each node walks only the free bits above its start.  Only a NoFamily
+    reports the count, and there every node tests all n - start candidates
+    from its start on, so it adds that without visiting each.  Candidate
+    order and the explored count are those of the plain point-by-point
+    comparison."""
     blocks = orbit_blocks(group)
     sizes = {len(b) for b in blocks}
     if sizes != {size}:
@@ -135,31 +138,29 @@ def latin_family_search(group: PermGroup, size: int):
     explored = 0
     chosen = [0]
 
-    def extend(start: int, taken: int):
+    def extend(start: int, forbidden: int):
         nonlocal explored
         if len(chosen) == size:
             return True
-        for c in range(start, n):
-            explored += 1
-            if clash[c] & taken:
-                continue
+        free = ((1 << n) - (1 << start)) & ~forbidden
+        while free:
+            c = (free & -free).bit_length() - 1
             chosen.append(c)
-            if extend(c + 1, taken | 1 << c):
+            if extend(c + 1, forbidden | clash[c]):
                 return True
             chosen.pop()
+            free &= free - 1
+        explored += n - start
         return False
 
-    found = extend(1, 1)
-    if found:
+    if extend(1, clash[0]):
         fam = LatinFamily(group, size,
                           tuple(elements[c] for c in chosen))
     else:
         fam = NoFamily(group.order, size, explored)
-    if size == 2:
-        has_derangement = bool(derangement_scan(group))
-        if has_derangement != isinstance(fam, LatinFamily):
-            raise Inconsistent(
-                "size-2 family existence disagrees with the derangement scan")
+    if size == 2 and bool(derangement_scan(group)) != isinstance(fam, LatinFamily):
+        raise Inconsistent(
+            "size-2 family existence disagrees with the derangement scan")
     return fam
 
 

@@ -96,6 +96,9 @@ G216 = [[2, 3, 6, 1, 4, 5, 12, 9, 10, 8, 7, 11],
 G360 = [[3, 2, 6, 1, 4, 5, 8, 11, 10, 12, 9, 7],
         [1, 3, 5, 2, 6, 4, 7, 8, 9, 10, 11, 12]]
 RELABEL = [5, 11, 2, 8, 1, 12, 7, 3, 10, 4, 9, 6]
+# PSL(2, 7) acting 2-transitively on the eight points of the projective line
+# over F_7: order 168, 21 involutions.  Its first family needs backtracking.
+PSL27 = [[2, 3, 4, 5, 6, 7, 1, 8], [8, 7, 4, 3, 6, 5, 2, 1]]
 
 
 def _relabelled(gens, pi):
@@ -118,6 +121,8 @@ SEARCH_CASES = {
     "G216": (PermGroup.from_generators(G216), 6),
     "G360": (PermGroup.from_generators(G360), 6),
     "G216 relabelled": (PermGroup.from_generators(_relabelled(G216, RELABEL)), 6),
+    "G360 relabelled": (PermGroup.from_generators(_relabelled(G360, RELABEL)), 6),
+    "PSL(2,7) on 8 points": (PermGroup.from_generators(PSL27), 8),
 }
 
 
