@@ -62,8 +62,8 @@ class Perm:
     def _of(cls, images: tuple) -> "Perm":
         """A Perm from a tuple already known to be a permutation of 1..n,
         without validation: for products and inverses of valid Perms."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p = _new(cls)
+        _set_images(p, images)
         return p
 
     def __setattr__(self, name, value):
@@ -90,10 +90,12 @@ class Perm:
         return self.images[point - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
-        images = self.images
-        return Perm._of(tuple([images[i - 1] for i in other.images]))
+        images, right = self.images, other.images
+        if len(images) != len(right):
+            raise DegreeMismatch(f"degrees {len(images)} and {len(right)}")
+        p = _new(Perm)
+        _set_images(p, tuple([images[i - 1] for i in right]))
+        return p
 
     def inv(self) -> "Perm":
         images = [0] * self.degree
@@ -141,10 +143,19 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
+_new = object.__new__
+_set_images = Perm.images.__set__
+
+
 def generate(generators, degree: int | None = None, cap: int = DEFAULT_CAP):
     """Closure of the generators under composition, breadth-first from the
-    identity.  Returns (elements, words) where words[i] is the sequence of
-    generator indices whose right-to-left product is elements[i]."""
+    identity.  Returns (elements, words, cayley) where words[i] is the
+    sequence of generator indices whose right-to-left product is elements[i],
+    and cayley[i][g] is the index of elements[i] * generators[g]: the Cayley
+    graph of the generators.  Elements get their indices in the order the
+    search reaches them, row by row of the table, so the edge that first
+    reaches an element, its breadth-first tree edge, extends the word of its
+    row by its generator."""
     generators = list(generators)
     if degree is None:
         if not generators:
@@ -154,35 +165,39 @@ def generate(generators, degree: int | None = None, cap: int = DEFAULT_CAP):
         if g.degree != degree:
             raise DegreeMismatch("generators act on different point counts")
     e = Perm.identity(degree)
-    elements, words = [e], [()]
+    elements, words, cayley = [e], [()], []
     index = {e: 0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            x = elements[i]
-            for gi, g in enumerate(generators):
-                y = x * g
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"more than {cap} elements")
-                    index[y] = len(elements)
-                    elements.append(y)
-                    words.append(words[i] + (gi,))
-                    next_frontier.append(index[y])
-        frontier = next_frontier
-    return elements, words
+    i = 0
+    while i < len(elements):
+        x, word = elements[i], words[i]
+        row = []
+        for gi, g in enumerate(generators):
+            y = x * g
+            j = index.get(y)
+            if j is None:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"more than {cap} elements")
+                j = index[y] = len(elements)
+                elements.append(y)
+                words.append(word + (gi,))
+            row.append(j)
+        cayley.append(tuple(row))
+        i += 1
+    return elements, words, tuple(cayley)
 
 
 class PermGroup:
-    """A finite permutation group with a fixed, deterministic element order."""
+    """A finite permutation group with a fixed, deterministic element order.
+    It keeps the Cayley graph of its generators from enumeration (generate):
+    _cayley[i][g] is the index of elements[i] * generators[g]."""
 
-    def __init__(self, degree: int, generators, elements, words):
+    def __init__(self, degree: int, generators, elements, words, cayley):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self.words = tuple(words)
         self._members = frozenset(self.elements)
+        self._cayley = cayley
 
     @classmethod
     def from_generators(cls, generators, degree: int | None = None,
@@ -191,8 +206,7 @@ class PermGroup:
         if degree is None and not generators:
             raise BadArgument("need a degree when there are no generators")
         deg = degree if degree is not None else generators[0].degree
-        elements, words = generate(generators, deg, cap)
-        return cls(deg, generators, elements, words)
+        return cls(deg, generators, *generate(generators, deg, cap))
 
     @property
     def order(self) -> int:
@@ -402,43 +416,58 @@ def abelian_dual(group: FinAbelian) -> list[CharacterOf]:
 def extend_generator_map(group, generator_images, target_mul, target_identity):
     """Extend gen_i -> generator_images[i] to a homomorphism f on all of group.
 
-    f is built along the stored generator words: f(e) = target_identity and
-    f(g_w1 ... g_wk) = images[w1] ... images[wk].  It is then checked on
-    generator steps only, f(a g_i) = f(a) f(g_i) for every element a and
-    generator g_i, with f(g_i) the word-derived value; that is |G| |S|
-    products, not |G|^2.  The verdict equals the full-table check
-    f(ab) = f(a) f(b) for all a, b: the full check contains every generator
-    step (b = g_i), and conversely, by induction on the length of the stored
-    word of b, either b = e and f(ae) = f(a) = f(a) f(e), or b = b' g_i with
-    b' shorter and f(ab) = f(ab') f(g_i) = f(a) f(b') f(g_i) = f(a) f(b),
-    using the step at ab', the hypothesis at b' and the step at b'.  This
-    needs only an associative target_mul with target_identity as identity.
+    f is built along the breadth-first tree of the group's enumeration:
+    f(e) = target_identity, and the edge a -> a g_i that first reaches an
+    element sets f(a g_i) = f(a) images[i], one target product per element.
+    Since the stored word of a g_i is that of a followed by i, this is
+    f(g_w1 ... g_wk) = images[w1] ... images[wk], multiplied in that order.
+    f is then checked on the generator steps, the edges of the Cayley graph
+    kept by the enumeration: f(a g_i) = f(a) f(g_i) for every element a and
+    generator g_i, with f(g_i) the value just built and a g_i read off the
+    table.  That is at most |G| |S| target products, not |G|^2, and no
+    product in the group.  Two kinds of edge hold whenever target_identity
+    is a left identity, and are skipped: an edge from e, as
+    f(e g_i) = f(g_i) = f(e) f(g_i), and a tree edge, whose value
+    f(a) images[i] is f(a) f(g_i), since a generator that labels a tree edge
+    is first reached by its own edge from e, so f(g_i) = target_identity
+    images[i].
+
+    The verdict equals the full-table check f(ab) = f(a) f(b) for all a, b:
+    the full check contains every generator step (b = g_i), and conversely,
+    by induction on the length of the stored word of b, either b = e and
+    f(ae) = f(a) = f(a) f(e), or b = b' g_i with b' shorter and
+    f(ab) = f(ab') f(g_i) = f(a) f(b') f(g_i) = f(a) f(b), using the step at
+    ab', the hypothesis at b' and the step at b'.  This needs only an
+    associative target_mul with target_identity as identity.
 
     Finally f must send each listed generator to its own assigned image,
     which fails when the list repeats a generator with different images or
     contains the identity with a non-identity image.
 
-    The group must expose .elements, .words, .generators and .mul; raises
+    The group must be a PermGroup, whose enumeration kept its Cayley graph.
+    Returns the dict element -> f(element), in element order; raises
     NotWellDefined if the assignment does not extend to a homomorphism."""
     if len(generator_images) != len(group.generators):
         raise BadArgument("need one image per generator")
-    mapping = {}
-    for element, word in zip(group.elements, group.words):
-        value = target_identity
-        for gi in word:
-            value = target_mul(value, generator_images[gi])
-        mapping[element] = value
-    steps = [(g, mapping[g]) for g in group.generators]
-    for a in group.elements:
-        fa = mapping[a]
-        for g, fg in steps:
-            if mapping[group.mul(a, g)] != target_mul(fa, fg):
+    cayley = group._cayley
+    values = [target_identity]
+    for i, b in enumerate(cayley[0]):
+        if b == len(values):
+            values.append(target_mul(target_identity, generator_images[i]))
+    at_generators = [values[b] for b in cayley[0]]
+    steps = list(zip(generator_images, at_generators))
+    for a in range(1, len(cayley)):
+        fa = values[a]
+        for b, (image, fg) in zip(cayley[a], steps):
+            if b == len(values):
+                values.append(target_mul(fa, image))
+            elif values[b] != target_mul(fa, fg):
                 raise NotWellDefined("generator assignment is not multiplicative")
-    for i, ((_, fg), image) in enumerate(zip(steps, generator_images), start=1):
+    for i, (fg, image) in enumerate(zip(at_generators, generator_images), start=1):
         if fg != image:
             raise NotWellDefined(
                 f"generator assignment is not well defined at generator {i}")
-    return mapping
+    return dict(zip(group.elements, values))
 
 
 @dataclass(frozen=True)
@@ -499,7 +528,7 @@ def extend_automorphism(group: PermGroup, generator_images) -> AutoMap:
     for img in generator_images:
         if img not in group:
             raise NotInGroup(f"{img!r} is not in the group")
-    mapping = extend_generator_map(group, generator_images, lambda a, b: a * b,
+    mapping = extend_generator_map(group, generator_images, Perm.__mul__,
                                    group.identity)
     if len(set(mapping.values())) != group.order:
         raise NotBijective("extension is not a bijection")

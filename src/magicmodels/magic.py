@@ -34,6 +34,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import Cyc
 from .errors import (
@@ -294,11 +295,20 @@ class DualWordReference:
                             [_regular_matrix(group, {g: 1}) for g, _ in pairs])
 
 
-def _point_weights(model: FiberModel) -> tuple:
-    """The point weights as scalars of the model's mode."""
-    if model.mode == "exact":
-        return model.weights
-    return tuple(complex(w) for w in model.weights)
+_RATIONAL = (int, Fraction)
+
+
+def _point_weights(model: FiberModel, fibers) -> tuple:
+    """The point weights as scalars of the model's mode, and the weighted sum
+    for the model's values.  The sum is _rational_sum when the model is exact
+    and the fibers given, its distinct nonzero fibers at least, hold only int
+    and Fraction entries: then so do their products, and every weight and
+    ntrace is a Fraction.  It is _weighted_sum otherwise, in float mode
+    without reading a fiber."""
+    if model.mode == "float":
+        return tuple(complex(w) for w in model.weights), _weighted_sum
+    rational = all(type(x) in _RATIONAL for f in fibers for row in f.data for x in row)
+    return model.weights, _rational_sum if rational else _weighted_sum
 
 
 def _weighted_sum(weights, values, zero=None):
@@ -310,6 +320,39 @@ def _weighted_sum(weights, values, zero=None):
             term = v * w
             total = term if total is None else total + term
     return zero if total is None else total
+
+
+def _rational_sum(weights, values, zero=None):
+    """_weighted_sum for int and Fraction operands, with the same value and
+    type: the numerators of the terms are added over one common denominator,
+    and one Fraction is built at the end.  The result is an int exactly when
+    every operand of a term is an int, as a sum of int products is; _scalar_key
+    tells 1 from Fraction(1).  An operand of another type, which has no
+    numerator, hands the whole sum to _weighted_sum."""
+    num, den, whole, empty = 0, 1, True, True
+    try:
+        for w, v in zip(weights, values):
+            if v is None:
+                continue
+            empty = False
+            if whole:
+                if type(w) is int and type(v) is int:
+                    num += w * v
+                    continue
+                whole = False
+            n = w.numerator * v.numerator
+            d = w.denominator * v.denominator
+            if d != den:
+                g = gcd(d, den)
+                num *= d // g
+                n *= den // g
+                den = den // g * d
+            num += n
+    except AttributeError:
+        return _weighted_sum(weights, values, zero)
+    if empty:
+        return zero
+    return num if whole else Fraction(num, den)
 
 
 def _scalar_key(x):
@@ -364,7 +407,6 @@ class _ModelWords:
     gain none, so no state, start included, keeps the emptied part alive."""
 
     def __init__(self, model: FiberModel):
-        self.weights = _point_weights(model)
         self.zero = 0 if model.mode == "exact" else 0j
         self._serials = itertools.count()
         self._since = 0     # the first serial drawn since the last emptying
@@ -374,6 +416,10 @@ class _ModelWords:
         fiber = _once_per_object(lambda f: None if f.is_zero() else self._keep(f))
         self.fibers = {letter: tuple(map(fiber, model.entries[letter[0]][letter[1]]))
                        for letter in _letters(model.n)}
+        # The kept fibers, unless a table was emptied on the way; a fiber
+        # missed there still sums right, through _rational_sum's hand-over.
+        kept = [k[1] for k in self._kept.values()]
+        self.weights, self.weighted_sum = _point_weights(model, kept)
         one = self._keep(CMatrix.identity(model.dim, model.mode))
         self.start = self._state(tuple((x, one) for x in range(model.n_points)))
 
@@ -406,8 +452,8 @@ class _ModelWords:
         key = tuple([(x, a[0]) for x, a in live])
         state = self._states.get(key)
         if state is None:
-            value = _weighted_sum([self.weights[x] for x, _ in live],
-                                  [a[2] for _, a in live], self.zero)
+            value = self.weighted_sum([self.weights[x] for x, _ in live],
+                                      [a[2] for _, a in live], self.zero)
             self._room(self._states)
             state = self._states[key] = (next(self._serials), live, value, {})
         return state
@@ -471,9 +517,9 @@ class _SquareWords:
         key = frozenset([(serials, c) for serials, (_, _, c) in pairs.items()])
         state = self._states.get(key)
         if state is None:
-            value = _weighted_sum([c for _, _, c in pairs.values()],
-                                  [p[2] * q[2] for p, q, _ in pairs.values()],
-                                  self.words.zero)
+            value = self.words.weighted_sum([c for _, _, c in pairs.values()],
+                                            [p[2] * q[2] for p, q, _ in pairs.values()],
+                                            self.words.zero)
             if len(self._states) >= _SHARED_MAX:
                 self._states.clear()
             state = self._states[key] = (next(self._serials), pairs, value)
@@ -719,9 +765,10 @@ def fixed_point_matrix(source, tol=None) -> tuple[CMatrix, CheckReport]:
     if not isinstance(source, FiberModel):
         raise TypeError("source must be a PermGroup or FiberModel")
     n = source.n
-    weights = _point_weights(source)
-    ntrace = _once_per_object(CMatrix.ntrace)
-    rows = [[_weighted_sum(weights, list(map(ntrace, source.entries[i][j])))
+    fibers = {id(f): f for row in source.entries for cell in row for f in cell}
+    weights, weighted_sum = _point_weights(source, fibers.values())
+    traces = {key: f.ntrace() for key, f in fibers.items()}
+    rows = [[weighted_sum(weights, [traces[id(f)] for f in source.entries[i][j]])
              for j in range(n)]
             for i in range(n)]
     q = CMatrix(source.mode, rows)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from operator import mul
 
@@ -10,8 +11,8 @@ from magicmodels.errors import (
 )
 from magicmodels.groups import (
     AutoMap, FinAbelian, Perm, PermGroup, TableGroup, abelian_dual,
-    abelianization, extend_automorphism, extend_generator_map, is_normal,
-    orbit_blocks,
+    abelianization, extend_automorphism, extend_generator_map, generate,
+    is_normal, orbit_blocks,
 )
 from conftest import pg
 
@@ -27,6 +28,8 @@ def test_perm_basics():
         Perm((1, 1, 3))
     with pytest.raises(DegreeMismatch):
         p * Perm.identity(3)
+    with pytest.raises(DegreeMismatch, match="^degrees 3 and 4$"):
+        Perm.identity(3) * Perm.identity(4)
 
 
 def test_composition_convention():
@@ -207,41 +210,109 @@ def _outcome(fn, *args):
 S5_STAR = [Perm.from_cycles(5, [(1, k)]) for k in (2, 3, 4, 5)]
 
 
+def mod3_product(a, b):
+    """The product of two 2 x 2 integer matrices, entries reduced modulo 3."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) % 3 for j in range(2))
+                 for i in range(2))
+
+
+MOD3_IDENTITY = ((1, 0), (0, 1))
+MOD3_MATRICES = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(3), repeat=4)]
+# The reflection representation of S3 = <(1 2), (1 2 3)>, reduced modulo 3.
+S3_MOD3 = [((0, 1), (1, 0)), ((0, 2), (1, 2))]
+
+# name -> (group, random trials, target); a target is (the pool of images,
+# target_mul, target_identity, the images of a known homomorphism), and None
+# is the group itself.
 GENERATOR_MAP_CASES = {
-    "S3": (pg(3, [(1, 2)], [(1, 2, 3)]), 60),
-    "D4": (pg(4, [(1, 2, 3, 4)], [(1, 3)]), 60),
-    "S4": (pg(4, [(1, 2)], [(1, 2, 3, 4)]), 40),
+    "S3": (pg(3, [(1, 2)], [(1, 2, 3)]), 60, None),
+    "D4": (pg(4, [(1, 2, 3, 4)], [(1, 3)]), 60, None),
+    "S4": (pg(4, [(1, 2)], [(1, 2, 3, 4)]), 40, None),
     "S4 with a repeat and the identity": (PermGroup.from_generators(
         [Perm.from_cycles(4, [(1, 2)]), Perm.identity(4),
-         Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(1, 2)])]), 40),
-    "S5 star": (PermGroup.from_generators(S5_STAR), 4),
+         Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(4, [(1, 2)])]), 40, None),
+    "S5 star": (PermGroup.from_generators(S5_STAR), 4, None),
+    "S4 with the identity first": (PermGroup.from_generators(
+        [Perm.identity(4), Perm.from_cycles(4, [(1, 2)]),
+         Perm.from_cycles(4, [(1, 2, 3, 4)])]), 40, None),
+    "S3 into 2x2 matrices mod 3": (pg(3, [(1, 2)], [(1, 2, 3)]), 60,
+                                   (MOD3_MATRICES, mod3_product, MOD3_IDENTITY, S3_MOD3)),
 }
 
 
 @pytest.mark.parametrize("name", list(GENERATOR_MAP_CASES))
 def test_generator_steps_decide_like_the_full_table(name):
-    group, trials = GENERATOR_MAP_CASES[name]
+    group, trials, target = GENERATOR_MAP_CASES[name]
+    if target is None:
+        target = (group.elements, mul, group.identity, group.generators)
+    pool, target_mul, target_identity, homomorphism = target
     rng = random.Random(name)
-    elements = list(group.elements)
     n_gens = len(group.generators)
-    assignments = [list(group.generators), [group.identity] * n_gens]
-    # every transposition of two generators, then random images
+    assignments = [list(homomorphism), [target_identity] * n_gens]
+    # every transposition of two generator images, then random images
     for a in range(n_gens):
         for b in range(a + 1, n_gens):
-            swapped = list(group.generators)
+            swapped = list(homomorphism)
             swapped[a], swapped[b] = swapped[b], swapped[a]
             assignments.append(swapped)
-    assignments += [[rng.choice(elements) for _ in range(n_gens)]
+    assignments += [[rng.choice(pool) for _ in range(n_gens)]
                     for _ in range(trials)]
     verdicts = set()
     for images in assignments:
-        got = _outcome(extend_generator_map, group, images, mul, group.identity)
-        want = _outcome(full_table_generator_map, group, images, mul, group.identity)
+        got = _outcome(extend_generator_map, group, images, target_mul, target_identity)
+        want = _outcome(full_table_generator_map, group, images, target_mul,
+                        target_identity)
         assert got == want
+        if got[0] == "map":
+            assert list(got[1]) == list(group.elements)
         verdicts.add(got[1] if got[0] != "map" else "map")
     assert "map" in verdicts and len(verdicts) > 1
-    if "repeat" in name:
+    if "repeat" in name or "identity first" in name:
         assert any("well defined at generator" in v for v in verdicts)
+
+
+def breadth_first_by_frontier(generators, degree):
+    """Breadth-first enumeration one frontier at a time, each in the order
+    its elements were found: the element and word order that every report's
+    point order rests on."""
+    e = Perm.identity(degree)
+    elements, words = [e], [()]
+    index = {e: 0}
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for i in frontier:
+            for gi, g in enumerate(generators):
+                y = elements[i] * g
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    words.append(words[i] + (gi,))
+                    next_frontier.append(index[y])
+        frontier = next_frontier
+    return elements, words
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_MAP_CASES))
+def test_enumeration_keeps_its_cayley_graph(name):
+    group = GENERATOR_MAP_CASES[name][0]
+    elements, words, cayley = generate(group.generators, group.degree)
+    # every report's point order is this element order
+    assert (elements, words) == breadth_first_by_frontier(group.generators, group.degree)
+    assert (group.elements, group.words, group._cayley) == \
+        (tuple(elements), tuple(words), cayley)
+    assert type(cayley) is tuple and len(cayley) == group.order
+    reached = {0}
+    for i, row in enumerate(cayley):
+        assert type(row) is tuple and len(row) == len(group.generators)
+        for g, j in enumerate(row):
+            assert elements[j] == elements[i] * group.generators[g]
+            # the edge that first reaches an element is its breadth-first
+            # tree edge, the last letter of its stored word
+            if j not in reached:
+                assert j == len(reached) and words[j] == words[i] + (g,)
+                reached.add(j)
+    assert len(reached) == group.order
 
 
 def test_unchecked_products_equal_validated_ones():

@@ -1265,8 +1265,8 @@ def fixed_point_matrix_by_enumeration(group, tol=None):
 @pytest.mark.parametrize("group", [
     pg(4, [(1, 2, 3, 4)]), pg(4, [(1, 2, 3, 4)], [(1, 3)]), pg(4, [(1, 2)], [(1, 2, 3, 4)]),
     pg(6, [(1, 2), (3, 4)], [(1, 2), (5, 6)]), pg(5, [(1, 2)], [(1, 2, 3, 4, 5)]),
-    pg(6, [(1, 2), (3, 4), (5, 6)]),
-], ids=["Z4", "D4", "S4", "V4 in S6", "S5", "Z2 in S6"])
+    pg(6, [(1, 2), (3, 4), (5, 6)]), pg(5, [(1, 2)], [(1, 3)], [(1, 4)], [(1, 5)]),
+], ids=["Z4", "D4", "S4", "V4 in S6", "S5", "Z2 in S6", "S5 star"])
 def test_fixed_point_matrix_of_a_group_reads_its_permutation_model(group):
     q, report = fixed_point_matrix(group)
     want_q, want_report = fixed_point_matrix_by_enumeration(group)
@@ -1274,6 +1274,64 @@ def test_fixed_point_matrix_of_a_group_reads_its_permutation_model(group):
     assert [(type(x), repr(x)) for row in q.data for x in row] == \
         [(type(x), repr(x)) for row in want_q.data for x in row]
     assert report == want_report
+
+
+def term_by_term_sum(weights, values, zero=None):
+    """The weighted sum added one term at a time, in point order, over the
+    values that are not None: the loop that _weighted_sum keeps and that
+    _rational_sum must agree with, type included."""
+    total = None
+    for w, v in zip(weights, values):
+        if v is not None:
+            term = v * w
+            total = term if total is None else total + term
+    return zero if total is None else total
+
+
+WEIGHTED_SUM_CASES = {
+    "ints": ([1, 2, 3], [4, -5, 6], 0),
+    "int terms beside a None": ([F(1, 2), 3], [None, 2], 0),
+    "fractions": ([F(1, 24)] * 4, [F(1), F(1, 2), F(0), F(1, 3)], 0),
+    "a whole fraction": ([F(1, 2), F(1, 2)], [F(1), F(1)], 0),
+    "ints then fractions": ([2, F(1, 3), 5], [3, F(3, 4), 7], None),
+    "int weights": ([3, 1], [F(1, 6), F(-1, 2)], 0),
+    "unequal denominators": ([F(1, 6), F(1, 10), F(1, 15)], [F(5, 7), 3, F(2, 9)], 0),
+    "cancelling": ([F(1, 3), F(2, 3)], [F(1, 2), F(-1, 4)], 0),
+    "Cyc values": ([F(1, 2), F(1, 2)], [zeta(3), F(1)], 0),
+    "Cyc after fractions": ([F(1, 3), F(2, 3)], [F(1), zeta(4)], 0),
+    "Cyc weights": ([zeta(3), 1], [F(1, 2), 2], 0),
+    "complex": ([0.5 + 0j, 0.5 + 0j], [1 + 0j, -2j], 0j),
+    "complex after fractions": ([F(1, 2), F(1, 2)], [F(1), 1j], 0j),
+    "Nones": ([F(1, 3)] * 3, [None, F(1, 2), None], 0),
+    "all None": ([F(1, 2), 1], [None, None], 0),
+    "all None, complex zero": ([0.5 + 0j], [None], 0j),
+    "all None, no zero": ([F(1, 2)], [None], None),
+    "empty": ([], [], 0),
+}
+
+
+@pytest.mark.parametrize("weighted_sum", [magic._weighted_sum, magic._rational_sum],
+                         ids=["term by term", "rational"])
+@pytest.mark.parametrize("name", list(WEIGHTED_SUM_CASES))
+def test_weighted_sums_agree_with_the_term_by_term_loop(weighted_sum, name):
+    weights, values, zero = WEIGHTED_SUM_CASES[name]
+    got = weighted_sum(weights, values, zero)
+    want = term_by_term_sum(weights, values, zero)
+    assert got == want
+    assert type(got) is type(want)
+    assert magic._scalar_key(got) == magic._scalar_key(want)
+
+
+def test_the_rational_sum_is_chosen_once_per_model(family_models, d4_s4_models):
+    """An exact model of int and Fraction fibers sums over one denominator;
+    a float model or a model with a Cyc entry keeps the term-by-term loop."""
+    (_, z3_model), _ = family_models
+    for model in (z3_model, d4_s4_models[1][1],
+                  magic._reference_model(pg(4, [(1, 2, 3, 4)]), 4)):
+        assert magic._ModelWords(model).weighted_sum is magic._rational_sum
+        assert magic._ModelWords(model.to_float()).weighted_sum is magic._weighted_sum
+    cyclic = bichon_build([3], [CMatrix.exact([[0, 0, 1], [1, 0, 0], [0, 1, 0]])])
+    assert magic._ModelWords(cyclic).weighted_sum is magic._weighted_sum
 
 
 # -- one object per distinct fiber against fresh copies ----------------------
