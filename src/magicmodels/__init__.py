@@ -14,7 +14,7 @@ from .errors import (
     NotRepresentation, NotSubgroup, NotUnitary, NotWellDefined, ShapeMismatch,
 )
 from .groups import (
-    AutoMap, CharacterOf, FinAbelian, Perm, PermGroup, TableGroup,
+    AutoMap, CharacterOf, FinAbelian, Perm, PermGroup,
     abelian_dual, abelianization, extend_automorphism, orbit_blocks,
 )
 from .group_algebra import regular_rep

@@ -1,5 +1,5 @@
 """Finite group machinery: permutation groups, abelian groups, characters,
-automorphisms and quotients.
+automorphisms and abelianization.
 
 Permutations act on 1-based points and compose like functions,
 (s * t)(i) = s(t(i)).  Group enumeration is breadth-first from the identity
@@ -19,7 +19,6 @@ from .errors import (
     DegreeMismatch,
     NotBijective,
     NotInGroup,
-    NotNormal,
     NotSubgroup,
     NotWellDefined,
 )
@@ -31,11 +30,8 @@ __all__ = [
     "FinAbelian",
     "CharacterOf",
     "AutoMap",
-    "TableGroup",
     "abelian_dual",
-    "abelian_structure",
     "abelianization",
-    "commutator_subgroup",
     "extend_automorphism",
     "extend_generator_map",
     "generate",
@@ -230,6 +226,11 @@ class PermGroup:
         return all(a * b == b * a for a in gens for b in gens)
 
     def subgroup(self, generators, cap: int = DEFAULT_CAP) -> "PermGroup":
+        """The subgroup the generators generate: the group itself when they
+        are its own generator tuple, else enumerated under cap."""
+        generators = tuple(generators)
+        if generators == self.generators:
+            return self
         sub = PermGroup.from_generators(list(generators), self.degree, cap)
         for g in sub.elements:
             if g not in self:
@@ -269,73 +270,6 @@ def _cosets(elements, sub_elements, mul) -> tuple[list, dict]:
         for h in sub_elements:
             coset_of[mul(g, h)] = idx
     return reps, coset_of
-
-
-class TableGroup:
-    """A finite group given by its multiplication table on 0..n-1 with 0 = e."""
-
-    def __init__(self, table):
-        self.table = tuple(tuple(row) for row in table)
-        n = len(self.table)
-        for row in self.table:
-            if len(row) != n:
-                raise BadArgument("table is not square")
-        if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
-            raise BadArgument("element 0 is not the identity")
-        self.elements = tuple(range(n))
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-        if any(v is None for v in inv):
-            raise BadArgument("table has no inverses")
-        self._inv = tuple(inv)
-
-    @classmethod
-    def from_group(cls, group) -> tuple["TableGroup", list]:
-        """Tabulate any group-like object; returns the table group and the
-        element list aligning table indices with original elements."""
-        elements = list(group.elements)
-        index = {g: i for i, g in enumerate(elements)}
-        table = [
-            [index[group.mul(a, b)] for b in elements] for a in elements
-        ]
-        return cls(table), elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
-    def power(self, a: int, k: int) -> int:
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
-    def quotient(self, subgroup: list[int]) -> tuple["TableGroup", list[int]]:
-        """Quotient by a normal subgroup (normality is the caller's duty).
-        Returns the quotient table group and the coset representatives."""
-        reps, coset_of = _cosets(self.elements, list(subgroup), self.mul)
-        table = [[coset_of[self.table[a][b]] for b in reps] for a in reps]
-        return TableGroup(table), reps
 
 
 class FinAbelian:
@@ -563,106 +497,83 @@ def orbit_blocks(group: PermGroup) -> tuple[tuple[int, ...], ...]:
                           ((i, g(i)) for g in group.generators for i in points))
 
 
-# -- structure of finite abelian groups -------------------------------------
 
 
-def _max_order_element(table: TableGroup) -> tuple[int, int]:
-    best, best_order = 0, 1
-    for a in table.elements:
-        o = table.element_order(a)
-        if o > best_order:
-            best, best_order = a, o
-    return best, best_order
+# -- abelianization ----------------------------------------------------------
 
 
-def _abelian_basis(table: TableGroup) -> list[tuple[int, int]]:
-    """Independent generators (element, order) of an abelian table group with
-    orders forming a divisibility chain d1 >= d2 >= ..., each dividing the
-    previous one."""
-    if table.order == 1:
-        return []
-    a, d = _max_order_element(table)
-    cyclic = [table.power(a, i) for i in range(d)]
-    quotient, reps = table.quotient(cyclic)
-    basis = [(a, d)]
-    a_inv = table.inv(a)
-    for qb, m in _abelian_basis(quotient):
-        c = reps[qb]
-        cm = table.power(c, m)
-        # cm lies in <a>; find the discrete log and strip it off.
-        t = cyclic.index(cm)
-        if t % m:
-            raise AssertionError("abelian basis lift failed")
-        b = table.mul(c, table.power(a_inv, t // m))
-        if table.element_order(b) != m:
-            raise AssertionError("abelian basis lift has wrong order")
-        basis.append((b, m))
-    return basis
-
-
-def abelian_structure(group):
-    """Invariant-factor decomposition of a finite abelian group-like object.
-
-    Returns (fin, to_tuple, from_tuple) with fin a FinAbelian whose factors
-    form a divisibility chain d1 >= d2 >= ... and dicts translating between
-    group elements and exponent tuples through an isomorphism."""
-    table, elements = TableGroup.from_group(group)
-    for a in table.elements:
-        for b in table.elements:
-            if table.mul(a, b) != table.mul(b, a):
-                raise BadArgument("group is not abelian")
-    basis = _abelian_basis(table)
-    factors = tuple(order for _, order in basis)
-    fin = FinAbelian(factors)
-    from_tuple = {}
-    for exps in fin.elements:
-        x = 0
-        for (b, _), e in zip(basis, exps):
-            x = table.mul(x, table.power(b, e))
-        from_tuple[exps] = elements[x]
-    if len(set(from_tuple.values())) != len(group.elements):
-        raise AssertionError("abelian decomposition is not bijective")
-    to_tuple = {v: k for k, v in from_tuple.items()}
-    return fin, to_tuple, from_tuple
-
-
-def commutator_subgroup(group: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    """The commutator subgroup, computed as the normal closure of the
-    generator commutators."""
-    seeds = []
-    seen = set()
-    for a in group.generators:
-        for b in group.generators:
-            c = a * b * a.inv() * b.inv()
-            if c not in seen:
-                seen.add(c)
-                seeds.append(c)
-    while True:
-        sub = PermGroup.from_generators([s for s in seeds if not s.is_identity()],
-                                        group.degree, cap)
-        new = []
-        for g in group.generators:
-            gi = g.inv()
-            for h in sub.elements:
-                c = g * h * gi
-                if c not in sub and c not in seen:
-                    seen.add(c)
-                    new.append(c)
-        if not new:
-            return sub
-        seeds.extend(new)
+def _smith(rows, n: int):
+    """Smith normal form of the integer matrix with the given rows and n
+    columns, which must have rank n.  Row and column operations bring it to
+    D = P R V with P and V unimodular and D diagonal, each diagonal entry
+    dividing the next; only V, the column transform, is kept.  Returns the
+    diagonal entries, made positive, and V as a list of its rows."""
+    rows = [list(r) for r in rows]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    diagonal = []
+    for t in range(n):
+        while True:
+            # The pivot is the smallest nonzero entry of the block left.
+            _, k, j = min((abs(x), k, j) for k in range(t, len(rows))
+                          for j, x in enumerate(rows[k]) if j >= t and x)
+            rows[t], rows[k] = rows[k], rows[t]
+            for r in itertools.chain(rows, v):
+                r[t], r[j] = r[j], r[t]
+            pivot = rows[t]
+            p = pivot[t]
+            for r in rows[t + 1:]:
+                q = r[t] // p
+                if q:
+                    for c in range(t, n):
+                        r[c] -= q * pivot[c]
+            for c in range(t + 1, n):
+                q = pivot[c] // p
+                if q:
+                    for r in itertools.chain(rows, v):
+                        r[c] -= q * r[t]
+            # A nonzero remainder is smaller than the pivot: pivot again.
+            if any(r[t] for r in rows[t + 1:]) or any(pivot[t + 1:]):
+                continue
+            # The pivot must divide the block left; if it does not, adding
+            # the offending row leaves a remainder in the pivot row.
+            bad = next((r for r in rows[t + 1:] if any(x % p for x in r[t + 1:])),
+                       None)
+            if bad is None:
+                break
+            for c in range(t + 1, n):
+                pivot[c] += bad[c]
+        diagonal.append(abs(p))
+    return diagonal, v
 
 
 def abelianization(group: PermGroup):
-    """The abelianization G / [G, G].
+    """The abelianization G / [G, G], read off the Cayley graph that
+    enumeration kept, with no element enumerated or multiplied.
 
-    Returns (fin, proj) with fin a FinAbelian and proj a dict sending each
-    group element to its exponent tuple."""
-    derived = commutator_subgroup(group)
-    if not is_normal(derived, group):
-        raise NotNormal("subgroup is not normal, no quotient group")
-    reps, coset_of = _cosets(group.elements, derived.elements, group.mul)
-    quotient = TableGroup([[coset_of[a * b] for b in reps] for a in reps])
-    fin, to_tuple, _ = abelian_structure(quotient)
-    proj = {g: to_tuple[coset_of[g]] for g in group.elements}
+    Each element gets the exponent vector of its stored word, the count of
+    each generator's letters.  An edge a -> a g_i of the graph gives the
+    relator row vec(a) + e_i - vec(a g_i), which is 0 on the breadth-first
+    tree edges.  By Schreier's lemma, for the trivial subgroup, these rows
+    present G^ab on the M generators: G^ab is Z^M modulo their row lattice.
+    With the Smith normal form D = P R V of the rows, x -> x V reduced
+    modulo the diagonal of D maps Z^M onto the sum of the Z_d with exactly
+    that lattice as kernel.  The rows have rank M, since the edges of the
+    cycle of a generator of order k add up to k e_i.
+
+    Returns (fin, proj): fin is a FinAbelian whose factors are the diagonal
+    entries other than 1, largest first, each dividing the one before; proj
+    sends each element g to vec(g) V reduced modulo the factors, a
+    homomorphism onto fin."""
+    m = len(group.generators)
+    vecs = [[word.count(i) for i in range(m)] for word in group.words]
+    rows = dict.fromkeys(
+        tuple(x + (i == j) - y for j, (x, y) in enumerate(zip(vecs[a], vecs[b])))
+        for a, row in enumerate(group._cayley) for i, b in enumerate(row))
+    rows.pop((0,) * m, None)
+    diagonal, v = _smith(rows, m)
+    keep = [j for j in reversed(range(m)) if diagonal[j] != 1]
+    fin = FinAbelian([diagonal[j] for j in keep])
+    proj = {g: tuple(sum(x * v[i][j] for i, x in enumerate(vec)) % diagonal[j]
+                     for j in keep)
+            for g, vec in zip(group.elements, vecs)}
     return fin, proj

@@ -32,7 +32,7 @@ from .groups import (
     PermGroup,
     _cosets,
     abelian_dual,
-    abelian_structure,
+    abelianization,
     extend_generator_map,
     is_normal,
 )
@@ -240,7 +240,9 @@ class VirtuallyAbelianData:
 
     def char_structure(self):
         """Characters of the subgroup: (FinAbelian, element -> tuple map,
-        list of CharacterOf).  Finite data only."""
+        list of CharacterOf).  Finite data only.  A permutation subgroup's
+        map is its abelianization, which must be a bijection since the
+        subgroup is abelian; Inconsistent if it is not."""
         if not self.finite:
             raise FreePartPresent("subgroup has a free part, no finite dual")
         if self._chars is None:
@@ -248,7 +250,10 @@ class VirtuallyAbelianData:
                 fin = FinAbelian(self.lam.factors)
                 to_tuple = {v: v for v in fin.elements}
             else:
-                fin, to_tuple, _ = abelian_structure(self.lam)
+                fin, to_tuple = abelianization(self.lam)
+                if len(set(to_tuple.values())) != self.lam.order:
+                    raise Inconsistent(
+                        "abelianization of the subgroup is not a bijection")
             self._chars = (fin, to_tuple, abelian_dual(fin))
         return self._chars
 

@@ -212,7 +212,9 @@ def uniform_check(group: PermGroup, generators) -> CheckReport:
     failing condition; details are the common `order` (None unless (2)
     holds), the generator `count`, the verdict per condition in
     `conditions`, `first_failing` and the `abelian_factors` of the
-    abelianization."""
+    abelianization, read off the group's Cayley graph (abelianization).
+    When the listed elements are the group's own generators, (1) and (4)
+    reuse the group's enumeration, so no group is enumerated twice."""
     gens = list(generators)
     m_count = len(gens)
     witnesses = []
@@ -220,7 +222,8 @@ def uniform_check(group: PermGroup, generators) -> CheckReport:
     for g in gens:
         if g not in group:
             raise InvalidFamily("generator outside the group")
-    sub = group.subgroup(gens)
+    # The generators lie in the group, so what they generate fits its order.
+    sub = group.subgroup(gens, cap=group.order)
     conditions[1] = sub.order == group.order
     if not conditions[1]:
         witnesses.append({"condition": 1, "generated_order": sub.order,

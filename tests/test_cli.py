@@ -336,6 +336,17 @@ def test_uniform_check_pass_and_fail(files, capsys):
     assert rep2["first_failing"] == 4
 
 
+def test_uniform_check_keeps_to_the_cap_it_was_given(tmp_path, capsys):
+    """S8 from a transposition and an 8-cycle is enumerated under --cap
+    40320 once; the check does not enumerate it again under the default."""
+    path = tmp_path / "s8.json"
+    path.write_text(sz.render_json(_group_payload(8, [(1, 2)], [(1, 2, 3, 4, 5, 6, 7, 8)])))
+    code, report, _ = run_cli(capsys, "uniform-check", "--group", str(path),
+                              "--cap", "40320")
+    assert code == 1 and report["status"] == "fail"
+    assert report["first_failing"] == 2 and report["abelian_factors"] == [2]
+
+
 def test_dual_flat_check_pass_and_fail(files, capsys):
     code, report, _ = run_cli(capsys, "dual-flat-check", "--input",
                               files["flat_ok"])

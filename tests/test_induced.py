@@ -45,6 +45,18 @@ def test_requires_normal_abelian(s3, d4):
         VirtuallyAbelianData.from_permutation_groups(s4, a4)
 
 
+def test_character_map_that_is_not_a_bijection_is_inconsistent(d4_z4, monkeypatch):
+    """The abelianization of an abelian subgroup is a bijection; a map that
+    is not one is a failed cross-check, not a raw exception."""
+    assert len(set(d4_z4.char_structure()[1].values())) == 4
+    folded = induced.FinAbelian([2])
+    monkeypatch.setattr(induced, "abelianization", lambda lam: (
+        folded, {g: (k % 2,) for k, g in enumerate(lam.elements)}))
+    again = data_for(d4_z4.gamma, list(d4_z4.lam.generators))
+    with pytest.raises(Inconsistent, match="not a bijection"):
+        again.char_structure()
+
+
 def test_monomial_structure(s3_a3):
     gamma = s3_a3.gamma
     for g in gamma.elements:
