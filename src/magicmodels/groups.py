@@ -569,7 +569,6 @@ def abelianization(group: PermGroup):
     rows = dict.fromkeys(
         tuple(x + (i == j) - y for j, (x, y) in enumerate(zip(vecs[a], vecs[b])))
         for a, row in enumerate(group._cayley) for i, b in enumerate(row))
-    rows.pop((0,) * m, None)
     diagonal, v = _smith(rows, m)
     keep = [j for j in reversed(range(m)) if diagonal[j] != 1]
     fin = FinAbelian([diagonal[j] for j in keep])
