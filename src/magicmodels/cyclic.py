@@ -114,11 +114,16 @@ class CyclicModelData:
                 raise ModeMismatch("representation matrices differ in mode")
             if not m.is_unitary():
                 raise NotUnitary(f"matrix at {g!r} is not unitary")
+        # v(e) = 1 and v(a s) = v(a) v(s) on the generator steps give
+        # v(ab) = v(a) v(b), by induction on a word for b.
+        e = group.identity
+        if not self.rep[e].is_identity():
+            raise NotRepresentation(f"v({e!r})v({e!r}) differs from v of the product")
         for a in elements:
-            for b in elements:
-                if self.rep[group.mul(a, b)] != self.rep[a] * self.rep[b]:
+            for s in group.generators:
+                if self.rep[group.mul(a, s)] != self.rep[a] * self.rep[s]:
                     raise NotRepresentation(
-                        f"v({a!r})v({b!r}) differs from v of the product")
+                        f"v({a!r})v({s!r}) differs from v of the product")
 
 
 def abelian_rep(group, generator_images) -> dict:

@@ -4,7 +4,8 @@ automorphisms and abelianization.
 Permutations act on 1-based points and compose like functions,
 (s * t)(i) = s(t(i)).  Group enumeration is breadth-first from the identity
 with generators applied on the right in the order given, so element order is
-deterministic and the identity always comes first.
+deterministic and the identity always comes first.  Enumeration runs on image
+tuples; membership, abelianization and extension read the tables it keeps.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ class Perm:
     def _of(cls, images: tuple) -> "Perm":
         """A Perm from a tuple already known to be a permutation of 1..n,
         without validation: for products and inverses of valid Perms."""
-        p = _new(cls)
-        _set_images(p, images)
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
         return p
 
     def __setattr__(self, name, value):
@@ -89,9 +90,7 @@ class Perm:
         images, right = self.images, other.images
         if len(images) != len(right):
             raise DegreeMismatch(f"degrees {len(images)} and {len(right)}")
-        p = _new(Perm)
-        _set_images(p, tuple([images[i - 1] for i in right]))
-        return p
+        return Perm._of(tuple([images[i - 1] for i in right]))
 
     def inv(self) -> "Perm":
         images = [0] * self.degree
@@ -100,12 +99,7 @@ class Perm:
         return Perm._of(tuple(images))
 
     def order(self) -> int:
-        k, p = 1, self
-        e = Perm.identity(self.degree)
-        while p != e:
-            p = p * self
-            k += 1
-        return k
+        return lcm(*map(len, self.cycles()))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, v in enumerate(self.images) if v == i + 1)
@@ -139,70 +133,57 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
-_new = object.__new__
-_set_images = Perm.images.__set__
-
-
 def generate(generators, degree: int | None = None, cap: int = DEFAULT_CAP):
     """Closure of the generators under composition, breadth-first from the
-    identity.  Returns (elements, words, cayley) where words[i] is the
-    sequence of generator indices whose right-to-left product is elements[i],
-    and cayley[i][g] is the index of elements[i] * generators[g]: the Cayley
-    graph of the generators.  Elements get their indices in the order the
-    search reaches them, row by row of the table, so the edge that first
-    reaches an element, its breadth-first tree edge, extends the word of its
-    row by its generator."""
+    identity over image tuples.  Returns (elements, cayley, index) where
+    cayley[i][g] is the index of elements[i] * generators[g], the Cayley
+    graph, and index maps each element's image tuple to its index.  Indices
+    follow the order the search reaches elements, row by row of the table,
+    so the breadth-first tree edge of an element leaves a smaller index."""
     generators = list(generators)
     if degree is None:
         if not generators:
             raise BadArgument("need a degree when there are no generators")
         degree = generators[0].degree
-    for g in generators:
-        if g.degree != degree:
-            raise DegreeMismatch("generators act on different point counts")
-    e = Perm.identity(degree)
-    elements, words, cayley = [e], [()], []
+    if any(g.degree != degree for g in generators):
+        raise DegreeMismatch("generators act on different point counts")
+    # x * g has images x[g(i) - 1]: look each up through the 0-based g.
+    steps = [tuple(i - 1 for i in g.images) for g in generators]
+    e = tuple(range(1, degree + 1))
+    found, cayley = [e], []
     index = {e: 0}
-    i = 0
-    while i < len(elements):
-        x, word = elements[i], words[i]
+    for x in found:
         row = []
-        for gi, g in enumerate(generators):
-            y = x * g
+        for step in steps:
+            y = tuple(map(x.__getitem__, step))
             j = index.get(y)
             if j is None:
-                if len(elements) >= cap:
+                if len(found) >= cap:
                     raise CapExceeded(f"more than {cap} elements")
-                j = index[y] = len(elements)
-                elements.append(y)
-                words.append(word + (gi,))
+                j = index[y] = len(found)
+                found.append(y)
             row.append(j)
         cayley.append(tuple(row))
-        i += 1
-    return elements, words, tuple(cayley)
+    return tuple(map(Perm._of, found)), tuple(cayley), index
 
 
 class PermGroup:
     """A finite permutation group with a fixed, deterministic element order.
-    It keeps the Cayley graph of its generators from enumeration (generate):
-    _cayley[i][g] is the index of elements[i] * generators[g]."""
+    It keeps the two tables of its enumeration (generate): _index, from
+    image tuples to element indices, and the Cayley graph _cayley."""
 
-    def __init__(self, degree: int, generators, elements, words, cayley):
-        self.degree = degree
+    def __init__(self, generators, elements, cayley, index):
+        self.degree = elements[0].degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self.words = tuple(words)
-        self._members = frozenset(self.elements)
+        self.elements = elements
         self._cayley = cayley
+        self._index = index
 
     @classmethod
     def from_generators(cls, generators, degree: int | None = None,
                         cap: int = DEFAULT_CAP) -> "PermGroup":
         generators = [g if isinstance(g, Perm) else Perm(g) for g in generators]
-        if degree is None and not generators:
-            raise BadArgument("need a degree when there are no generators")
-        deg = degree if degree is not None else generators[0].degree
-        return cls(deg, generators, *generate(generators, deg, cap))
+        return cls(generators, *generate(generators, degree, cap))
 
     @property
     def order(self) -> int:
@@ -212,8 +193,8 @@ class PermGroup:
     def identity(self) -> Perm:
         return self.elements[0]
 
-    def __contains__(self, g: Perm) -> bool:
-        return g in self._members
+    def __contains__(self, g) -> bool:
+        return isinstance(g, Perm) and g.images in self._index
 
     def mul(self, a: Perm, b: Perm) -> Perm:
         return a * b
@@ -274,13 +255,16 @@ def _cosets(elements, sub_elements, mul) -> tuple[list, dict]:
 
 class FinAbelian:
     """Direct sum of cyclic groups Z_d1 + ... + Z_dr; elements are exponent
-    tuples, enumerated lexicographically."""
+    tuples, enumerated lexicographically; its generators are the unit vectors."""
 
     def __init__(self, factors):
         self.factors = tuple(int(d) for d in factors)
         if any(d < 1 for d in self.factors):
             raise BadArgument("factors must be positive")
         self.elements = tuple(itertools.product(*(range(d) for d in self.factors)))
+        self.generators = tuple(
+            tuple(int(i == j) % d for j, d in enumerate(self.factors))
+            for i in range(len(self.factors)))
 
     @property
     def order(self) -> int:
@@ -311,7 +295,7 @@ class FinAbelian:
 
     def generator(self, i: int) -> tuple[int, ...]:
         """The i-th coordinate unit vector."""
-        return tuple(1 if j == i else 0 for j in range(len(self.factors)))
+        return self.generators[i]
 
     def __repr__(self):
         return f"FinAbelian{self.factors}"
@@ -353,8 +337,6 @@ def extend_generator_map(group, generator_images, target_mul, target_identity):
     f is built along the breadth-first tree of the group's enumeration:
     f(e) = target_identity, and the edge a -> a g_i that first reaches an
     element sets f(a g_i) = f(a) images[i], one target product per element.
-    Since the stored word of a g_i is that of a followed by i, this is
-    f(g_w1 ... g_wk) = images[w1] ... images[wk], multiplied in that order.
     f is then checked on the generator steps, the edges of the Cayley graph
     kept by the enumeration: f(a g_i) = f(a) f(g_i) for every element a and
     generator g_i, with f(g_i) the value just built and a g_i read off the
@@ -368,7 +350,7 @@ def extend_generator_map(group, generator_images, target_mul, target_identity):
 
     The verdict equals the full-table check f(ab) = f(a) f(b) for all a, b:
     the full check contains every generator step (b = g_i), and conversely,
-    by induction on the length of the stored word of b, either b = e and
+    by induction on the length of the tree path to b, either b = e and
     f(ae) = f(a) = f(a) f(e), or b = b' g_i with b' shorter and
     f(ab) = f(ab') f(g_i) = f(a) f(b') f(g_i) = f(a) f(b), using the step at
     ab', the hypothesis at b' and the step at b'.  This needs only an
@@ -417,16 +399,20 @@ class AutoMap:
 
     @classmethod
     def from_function(cls, group, fn) -> "AutoMap":
+        """The bijection g -> fn(g), checked on the identity pair and on the
+        steps f(a s) = f(a) f(s); extend_generator_map proves them enough."""
         mapping = {g: fn(g) for g in group.elements}
         values = set(mapping.values())
         if len(values) != len(mapping):
             raise NotBijective("map is not injective")
         if values != set(group.elements):
             raise NotBijective("map is not onto the group")
-        for a in group.elements:
-            for b in group.elements:
-                if mapping[group.mul(a, b)] != group.mul(mapping[a], mapping[b]):
-                    raise NotWellDefined("map is not multiplicative")
+        mul = group.mul
+        fe = mapping[group.identity]
+        steps = [(s, mapping[s]) for s in group.generators]
+        if mul(fe, fe) != fe or any(mapping[mul(a, s)] != mul(fa, fs)
+                                    for a, fa in mapping.items() for s, fs in steps):
+            raise NotWellDefined("map is not multiplicative")
         return cls(group, mapping)
 
     def __call__(self, element):
@@ -457,16 +443,19 @@ class AutoMap:
 
 def extend_automorphism(group: PermGroup, generator_images) -> AutoMap:
     """Extend a generator assignment of a permutation group to an
-    automorphism; raises NotWellDefined or NotBijective when impossible."""
+    automorphism, on image tuples; raises NotWellDefined or NotBijective
+    when impossible."""
     generator_images = list(generator_images)
     for img in generator_images:
         if img not in group:
             raise NotInGroup(f"{img!r} is not in the group")
-    mapping = extend_generator_map(group, generator_images, Perm.__mul__,
-                                   group.identity)
+    mapping = extend_generator_map(group, [g.images for g in generator_images],
+                                   lambda x, y: tuple([x[i - 1] for i in y]),
+                                   group.identity.images)
     if len(set(mapping.values())) != group.order:
         raise NotBijective("extension is not a bijection")
-    return AutoMap(group, mapping)
+    return AutoMap(group, {g: group.elements[group._index[v]]
+                           for g, v in mapping.items()})
 
 
 def _joined_blocks(n: int, pairs) -> tuple[tuple[int, ...], ...]:
@@ -550,14 +539,15 @@ def abelianization(group: PermGroup):
     """The abelianization G / [G, G], read off the Cayley graph that
     enumeration kept, with no element enumerated or multiplied.
 
-    Each element gets the exponent vector of its stored word, the count of
-    each generator's letters.  An edge a -> a g_i of the graph gives the
-    relator row vec(a) + e_i - vec(a g_i), which is 0 on the breadth-first
-    tree edges.  By Schreier's lemma, for the trivial subgroup, these rows
-    present G^ab on the M generators: G^ab is Z^M modulo their row lattice.
-    With the Smith normal form D = P R V of the rows, x -> x V reduced
-    modulo the diagonal of D maps Z^M onto the sum of the Z_d with exactly
-    that lattice as kernel.  The rows have rank M, since the edges of the
+    Each element gets the exponent vector of its breadth-first tree path,
+    vec(e) = 0 and vec(a g_i) = vec(a) + e_i along the edge a -> a g_i that
+    first reaches a g_i.  An edge a -> a g_i of the graph gives the relator
+    row vec(a) + e_i - vec(a g_i), which is 0 on the tree edges.  By
+    Schreier's lemma, for the trivial subgroup, these rows present G^ab on
+    the M generators: G^ab is Z^M modulo their row lattice.  With the Smith
+    normal form D = P R V of the rows, x -> x V reduced modulo the diagonal
+    of D maps Z^M onto the sum of the Z_d with exactly that lattice as
+    kernel.  The rows have rank M, since the edges of the
     cycle of a generator of order k add up to k e_i.
 
     Returns (fin, proj): fin is a FinAbelian whose factors are the diagonal
@@ -565,10 +555,14 @@ def abelianization(group: PermGroup):
     sends each element g to vec(g) V reduced modulo the factors, a
     homomorphism onto fin."""
     m = len(group.generators)
-    vecs = [[word.count(i) for i in range(m)] for word in group.words]
-    rows = dict.fromkeys(
-        tuple(x + (i == j) - y for j, (x, y) in enumerate(zip(vecs[a], vecs[b])))
-        for a, row in enumerate(group._cayley) for i, b in enumerate(row))
+    vecs = [(0,) * m]
+    rows = {}
+    for x, row in zip(vecs, group._cayley):
+        for i, b in enumerate(row):
+            y = x[:i] + (x[i] + 1,) + x[i + 1:]
+            if b == len(vecs):
+                vecs.append(y)
+            rows[tuple(p - q for p, q in zip(y, vecs[b]))] = None
     diagonal, v = _smith(rows, m)
     keep = [j for j in reversed(range(m)) if diagonal[j] != 1]
     fin = FinAbelian([diagonal[j] for j in keep])

@@ -219,12 +219,11 @@ class VirtuallyAbelianData:
         action = _IntMatrixAction(lam, phi, action_matrices)
         gamma = _SplitGamma(action)
         reps = [(lam.identity, p) for p in phi.elements]
-        index = {p: i for i, p in enumerate(phi.elements)}
         moves = [(name, (vec, phi.identity)) for name, vec in lam.basis_moves()]
         for i, g in enumerate(phi.generators):
             moves.append((f"s{i + 1}", (lam.identity, g)))
         return cls(finite=not lam.is_free(), gamma=gamma, lam=lam, reps=reps,
-                   coset_of=lambda g: index[g[1]],
+                   coset_of=lambda g: phi._index[g[1].images],
                    lam_key=lambda g: g[0], in_lam=lambda g: g[1] == phi.identity,
                    word_moves=moves)
 

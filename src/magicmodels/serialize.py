@@ -175,13 +175,21 @@ def perm_from_json(v) -> Perm:
         raise BadInput(str(exc)) from exc
 
 
+# Every element of a group is a tuple of degree images and orbits walks every
+# point, so a declared degree costs time and memory before the cap applies.
+_DEGREE_MAX = 1024
+
+
 def group_from_json(v, cap: int = DEFAULT_CAP) -> PermGroup:
+    """The group; a declared degree above _DEGREE_MAX is refused before any
+    permutation is built."""
     _expect(isinstance(v, dict) and "generators" in v, "group needs a generators field")
     _expect(isinstance(v["generators"], list), "group generators must be a list")
-    gens = [perm_from_json(p) for p in v["generators"]]
     degree = v.get("degree")
     if degree is not None:
         _expect(_is_int(degree) and degree >= 1, "degree must be a positive integer")
+        _expect(degree <= _DEGREE_MAX, f"degree must be at most {_DEGREE_MAX}")
+    gens = [perm_from_json(p) for p in v["generators"]]
     _expect(bool(gens) or degree is not None, "empty generator list needs an explicit degree")
     _expect(degree is not None or gens[0].degree >= 1, "generators must have degree at least 1")
     return PermGroup.from_generators(gens, degree=degree, cap=cap)

@@ -73,7 +73,8 @@ REMOVED_CLASSES = {"AlgebraElement": "group_algebra", "TableGroup": "groups"}
     ("group_algebra", "AlgebraElement"), ("magic", "haar_word_classical"),
     ("DualWordReference", "haar"), ("groups", "abelian_structure"),
     ("groups", "commutator_subgroup"), ("groups", "_abelian_basis"),
-    ("groups", "_max_order_element"),
+    ("groups", "_max_order_element"), ("PermGroup", "words"),
+    ("PermGroup", "_members"),
 ])
 def test_removed_members_are_gone(owner, name):
     """A removed member of a class or of a module; a removed module member

@@ -538,6 +538,8 @@ FUZZ_PAYLOADS = [
     # A huge k stops at the fiber shape check, before any work.
     ("dual-flat-check", "--input", '{"k": 1000000000, "generators": [[{"rows": [["1"]]}]]}'),
     ("dual-build", "--input", _dual_sizes_payload([_DUAL_N_MAX - 1, 2])),
+    # A declared degree above the bound stops before any permutation is built.
+    ("orbits", "--group", '{"degree": 3000000, "generators": []}'),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -764,6 +766,32 @@ def test_dual_sizes_above_the_bound_are_input_error(capsys, tmp_path, monkeypatc
     assert report["error"] == {"type": "BadInput",
                                "message": f"sizes must total at most {_DUAL_N_MAX}"}
     assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("command", ["orbits", "uniform-check", "latin-search"])
+@pytest.mark.parametrize("degree", [sz._DEGREE_MAX + 1, 3 * 10 ** 6, 10 ** 12])
+def test_group_degree_above_the_bound_builds_no_permutation(capsys, tmp_path, monkeypatch,
+                                                            command, degree):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(Perm, "identity", refuse)
+    monkeypatch.setattr(sz, "Perm", refuse)
+    monkeypatch.setattr(sz.PermGroup, "from_generators", refuse)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": degree, "generators": [[2, 1]]}))
+    code, report, cap = run_cli(capsys, command, "--group", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "BadInput",
+                               "message": f"degree must be at most {sz._DEGREE_MAX}"}
+    assert "Traceback" not in cap.err
+
+
+def test_group_degree_at_the_bound_runs(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": sz._DEGREE_MAX, "generators": []}))
+    code, report, _ = run_cli(capsys, "orbits", "--group", str(path))
+    assert code == 0 and len(report["blocks"]) == sz._DEGREE_MAX
 
 
 @pytest.mark.parametrize("mode", ["--exact", "--float"])

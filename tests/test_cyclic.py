@@ -17,7 +17,7 @@ from magicmodels.cyclic import (
 )
 from magicmodels.cyclotomic import zeta
 from magicmodels.errors import InvalidAutomorphism, NotRepresentation
-from magicmodels.groups import AutoMap, FinAbelian
+from magicmodels.groups import AutoMap, FinAbelian, Perm, PermGroup
 from magicmodels.magic import (
     CheckReport,
     FiberModel,
@@ -27,6 +27,8 @@ from magicmodels.magic import (
 )
 from magicmodels.matrices import CMatrix, scalar_is_zero
 from magicmodels.serialize import model_to_json, render_json
+
+from conftest import first_generator_maps
 
 F = Fraction
 
@@ -159,6 +161,99 @@ def test_rejects_non_multiplicative_rep(dihedral_data):
     bad[(1,)] = CMatrix.identity(2)
     with pytest.raises(NotRepresentation):
         CyclicModelData(dihedral_data.group, bad, dihedral_data.auto, 2)
+
+
+def _full_table_rep_failure(group, rep):
+    """The representation check as it read before the generator steps: the
+    first pair (a, b), in element order, with v(ab) != v(a) v(b), or None."""
+    for a in group.elements:
+        for b in group.elements:
+            if rep[group.mul(a, b)] != rep[a] * rep[b]:
+                return a, b
+    return None
+
+
+def _permutation_matrix(p):
+    return CMatrix.exact([[int(p(j + 1) == i + 1) for j in range(p.degree)]
+                          for i in range(p.degree)])
+
+
+def _rep_cases():
+    """(name, group, rep) for representations and for unitary maps that are
+    not representations."""
+    x = CMatrix.exact([[0, 1], [1, 0]])
+    z = CMatrix.exact([[1, 0], [0, -1]])
+    z5 = FinAbelian([5])
+    dihedral = abelian_rep(z5, [CMatrix.exact([[zeta(5, 1), 0], [0, zeta(5, 4)]])])
+    z2z4 = FinAbelian([2, 4])
+    s3 = PermGroup.from_generators([Perm.from_cycles(3, [(1, 2)]),
+                                    Perm.from_cycles(3, [(1, 2, 3)])])
+    passing = [
+        ("Z5 dihedral", z5, dihedral),
+        ("Z5 dihedral, float", z5, {g: m.to_float() for g, m in dihedral.items()}),
+        ("Z2 + Z4", z2z4, abelian_rep(z2z4, [z, CMatrix.exact([[zeta(4), 0], [0, 1]])])),
+        ("Z1", FinAbelian([1]), {(0,): x * x}),
+        ("S3 on points", s3, {g: _permutation_matrix(g) for g in s3.elements}),
+    ]
+    cases = list(passing)
+    # v composed with a bijection that respects the first generator alone;
+    # each v here is faithful, so only a homomorphism keeps a representation
+    rng = random.Random(31)
+    for name, group, rep in (passing[2], passing[4]):
+        for i, f in enumerate(first_generator_maps(group, rng, 4)):
+            cases.append((f"{name} after first-generator map {i}", group,
+                          {a: rep[f[a]] for a in group.elements}))
+    # X and Z anticommute, so (a, b) -> X^a Z^b is only projective
+    z2z2 = FinAbelian([2, 2])
+    cases.append(("Z2 + Z2 Pauli", z2z2, abelian_rep(z2z2, [x, z])))
+    for name, group, rep in passing:
+        elements = list(group.elements)
+        first = rep[elements[0]]
+        minus = -CMatrix.identity(first.rows, first.mode)
+        for i, g in enumerate(elements):
+            # another element's matrix, or the identity's negative
+            for other in (rep[elements[(i + 1) % len(elements)]], minus):
+                if other == rep[g]:
+                    continue
+                bad = dict(rep)
+                bad[g] = other
+                cases.append((f"{name} with v({g!r}) changed", group, bad))
+    return cases
+
+
+REP_CASES = _rep_cases()
+
+
+@pytest.mark.parametrize("name, group, rep", REP_CASES, ids=[case[0] for case in REP_CASES])
+def test_generator_steps_decide_the_representation_like_the_full_table(name, group, rep):
+    auto = AutoMap.identity(group)
+    want = _full_table_rep_failure(group, rep)
+    if want is None:
+        assert CyclicModelData(group, rep, auto, 1).rep == rep
+        return
+    with pytest.raises(NotRepresentation) as info:
+        CyclicModelData(group, rep, auto, 1)
+    e = group.identity
+    if want == (e, e):
+        # both checks test v(e) v(e) = v(e) first
+        assert str(info.value) == f"v({e!r})v({e!r}) differs from v of the product"
+
+
+@pytest.mark.parametrize("factors", [[5], [2, 4], [3, 3, 2], [1]])
+def test_representation_check_takes_few_products(factors, monkeypatch):
+    group = FinAbelian(factors)
+    rep = abelian_rep(group, [CMatrix.exact([[zeta(d)]]) for d in factors])
+    calls = []
+    mul = CMatrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CMatrix, "__mul__", counted)
+    CyclicModelData(group, rep, AutoMap.identity(group), 1)
+    # U U* = 1 for each element, then one product per generator step
+    assert len(calls) <= group.order * (len(factors) + 1)
 
 
 def _legacy_semidirect_stationarity(data):

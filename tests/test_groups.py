@@ -14,7 +14,7 @@ from magicmodels.groups import (
     abelianization, extend_automorphism, extend_generator_map, generate,
     is_normal, orbit_blocks,
 )
-from conftest import pg
+from conftest import first_generator_maps, pg
 
 
 def test_perm_basics():
@@ -74,6 +74,20 @@ def test_subgroup_and_normality(s3, d4, z3):
         is_normal(pg(4, [(1, 2)]), s3)
 
 
+def test_membership_is_by_perm_and_images(s3):
+    for g in s3.elements:
+        assert g in s3 and Perm(g.images) in s3
+        # a plain tuple equal to a member's images is not a member
+        assert g.images not in s3 and list(g.images) not in s3
+    # neither is a Perm of another degree, even one that fixes the new point
+    assert Perm.identity(4) not in s3 and Perm.identity(2) not in s3
+    assert Perm.from_cycles(4, [(1, 2)]) not in s3
+    assert Perm.from_cycles(3, [(1, 2)]) in s3
+    assert Perm.from_cycles(3, [(1, 2)]) not in s3.subgroup([Perm.from_cycles(3, [(1, 2, 3)])])
+    # the index of image tuples is the one membership table
+    assert not hasattr(s3, "words") and not hasattr(s3, "_members")
+
+
 def test_fin_abelian_basics():
     g = FinAbelian([2, 4])
     assert g.order == 8 and g.exponent == 4
@@ -83,6 +97,10 @@ def test_fin_abelian_basics():
     assert g.element_order((0, 1)) == 4
     assert g.power((0, 1), 6) == (0, 2)
     assert len(list(g)) == 8
+    assert g.generators == ((1, 0), (0, 1)) == (g.generator(0), g.generator(1))
+    # the unit vector of a trivial factor is reduced to its element 0
+    assert FinAbelian([3, 1]).generators == ((1, 0), (0, 0))
+    assert FinAbelian([]).generators == ()
 
 
 def test_abelian_dual_orthogonality():
@@ -123,6 +141,94 @@ def test_automap_rejects_non_bijection():
     g = FinAbelian([4])
     with pytest.raises(NotBijective):
         AutoMap.from_function(g, lambda a: (a[0] % 2,))
+
+
+def full_table_from_function(group, fn):
+    """AutoMap.from_function with multiplicativity tested on all |G|^2
+    pairs: the reference for the generator-step check."""
+    mapping = {g: fn(g) for g in group.elements}
+    values = set(mapping.values())
+    if len(values) != len(mapping):
+        raise NotBijective("map is not injective")
+    if values != set(group.elements):
+        raise NotBijective("map is not onto the group")
+    for a in group.elements:
+        for b in group.elements:
+            if mapping[group.mul(a, b)] != group.mul(mapping[a], mapping[b]):
+                raise NotWellDefined("map is not multiplicative")
+    return AutoMap(group, mapping)
+
+
+AUTOMAP_CASES = {
+    "Z1": FinAbelian([1]),
+    "trivial, no factors": FinAbelian([]),
+    "Z5": FinAbelian([5]),
+    "Z2 + Z4": FinAbelian([2, 4]),
+    "Z2 + Z2 + Z2": FinAbelian([2, 2, 2]),
+    "Z3 + Z6": FinAbelian([3, 6]),
+    "Z4 + Z1": FinAbelian([4, 1]),
+    "S3": pg(3, [(1, 2)], [(1, 2, 3)]),
+    "D4": pg(4, [(1, 2, 3, 4)], [(1, 3)]),
+}
+
+
+def _automap_outcome(fn, group, images):
+    try:
+        return "map", fn(group, images.__getitem__).mapping
+    except (NotBijective, NotWellDefined) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", list(AUTOMAP_CASES))
+def test_automap_generator_steps_decide_like_the_full_table(name):
+    group = AUTOMAP_CASES[name]
+    elements = list(group.elements)
+    rng = random.Random(name)
+    maps = [dict(zip(elements, elements))]
+    # power maps, automorphisms when k is prime to the exponent, and the
+    # inner automorphisms of a permutation group
+    if isinstance(group, FinAbelian):
+        maps += [{a: group.power(a, k) for a in elements} for k in range(2, 8)]
+    else:
+        maps += [{a: c * a * c.inv() for a in elements} for c in elements]
+    # random bijections and bijections that respect only the first generator
+    for _ in range(40):
+        shuffled = elements[:]
+        rng.shuffle(shuffled)
+        maps.append(dict(zip(elements, shuffled)))
+    if group.generators:
+        maps += first_generator_maps(group, rng, 10)
+    # a bijection that swaps e with another element, and two non-bijections
+    if len(elements) > 1:
+        swapped = dict(zip(elements, elements))
+        swapped[elements[0]], swapped[elements[1]] = elements[1], elements[0]
+        maps.append(swapped)
+        maps.append({a: elements[0] for a in elements})
+        maps.append({a: elements[-1] if a == elements[0] else a for a in elements})
+    verdicts = set()
+    for images in maps:
+        got = _automap_outcome(AutoMap.from_function, group, images)
+        assert got == _automap_outcome(full_table_from_function, group, images)
+        verdicts.add(got[0] if got[0] == "map" else got[1])
+    assert "map" in verdicts
+    if len(elements) > 2:
+        assert "map is not multiplicative" in verdicts
+
+
+@pytest.mark.parametrize("name", list(AUTOMAP_CASES))
+def test_automap_multiplies_once_per_generator_step(name, monkeypatch):
+    group = AUTOMAP_CASES[name]
+    calls = []
+    mul = group.mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(group, "mul", counted)
+    AutoMap.from_function(group, lambda a: a)
+    # one product for the identity pair, two for each generator step
+    assert len(calls) <= 2 * group.order * len(group.generators) + 1
 
 
 def test_extend_automorphism_roundtrip(s3, d4):
@@ -177,7 +283,8 @@ def full_table_generator_map(group, generator_images, target_mul, target_identit
     if len(generator_images) != len(group.generators):
         raise ValueError("need one image per generator")
     mapping = {}
-    for element, word in zip(group.elements, group.words):
+    _, words = breadth_first_by_frontier(group.generators, group.degree)
+    for element, word in zip(group.elements, words):
         value = target_identity
         for gi in word:
             value = target_mul(value, generator_images[gi])
@@ -289,11 +396,12 @@ def breadth_first_by_frontier(generators, degree):
 @pytest.mark.parametrize("name", list(GENERATOR_MAP_CASES))
 def test_enumeration_keeps_its_cayley_graph(name):
     group = GENERATOR_MAP_CASES[name][0]
-    elements, words, cayley = generate(group.generators, group.degree)
+    elements, cayley, index = generate(group.generators, group.degree)
     # every report's point order is this element order
-    assert (elements, words) == breadth_first_by_frontier(group.generators, group.degree)
-    assert (group.elements, group.words, group._cayley) == \
-        (tuple(elements), tuple(words), cayley)
+    bfs_elements, words = breadth_first_by_frontier(group.generators, group.degree)
+    assert list(elements) == bfs_elements
+    assert (group.elements, group._cayley, group._index) == (elements, cayley, index)
+    assert index == {g.images: i for i, g in enumerate(elements)}
     assert type(cayley) is tuple and len(cayley) == group.order
     reached = {0}
     for i, row in enumerate(cayley):

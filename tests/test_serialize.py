@@ -116,6 +116,9 @@ def test_perm_and_group_round_trips(d4):
         perm_from_json("(1 2)")
     with pytest.raises(BadInput):
         group_from_json({"degree": 3})
+    assert group_from_json({"degree": 12, "generators": []}).degree == 12
+    with pytest.raises(BadInput, match="^degree must be at most 1024$"):
+        group_from_json({"degree": 1025, "generators": []})
 
 
 def test_abelian_round_trip_and_auto_images():
