@@ -7,10 +7,10 @@ is available for cross-checking.
 """
 from .cyclotomic import Cyc, cyc, zeta
 from .errors import (
-    BadArgument, BadSetting, CapExceeded, DegreeMismatch, DivisionByZero,
-    FreePartPresent, Inconsistent, InvalidAutomorphism, InvalidFamily,
-    MagicModelsError, ModeMismatch, ModelInputError, NotBijective,
-    NotFiniteOrder, NotInGroup, NotNormal, NotQuasiTransitive,
+    BadArgument, BadSetting, BudgetExceeded, CapExceeded, DegreeMismatch,
+    DivisionByZero, FreePartPresent, Inconsistent, InvalidAutomorphism,
+    InvalidFamily, MagicModelsError, ModeMismatch, ModelInputError,
+    NotBijective, NotFiniteOrder, NotInGroup, NotNormal, NotQuasiTransitive,
     NotRepresentation, NotSubgroup, NotUnitary, NotWellDefined, ShapeMismatch,
 )
 from .groups import (

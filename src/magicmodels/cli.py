@@ -16,8 +16,8 @@ from functools import lru_cache
 from . import serialize as sz
 from .acceptance import run_suite
 from .cyclic import (
-    CyclicModelData, abelian_rep, build_cyclic_model, semidirect_stationarity,
-    verify_half_liberation, verify_k_symmetry,
+    CyclicModelData, abelian_rep, build_cyclic_model, check_semidirect_budget,
+    semidirect_stationarity, verify_half_liberation, verify_k_symmetry,
 )
 from .errors import BadSetting, Inconsistent, ModelInputError
 from .groups import DEFAULT_CAP
@@ -258,6 +258,10 @@ def _handle_cyclic_build(args, config):
 
 def _handle_cyclic_verify(args, config):
     data = _parse_cyclic_input(sz.load_json(args.input), config.cap)
+    # The certificate runs on exact data; its budget is checked before any
+    # model is built.
+    if data.mode == "exact":
+        check_semidirect_budget(data)
     model = build_cyclic_model(data)
     tol = _tol(config, model)
     checked = _maybe_float(model, config)

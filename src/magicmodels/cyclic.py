@@ -14,8 +14,17 @@ per object: each adjoint and self-adjointness test, each K-symmetry test,
 each pair's products a b* and a* b with their diagonality, each commutation
 test of two products and each abc = cba test.  Every entry, pair and triple
 is still counted and reported as before.  The tables that hold products are
-caches of bounded size.  The crossed-product certificate compares two
-functions on L only where one of them is nonzero.
+caches of bounded size.  In float mode a commutation test runs only for a
+pair of products that can differ: two products that the float product reads
+as finite diagonal matrices commute bit for bit (verify_half_liberation).
+
+The crossed-product certificate keeps each fiber, a 0/1 matrix with at most
+one 1 per row, as its index map, so it takes no matrix product.  It compares
+two functions on L only where one of them is nonzero, and visits only the
+pairs of basis elements over one sigma-orbit; it counts the others.  Its
+work is d^3 K^2 comparisons per orbit of d elements, counted before it runs
+(semidirect_comparisons); an input above _SEMIDIRECT_BUDGET raises
+BudgetExceeded.
 """
 from __future__ import annotations
 
@@ -25,6 +34,7 @@ from fractions import Fraction
 from .cyclotomic import zeta
 from .errors import (
     BadArgument,
+    BudgetExceeded,
     Inconsistent,
     InvalidAutomorphism,
     ModeMismatch,
@@ -46,7 +56,9 @@ __all__ = [
     "CyclicModelData",
     "abelian_rep",
     "build_cyclic_model",
+    "check_semidirect_budget",
     "cycle_fill",
+    "semidirect_comparisons",
     "semidirect_stationarity",
     "verify_half_liberation",
     "verify_k_symmetry",
@@ -186,21 +198,54 @@ def _entrywise_adjoint(model: FiberModel, x: int, adjoint) -> CMatrix:
 _TABLE_SCALARS = 1 << 16
 
 
+# Both parts of a diagonal entry at most this in size keep every product of
+# two such entries finite: each part is at most 2e300.
+_DIAGONAL_PART_MAX = 1e150
+
+
+def _float_diagonal(m: CMatrix) -> bool:
+    """Whether CMatrix.__mul__ reads the float m as a diagonal matrix whose
+    entries multiply without overflow: it skips every entry within EPS, so
+    each row must keep at most its diagonal entry, and that entry must have
+    both parts at most _DIAGONAL_PART_MAX (so NaN and infinity fail)."""
+    return all(j == i and abs(x.real) <= _DIAGONAL_PART_MAX
+               and abs(x.imag) <= _DIAGONAL_PART_MAX
+               for i, row in enumerate(m._nonzero_rows()) for j, x in row)
+
+
 def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
     """Per fiber: U and its entrywise adjoint are unitary; every product
     a b* and a* b of entries is diagonal; those products all commute; and
     when every entry of the fiber is self-adjoint, abc = cba on all entry
     triples.  Per-fiber work runs once per fiber object, pair or triple of
-    them, and each commutation test once per pair of product objects."""
+    them, and each commutation test once per pair of product objects.
+
+    A commutation test runs only where the two products can differ.  Exactly
+    diagonal products commute.  In float mode, let p and q be products that
+    CMatrix.__mul__ reads as diagonal with bounded entries (_float_diagonal).
+    Then p q and q p are diagonal: entry (i, i) is 0j + p_ii q_ii when both
+    factors exceed EPS, and 0j otherwise.  Complex * and + commute exactly,
+    so p q and q p are equal bit for bit and finite, and close_to holds for
+    every tol >= 0.  So a pair of such products is not tested unless tol is
+    negative or NaN."""
     n = model.n
     exact = model.mode == "exact"
+    float_settles = tol is None or tol >= 0
     limit = max(1, _TABLE_SCALARS // (2 * model.dim ** 2))
     adjoint = _once_per_object(CMatrix.adjoint)
     self_adjoint = _once_per_object(lambda f: f.is_self_adjoint(tol))
-    pair_forms = _once_per_object(
-        lambda a, b: tuple((tag, m, m.is_diagonal(tol)) for tag, m in
-                           (("ab*", a * adjoint(b)), ("a*b", adjoint(a) * b))),
-        limit)
+
+    def forms(a, b):
+        """(tag, product, diagonal within tol, commutes with every such
+        product) for a b* and a* b."""
+        out = []
+        for tag, m in (("ab*", a * adjoint(b)), ("a*b", adjoint(a) * b)):
+            diagonal = m.is_diagonal(tol)
+            out.append((tag, m, diagonal,
+                        diagonal if exact else float_settles and _float_diagonal(m)))
+        return tuple(out)
+
+    pair_forms = _once_per_object(forms, limit)
     commute = _once_per_object(lambda p, q: (p * q).close_to(q * p, tol), limit)
     abc_cba = _once_per_object(
         lambda a, b, c: (a * b * c).close_to(c * b * a, tol), _SHARED_MAX)
@@ -220,7 +265,7 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
         prods, flagged = [], []
         for (i1, j1, a) in flat:
             for (i2, j2, b) in flat:
-                for tag, m, is_diagonal in pair_forms(a, b):
+                for tag, m, is_diagonal, settled in pair_forms(a, b):
                     checked += 1
                     if not is_diagonal:
                         witnesses.append({
@@ -229,8 +274,7 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
                             "point": model.labels[x],
                         })
                     prods.append(m)
-                    # Exactly diagonal matrices commute; within tol they need not.
-                    flagged.append(not (exact and is_diagonal))
+                    flagged.append(not settled)
         # Only a pair with a flagged member is tested, in (a, b) order.
         count = len(prods)
         checked += count * (count - 1) // 2
@@ -256,6 +300,41 @@ def verify_half_liberation(model: FiberModel, tol=None) -> CheckReport:
     return CheckReport("half_liberation", not witnesses, checked, tuple(witnesses))
 
 
+# The semidirect certificate makes at most this many (pair, point)
+# comparisons; semidirect_comparisons counts them before any work.
+_SEMIDIRECT_BUDGET = 1_000_000
+
+
+def semidirect_comparisons(data: CyclicModelData) -> int:
+    """The number of (pair, point) comparisons semidirect_stationarity makes
+    at most: a sigma-orbit of d elements carries d K basis elements, and
+    each is compared with the d K elements over its orbit at the d points
+    of the orbit, so the orbit costs d^3 K^2.  Counted by walking each orbit
+    once, at most K steps from its first element."""
+    k, step = data.k, data.powers[1 % data.k]
+    seen = set()
+    total = 0
+    for g in data.group.elements:
+        if g in seen:
+            continue
+        seen.add(g)
+        d, h = 1, step(g)
+        while h != g and d < k:
+            seen.add(h)
+            d, h = d + 1, step(h)
+        total += d ** 3 * k ** 2
+    return total
+
+
+def check_semidirect_budget(data: CyclicModelData):
+    """Raise BudgetExceeded when semidirect_stationarity would make more
+    than _SEMIDIRECT_BUDGET comparisons on data."""
+    need = semidirect_comparisons(data)
+    if need > _SEMIDIRECT_BUDGET:
+        raise BudgetExceeded(f"semidirect certificate needs {need} comparisons, "
+                             f"more than {_SEMIDIRECT_BUDGET}")
+
+
 def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     """The basis delta_g tau^i of functions on L x| Z_K, multiplied with the
     crossed-product structure constants, maps to cyclic-diagonal matrix
@@ -263,76 +342,94 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     [h = sigma^(-r)(g)] in row r - 1 on the cyclic diagonal c = r - 1 - i,
     for r = 1, ..., K.  Certifies that the map is a *-homomorphism and that
     the normalized trace-average of each image equals the group integral.
-    Every sigma^t is read from the power table `data.powers`."""
+    Every sigma^t is read from the power table `data.powers`.
+
+    Each fiber is a 0/1 matrix with at most one 1 per row, kept as its index
+    map {row: column}: a product is a composition, the adjoint a transpose
+    (compared as a set of pairs), the zero matrix the empty map, and ntrace
+    the number of fixed rows over K.  The fibers of delta_g tau^i are
+    nonzero only on the points sigma^t(g), the support of g.  A pair (b1,
+    b2) is compared only at the points where one side is nonzero, so a pair
+    whose supports are disjoint, other than b1 times its partner
+    (sigma^(-i)(g), j), has no point to compare; only the rest is visited,
+    in basis order, and every pair is counted.  The Haar side of delta_g
+    tau^i is sum_t zeta_K^(ti) / (|L| K), the same for every g.  Inputs
+    over _SEMIDIRECT_BUDGET comparisons raise BudgetExceeded first."""
+    check_semidirect_budget(data)
     elements = list(data.group.elements)
     k, powers = data.k, data.powers
+    position = {h: x for x, h in enumerate(elements)}
     basis = [(g, i) for g in elements for i in range(k)]
-    zero = CMatrix.zeros(k, k)
-    # The fiber of delta_g tau^i at h, kept only on its support, the points
-    # h = sigma^(-r-1)(g); it is the zero matrix everywhere else.
-    support = {}
-    for g, i in basis:
+    # The fiber of delta_g tau^i at h = sigma^(-r-1)(g) maps row r to column
+    # r - i; it is the zero matrix everywhere else.  owners[h] lists the g
+    # whose support holds h.
+    support, owners = {}, {}
+    for g in elements:
         hits = {}
         for r in range(k):
-            h = powers[(-r - 1) % k](g)
-            if h not in hits:
-                hits[h] = [[0] * k for _ in range(k)]
-            hits[h][r][(r - i) % k] = 1
-        support[(g, i)] = {h: CMatrix.exact(rows) for h, rows in hits.items()}
-    position = {h: x for x, h in enumerate(elements)}
+            hits.setdefault(powers[(-r - 1) % k](g), []).append(r)
+        for h in hits:
+            owners.setdefault(h, []).append(g)
+        for i in range(k):
+            support[(g, i)] = {h: {r: (r - i) % k for r in rows}
+                               for h, rows in hits.items()}
     witnesses = []
-    checked = 0
     # Crossed-product rule: (g, i)(h, j) = (g, i + j) when h = sigma^(-i)(g),
     # and 0 otherwise.  Both sides are zero at a point where a factor is
     # zero and the product is, so only the other points are compared, in
-    # element order.
-    for b1 in basis:
-        g, i = b1
-        partner = powers[-i % k](g)
-        left = support[b1]
-        for b2 in basis:
-            checked += 1
-            h, j = b2
-            right = support[b2]
-            prod = support[(g, (i + j) % k)] if h == partner else {}
-            points = sorted(left.keys() & right.keys() | prod.keys(),
-                            key=position.__getitem__)
-            for x in points:
-                rhs = prod.get(x, zero)
-                fl, fr = left.get(x), right.get(x)
-                lhs = zero if fl is None or fr is None else fl * fr
-                if lhs != rhs:
-                    witnesses.append({"kind": "not_multiplicative",
-                                      "left": str(b1), "right": str(b2),
-                                      "point": str(x)})
-                    break
+    # element order: the support of g for the partner, whose product lives
+    # there, and for any other h the points where the supports meet.
+    for g in elements:
+        points = support[(g, 0)].keys()
+        ordered = sorted(points, key=position.__getitem__)
+        near = {h for x in points for h in owners[x]}
+        common = {h: sorted(points & support[(h, 0)].keys(), key=position.__getitem__)
+                  for h in near}
+        for i in range(k):
+            b1 = (g, i)
+            partner = powers[-i % k](g)
+            left = support[b1]
+            for h in sorted(near | {partner}, key=position.__getitem__):
+                for j in range(k):
+                    right = support[(h, j)]
+                    if h == partner:
+                        prod, where = support[(g, (i + j) % k)], ordered
+                    else:
+                        prod, where = {}, common[h]
+                    for x in where:
+                        fl, fr = left.get(x), right.get(x)
+                        lhs = {} if fl is None or fr is None else \
+                            {r: fr[c] for r, c in fl.items() if c in fr}
+                        if lhs != prod.get(x, {}):
+                            witnesses.append({"kind": "not_multiplicative",
+                                              "left": str(b1), "right": str((h, j)),
+                                              "point": str(x)})
+                            break
     # Star rule: (g, i)* = (sigma^(-i)(g), -i), compared on both supports.
     for b in basis:
-        checked += 1
         g, i = b
+        fibers = support[b]
         star = support[(powers[-i % k](g), -i % k)]
-        for h in sorted(support[b].keys() | star.keys(), key=position.__getitem__):
-            if support[b].get(h, zero).adjoint() != star.get(h, zero):
+        for h in sorted(fibers.keys() | star.keys(), key=position.__getitem__):
+            adjoint = {(c, r) for r, c in fibers.get(h, {}).items()}
+            if adjoint != set(star.get(h, {}).items()):
                 witnesses.append({"kind": "star_mismatch", "element": str(b),
                                   "point": str(h)})
                 break
+    haar = []
+    for i in range(k):
+        total = zeta(k, 0)
+        for t in range(1, k):
+            total = total + zeta(k, (t * i) % k)
+        haar.append(total * Fraction(1, len(elements) * k))
     for b in basis:
-        checked += 1
         g, i = b
-        total = None
-        for h in elements:
-            t = support[b].get(h, zero).ntrace()
-            total = t if total is None else total + t
-        model_side = total * Fraction(1, len(elements))
-        haar = None
-        for x in elements:
-            for t in range(k):
-                val = zeta(k, (t * i) % k) if x == g else 0
-                haar = val if haar is None else haar + val
-        haar_side = haar * Fraction(1, len(elements) * k)
-        if not scalars_equal(model_side, haar_side):
+        fixed = sum(r == c for fiber in support[b].values() for r, c in fiber.items())
+        model_side = Fraction(fixed, k) * Fraction(1, len(elements))
+        if not scalars_equal(model_side, haar[i]):
             witnesses.append({"kind": "not_stationary", "element": str(b),
-                              "model": str(model_side), "haar": str(haar_side)})
+                              "model": str(model_side), "haar": str(haar[i])})
+    checked = len(basis) ** 2 + 2 * len(basis)
     return CheckReport("semidirect_stationarity", not witnesses, checked,
                        tuple(witnesses))
 

@@ -12,6 +12,7 @@ __all__ = [
     "BadSetting",
     "BadArgument",
     "CapExceeded",
+    "BudgetExceeded",
     "DegreeMismatch",
     "NotSubgroup",
     "NotNormal",
@@ -53,6 +54,11 @@ class BadArgument(ModelInputError, ValueError):
 
 class CapExceeded(ModelInputError):
     """A group has more elements than the configured cap."""
+
+
+class BudgetExceeded(ModelInputError):
+    """A check would take more steps than its work budget allows; the
+    budget is checked before the work starts."""
 
 
 class DegreeMismatch(ModelInputError):

@@ -497,6 +497,18 @@ def _cyclic_k_payload(k):
             '"auto_images": [[0]], "k": %d}' % k)
 
 
+def _z127_payload(multiplier, k):
+    """Z127 with v(1) = zeta_127 and the automorphism a -> multiplier a."""
+    generator = {"order": 127, "coeffs": ["0", "1"] + ["0"] * 125}
+    return json.dumps({"factors": [127], "rep_generators": [{"rows": [[generator]]}],
+                       "auto_images": [[multiplier]], "k": k})
+
+
+# 25 has order 21 modulo 127: six orbits of 21 and {0}, so the semidirect
+# certificate needs 24,505,047 comparisons.
+Z127_K21 = _z127_payload(25, 21)
+
+
 # Malformed inputs, one file each: (command, flag, file text).  thoma-check
 # and stationarity take a second file, the Z3 group.
 FUZZ_PAYLOADS = [
@@ -540,6 +552,8 @@ FUZZ_PAYLOADS = [
     ("dual-build", "--input", _dual_sizes_payload([_DUAL_N_MAX - 1, 2])),
     # A declared degree above the bound stops before any permutation is built.
     ("orbits", "--group", '{"degree": 3000000, "generators": []}'),
+    # A semidirect certificate above its budget stops before any model is built.
+    ("cyclic-verify", "--input", Z127_K21),
 ]
 
 # JSON booleans where an integer or a number belongs, and a degree-0 group:
@@ -628,6 +642,7 @@ ERROR_CONTRACT = {
     "BadInput": ("dual-build", "--input", "[]"),
     "BadSetting": ("magic-verify", "--model", _fuzz_model("1"), "--tol", "nan"),
     "CapExceeded": ("orbits", "--group", _S3, "--cap", "2"),
+    "BudgetExceeded": ("cyclic-verify", "--input", Z127_K21),
     "DegreeMismatch": ("thoma-check", "--group", '{"degree": 4, "generators": [[2, 3, 4, 1]]}',
                        "--lambda", _Z3),
     "NotSubgroup": ("thoma-check", "--group", _T12, "--lambda", _Z3),
@@ -724,6 +739,31 @@ def test_cyclic_k_above_the_bound_is_input_error(capsys, tmp_path, command):
     assert report["error"] == {"type": "BadInput",
                                "message": f"k must be at most {_CYCLIC_K_MAX}"}
     assert "Traceback" not in cap.err
+
+
+def test_cyclic_verify_over_the_budget_builds_no_model(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_cyclic_model ran")
+
+    monkeypatch.setattr(cli, "build_cyclic_model", refuse)
+    path = tmp_path / "cyclic.json"
+    path.write_text(Z127_K21)
+    code, report, cap = run_cli(capsys, "cyclic-verify", "--input", str(path))
+    assert code == 2
+    assert report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "semidirect certificate needs 24505047 comparisons, more than 1000000"}
+    assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("multiplier, k", [(126, 2), (2, 7)])
+def test_cyclic_verify_inside_the_budget_passes(capsys, tmp_path, multiplier, k):
+    path = tmp_path / "cyclic.json"
+    path.write_text(_z127_payload(multiplier, k))
+    code, report, _ = run_cli(capsys, "cyclic-verify", "--input", str(path))
+    assert code == 0
+    assert report["checks"] == {"half_liberation": True, "k_symmetry": True,
+                                "semidirect_stationarity": True}
 
 
 @pytest.mark.parametrize("command", ["cyclic-build", "cyclic-verify"])

@@ -1,4 +1,6 @@
 """Cyclically-supported models over abelian cores with twisting automorphism."""
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +13,13 @@ from magicmodels.cyclic import (
     abelian_rep,
     build_cyclic_model,
     cycle_fill,
+    semidirect_comparisons,
     semidirect_stationarity,
     verify_half_liberation,
     verify_k_symmetry,
 )
 from magicmodels.cyclotomic import zeta
-from magicmodels.errors import InvalidAutomorphism, NotRepresentation
+from magicmodels.errors import BudgetExceeded, InvalidAutomorphism, NotRepresentation
 from magicmodels.groups import AutoMap, FinAbelian, Perm, PermGroup
 from magicmodels.magic import (
     CheckReport,
@@ -356,6 +359,105 @@ def test_semidirect_stationarity_matches_the_legacy_loop(data):
         + 2 * len(data.group.elements) * data.k
 
 
+class _TablePowers:
+    """An automorphism stand-in whose power t is table[t mod K]: the legacy
+    loop reads sigma^t through power(t), the certificate through the table,
+    so a patched table reaches both the same way."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def power(self, t):
+        return self.table[t % len(self.table)]
+
+
+def _patched_powers(data, t, changes):
+    """data with sigma^t changed on the elements that changes maps, and no
+    other change: the table then holds a map that is no power of an
+    automorphism."""
+    powers = list(data.powers)
+    powers[t] = AutoMap(data.group, {**powers[t].mapping, **changes})
+    patched = copy.copy(data)
+    patched.powers = tuple(powers)
+    patched.auto = _TablePowers(patched.powers)
+    return patched
+
+
+# (data, t, changes): one map of each table is no longer what it was.
+FAILING_SEMIDIRECT = {
+    "K2 sigma(1) = sigma(4) = 1": (_d5_data, 1, {(1,): (1,)}),
+    # a bijection, but no homomorphism
+    "Z7-K3 sigma^2 swaps the images of 1 and 2":
+        (lambda: _multiplier_data([7], 2, 3), 2, {(1,): (1,), (2,): (4,)}),
+    "Z13-K3 sigma^0(5) = sigma^0(6) = 6": (_z13_k3_data, 0, {(5,): (6,)}),
+    "Z13-K6 sigma^4(3) = sigma^4(0) = 0":
+        (lambda: _multiplier_data([13], 3, 6), 4, {(3,): (0,)}),
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_SEMIDIRECT))
+def test_semidirect_stationarity_matches_the_legacy_loop_on_failing_data(name):
+    make, t, changes = FAILING_SEMIDIRECT[name]
+    data = _patched_powers(make(), t, changes)
+    report = semidirect_stationarity(data)
+    assert report == _legacy_semidirect_stationarity(data)
+    assert not report.passed
+    assert report.checked == len(data.group.elements) ** 2 * data.k ** 2 \
+        + 2 * len(data.group.elements) * data.k
+    assert {w["kind"] for w in report.witnesses} == {"not_multiplicative", "star_mismatch"}
+
+
+def test_semidirect_stationarity_takes_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a CMatrix product ran")
+
+    datas = [_z13_k3_data(), _patched_powers(_d5_data(), 1, {(1,): (1,)})]
+    want = [_legacy_semidirect_stationarity(data) for data in datas]
+    monkeypatch.setattr(CMatrix, "__mul__", refuse)
+    assert [semidirect_stationarity(data) for data in datas] == want
+
+
+def _z127_data(multiplier, k):
+    z127 = FinAbelian([127])
+    rep = abelian_rep(z127, [CMatrix.exact([[zeta(127, 1)]])])
+    auto = AutoMap.from_function(z127, lambda a: ((multiplier * a[0]) % 127,))
+    return CyclicModelData(z127, rep, auto, k)
+
+
+@pytest.mark.parametrize("multiplier, k, need", [
+    # {0} and 63 orbits of two; {0} and 18 orbits of seven; {0} and 6 of 21
+    (126, 2, 1 * 4 + 63 * 8 * 4),
+    (2, 7, 1 * 49 + 18 * 343 * 49),
+    (25, 21, 1 * 441 + 6 * 9261 * 441),
+])
+def test_semidirect_comparisons_count_the_orbits(multiplier, k, need):
+    assert semidirect_comparisons(_z127_data(multiplier, k)) == need
+
+
+def test_semidirect_budget_refuses_from_the_library():
+    data = _z127_data(25, 21)
+    with pytest.raises(BudgetExceeded, match="^semidirect certificate needs 24505047 "
+                                             "comparisons, more than 1000000$"):
+        semidirect_stationarity(data)
+
+
+def test_semidirect_budget_is_inclusive(monkeypatch):
+    data = _z13_k3_data()
+    need = semidirect_comparisons(data)
+    assert need == 1 * 9 + 4 * 27 * 9
+    monkeypatch.setattr(cyclic, "_SEMIDIRECT_BUDGET", need)
+    assert semidirect_stationarity(data).passed
+    monkeypatch.setattr(cyclic, "_SEMIDIRECT_BUDGET", need - 1)
+    with pytest.raises(BudgetExceeded):
+        semidirect_stationarity(data)
+
+
+def test_every_fixture_is_inside_the_semidirect_budget():
+    datas = [*CYCLIC_DATA.values(), *(make() for make, *_ in FAILING_SEMIDIRECT.values()),
+             _multiplier_data([13], 3, 6), _multiplier_data([7], 2, 3), _z127_data(2, 7)]
+    assert max(map(semidirect_comparisons, datas)) <= cyclic._SEMIDIRECT_BUDGET
+
+
 @pytest.mark.parametrize("factors, multiplier, k", [
     ([13], 3, 3), ([13], 3, 6), ([7], 2, 3), ([5], 4, 2), ([5], 1, 4),
 ])
@@ -515,10 +617,7 @@ def test_half_liberation_matches_the_legacy_loop(check_model, mode):
         model, tol = model.to_float(), 1e-9
     report = verify_half_liberation(model, tol)
     assert report == _legacy_verify_half_liberation(model, tol)
-    # The float Z13 model has no repeated products on its unshared copy, so
-    # that copy takes as long as the legacy loop; its exact twin is checked.
-    if not (name == "Z13-K3" and mode == "float"):
-        assert verify_half_liberation(_unshared(model), tol) == report
+    assert verify_half_liberation(_unshared(model), tol) == report
     kinds = {w["kind"] for w in report.witnesses}
     if name == "block":
         assert (report.checked, len(report.witnesses), kinds) == (594, 16, {"not_diagonal"})
@@ -526,6 +625,89 @@ def test_half_liberation_matches_the_legacy_loop(check_model, mode):
         assert {"products_do_not_commute", "abc_cba"} <= kinds
     else:
         assert report.passed
+
+
+def _float_model(*points):
+    """A 2 x 2 float model with one point per grid of four 2 x 2 fibers,
+    each fiber given by its rows."""
+    return FiberModel(2, 2, [f"p{x}" for x in range(len(points))],
+                      [F(1, len(points))] * len(points),
+                      [[tuple(CMatrix.floating(grid[2 * i + j]) for grid in points)
+                        for j in range(2)] for i in range(2)])
+
+
+def _near_diagonal_points(off):
+    """Two points whose fibers are diagonal unitaries, two of them with off
+    in an off-diagonal corner, so that some products carry off or its
+    multiples off the diagonal."""
+    w = complex(0.6, 0.8)
+    return ([[[1, off], [0, 1j]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], [[w, 0], [0, -1]]],
+            [[[-1, 0], [0, 1]], [[0, 0], [off, 0]], [[0, 0], [0, 0]], [[1j, 0], [0, w]]])
+
+
+FLOAT_PRODUCT_MODELS = {
+    "off-diagonals exactly 0": _float_model(*_near_diagonal_points(0)),
+    "off-diagonals within EPS": _float_model(*_near_diagonal_points(4e-10)),
+    "off-diagonals in (EPS, 1e-6]": _float_model(*_near_diagonal_points(2e-7)),
+    "off-diagonals above 1e-6": _float_model(*_near_diagonal_points(0.25)),
+    # products of 1e200 with itself overflow to infinity
+    "diagonal overflow": _float_model([[[1e100, 0], [0, 1]], [[0, 0], [0, 1e-3]],
+                                       [[1j, 0], [0, 0]], [[1, 0], [0, 1e100j]]]),
+    "diagonal NaN": _float_model([[[math.nan, 0], [0, 1]], [[0, 0], [0, 0]],
+                                  [[0, 0], [0, 0]], [[1, 0], [0, 1]]]),
+    "noncommuting": _noncommuting_model().to_float(),
+}
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-12, 1e-6])
+@pytest.mark.parametrize("name", list(FLOAT_PRODUCT_MODELS))
+def test_float_commutation_pruning_matches_the_legacy_loop(name, tol):
+    model = FLOAT_PRODUCT_MODELS[name]
+    assert verify_half_liberation(model, tol) == _legacy_verify_half_liberation(model, tol)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[2, 0], [0, 1j]], True),
+    ([[2, 1e-9], [-1e-9j, 0]], True),
+    ([[1e150 + 1e150j, 0], [0, -1e150]], True),
+    ([[2, 2e-9], [0, 1]], False),
+    ([[1.01e150, 0], [0, 1]], False),
+    ([[1, 0], [0, complex(0, math.inf)]], False),
+    ([[math.nan, 0], [0, 1]], False),
+    # a NaN off the diagonal is not within EPS
+    ([[1, math.nan], [0, 1]], False),
+])
+def test_float_diagonal_reads_products_as_the_product_does(rows, want):
+    assert cyclic._float_diagonal(CMatrix.floating(rows)) is want
+
+
+def test_complex_products_commute_bit_for_bit():
+    """The float pruning rests on p q = q p for complex scalars, bit for bit,
+    both parts at most 1e150 in size."""
+    rng = random.Random(33)
+
+    def part():
+        return rng.choice([-1, 1]) * rng.random() * 10.0 ** rng.randrange(-320, 151)
+
+    for _ in range(5000):
+        a, b = complex(part(), part()), complex(part(), part())
+        ab, ba = 0j + a * b, 0j + b * a
+        assert (ab.real.hex(), ab.imag.hex()) == (ba.real.hex(), ba.imag.hex())
+        assert math.isfinite(ab.real) and math.isfinite(ab.imag)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-9, math.nan])
+def test_half_liberation_at_a_negative_or_nan_tol_fails_every_comparison(tol):
+    """The function accepts such a tol: every float comparison fails, so
+    every pair of products is tested and listed, none pruned."""
+    model = build_cyclic_model(_d5_data()).to_float()
+    report = verify_half_liberation(model, tol)
+    assert report == _legacy_verify_half_liberation(model, tol)
+    kinds = [w["kind"] for w in report.witnesses]
+    assert (report.passed, report.checked) == (False, 2650)
+    assert {kind: kinds.count(kind) for kind in kinds} == {
+        "not_unitary": 5, "conjugate_not_unitary": 5, "not_diagonal": 160,
+        "products_do_not_commute": 5 * 32 * 31 // 2}
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
