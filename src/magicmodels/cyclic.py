@@ -397,9 +397,8 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
                     else:
                         prod, where = {}, common[h]
                     for x in where:
-                        fl, fr = left.get(x), right.get(x)
-                        lhs = {} if fl is None or fr is None else \
-                            {r: fr[c] for r, c in fl.items() if c in fr}
+                        fr = right.get(x, {})
+                        lhs = {r: fr[c] for r, c in left[x].items() if c in fr}
                         if lhs != prod.get(x, {}):
                             witnesses.append({"kind": "not_multiplicative",
                                               "left": str(b1), "right": str((h, j)),
