@@ -1,37 +1,23 @@
 """Cyclic matrix models: cycle-fill entries over a finite group with an
 order-K automorphism, half-liberation relation checks, the semidirect-product
-stationarity certificate, and the K-symmetry conjugation invariant.
+stationarity certificate, and the K-symmetry invariant.
 
 `CyclicModelData` builds the powers sigma^0, ..., sigma^(K-1) of the
-automorphism once, while it checks that sigma^K = id.  The model fibers and
-the crossed-product and star rules of L x| Z_K all read sigma^t from that one
-table.
-
-A cyclic model repeats a few fibers many times (the Z_13 model with K = 3
-holds 14 distinct fibers in 117 places).  `build_cyclic_model` keeps one
-object per distinct stored form, and the checks do their per-fiber work once
-per object: each adjoint and self-adjointness test, each K-symmetry test,
-each pair's products a b* and a* b with their diagonality, each commutation
-test of two products and each abc = cba test.  Every entry, pair and triple
-is still counted and reported as before.  The tables that hold products are
-caches of bounded size.  In float mode a commutation test runs only for a
-pair of products that can differ: two products that the float product reads
-as finite diagonal matrices commute bit for bit (verify_half_liberation).
-
-The crossed-product certificate keeps each fiber, a 0/1 matrix with at most
-one 1 per row, as its index map, so it takes no matrix product.  It compares
-two functions on L only where one of them is nonzero, and visits only the
-pairs of basis elements over one sigma-orbit; it counts the others.  Its
-work is d^3 K^2 comparisons per orbit of d elements, counted before it runs
-(semidirect_comparisons); an input above _SEMIDIRECT_BUDGET raises
-BudgetExceeded.
+automorphism once, while it checks that sigma^K = id; the fibers and the
+crossed-product and star rules of L x| Z_K all read sigma^t from that table.
+`build_cyclic_model` keeps one object per distinct stored form, and the checks
+do their work once per object, pair or triple of objects, while every entry,
+pair and triple is counted and reported.  No check does cyclotomic arithmetic
+of its own: K-symmetry is read off each fiber's support, the crossed-product
+certificate composes 0/1 index maps under a work budget and has its Haar side
+in closed form, and float products are tested for commutation only where they
+can differ.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 
-from .cyclotomic import zeta
 from .errors import (
     BadArgument,
     BudgetExceeded,
@@ -50,7 +36,7 @@ from .magic import (
     _once_per_object,
     _stored_form,
 )
-from .matrices import CMatrix, scalars_equal
+from .matrices import EPS, CMatrix, _float_roots, scalars_equal
 
 __all__ = [
     "CyclicModelData",
@@ -352,9 +338,10 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
     b2) is compared only at the points where one side is nonzero, so a pair
     whose supports are disjoint, other than b1 times its partner
     (sigma^(-i)(g), j), has no point to compare; only the rest is visited,
-    in basis order, and every pair is counted.  The Haar side of delta_g
-    tau^i is sum_t zeta_K^(ti) / (|L| K), the same for every g.  Inputs
-    over _SEMIDIRECT_BUDGET comparisons raise BudgetExceeded first."""
+    in basis order, and every pair is counted.  The model side has K fixed
+    rows when i = 0 and none otherwise, for any power table, so comparing it
+    with the closed form _haar_side checks `support`.  Inputs over
+    _SEMIDIRECT_BUDGET comparisons raise BudgetExceeded first."""
     check_semidirect_budget(data)
     elements = list(data.group.elements)
     k, powers = data.k, data.powers
@@ -415,36 +402,48 @@ def semidirect_stationarity(data: CyclicModelData) -> CheckReport:
                 witnesses.append({"kind": "star_mismatch", "element": str(b),
                                   "point": str(h)})
                 break
-    haar = []
-    for i in range(k):
-        total = zeta(k, 0)
-        for t in range(1, k):
-            total = total + zeta(k, (t * i) % k)
-        haar.append(total * Fraction(1, len(elements) * k))
     for b in basis:
         g, i = b
         fixed = sum(r == c for fiber in support[b].values() for r, c in fiber.items())
         model_side = Fraction(fixed, k) * Fraction(1, len(elements))
-        if not scalars_equal(model_side, haar[i]):
+        haar = _haar_side(i, len(elements))
+        if not scalars_equal(model_side, haar):
             witnesses.append({"kind": "not_stationary", "element": str(b),
-                              "model": str(model_side), "haar": str(haar[i])})
+                              "model": str(model_side), "haar": str(haar)})
     checked = len(basis) ** 2 + 2 * len(basis)
     return CheckReport("semidirect_stationarity", not witnesses, checked,
                        tuple(witnesses))
 
 
+def _haar_side(i: int, size: int) -> Fraction:
+    """sum_t zeta_K^(ti) / (size K), the group integral of delta_g tau^i over
+    L x| Z_K with |L| = size and 0 <= i < K: 1/size at i = 0, else 0."""
+    return Fraction(0 if i else 1, size)
+
+
 def verify_k_symmetry(model: FiberModel, tol=None) -> CheckReport:
-    """Conjugation by diag(1, zeta_K, ..., zeta_K^(K-1)), K the fiber
-    dimension, must multiply every fiber of every entry by zeta_K.  Each fiber
-    object is tested once; every entry it fills is counted and reported."""
+    """Conjugation by D = diag(1, zeta, ..., zeta^(K-1)), zeta = zeta_K and K
+    the fiber dimension, must multiply every fiber f by zeta.  Entry (r, c) of
+    D f D* is zeta^(r-c) f_rc, so this holds exactly when f is zero off the
+    cycle-fill diagonal c = r - 1 (mod K), as every entry is at K = 1.  Float
+    mode keeps the verdict of the float product, which drops |x| <= EPS, and
+    close_to: an entry x at offset d = r - c (mod K) passes when |x| <= tol if
+    |x| <= EPS, else when |x| |zeta^d - zeta| <= tol; a negative or NaN tol
+    fails every fiber.  Each fiber object is tested once; every entry counts."""
     k = model.dim
-    dmat = CMatrix(model.mode,
-                   [[zeta(k, r) if r == c else 0 for c in range(k)]
-                    for r in range(k)])
-    factor = zeta(k, 1)
-    dinv = dmat.adjoint()
-    symmetric = _once_per_object(
-        lambda f: (dmat * f * dinv).close_to(f.scale(factor), tol))
+    if model.mode == "exact":
+        def symmetric(f):
+            return all(c == (r - 1) % k
+                       for r, row in enumerate(f._nonzero_rows()) for c, _ in row)
+    else:
+        tol = EPS if tol is None else tol
+        roots = _float_roots(k)
+        gaps = [abs(z - roots[1 % k]) for z in roots]
+
+        def symmetric(f):
+            return all(abs(x) <= tol if abs(x) <= EPS else abs(x) * gaps[(r - c) % k] <= tol
+                       for r, row in enumerate(f.data) for c, x in enumerate(row))
+    symmetric = _once_per_object(symmetric)
     witnesses = []
     checked = 0
     for i in range(model.n):

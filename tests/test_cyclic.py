@@ -1,4 +1,5 @@
 """Cyclically-supported models over abelian cores with twisting automorphism."""
+import cmath
 import copy
 import math
 import random
@@ -18,7 +19,7 @@ from magicmodels.cyclic import (
     verify_half_liberation,
     verify_k_symmetry,
 )
-from magicmodels.cyclotomic import zeta
+from magicmodels.cyclotomic import Cyc, zeta
 from magicmodels.errors import BudgetExceeded, InvalidAutomorphism, NotRepresentation
 from magicmodels.groups import AutoMap, FinAbelian, Perm, PermGroup
 from magicmodels.magic import (
@@ -28,7 +29,7 @@ from magicmodels.magic import (
     bichon_build,
     regular_rep,
 )
-from magicmodels.matrices import CMatrix, scalar_is_zero
+from magicmodels.matrices import CMatrix, scalar_is_zero, scalars_equal
 from magicmodels.serialize import model_to_json, render_json
 
 from conftest import first_generator_maps
@@ -713,14 +714,134 @@ def test_half_liberation_at_a_negative_or_nan_tol_fails_every_comparison(tol):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_k_symmetry_matches_the_legacy_loop(check_model, mode):
     name, model, k = check_model
-    tol = None
+    tols = [None]
     if mode == "float":
-        model, tol = model.to_float(), 1e-9
+        model, tols = model.to_float(), [None, 1e-9, 1e-8, 1e-6, 1e-12, -1.0, math.nan]
     assert k == model.dim
-    report = verify_k_symmetry(model, tol)
-    assert report == _legacy_verify_k_symmetry(model, k, tol)
-    assert verify_k_symmetry(_unshared(model), tol) == report
-    assert report.passed == (name not in ("block", "noncommuting"))
+    for tol in tols:
+        report = verify_k_symmetry(model, tol)
+        assert report == _legacy_verify_k_symmetry(model, k, tol)
+        assert verify_k_symmetry(_unshared(model), tol) == report
+        if tol is None or tol >= 0:
+            assert report.passed == (name not in ("block", "noncommuting"))
+        else:
+            assert len(report.witnesses) == report.checked
+
+
+def _single_point_model(fiber):
+    return FiberModel(1, fiber.rows, ["p"], [1], [[(fiber,)]])
+
+
+def _random_float_fiber(rng, k):
+    """A K x K fiber whose cycle-fill entries are 0 or of size 1e-12 to 1,
+    with up to two other entries of size 1e-14 to 1e-5."""
+    def scalar(low, high):
+        return cmath.rect(10.0 ** rng.uniform(low, high), rng.uniform(0, 2 * math.pi))
+
+    rows = [[0j] * k for _ in range(k)]
+    for r in range(k):
+        if rng.random() < 0.7:
+            rows[r][(r - 1) % k] = scalar(-12, 0)
+    off = [(r, c) for r in range(k) for c in range(k) if c != (r - 1) % k]
+    for r, c in rng.sample(off, min(len(off), rng.choice([0, 1, 1, 2]))):
+        rows[r][c] = scalar(-14, -5)
+    return CMatrix.floating(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_random_float_fibers_match_the_legacy_k_symmetry(k):
+    rng = random.Random(3400 + k)
+    points = [_random_float_fiber(rng, k) for _ in range(200)]
+    model = FiberModel(1, k, [f"p{x}" for x in range(len(points))],
+                       [F(1, len(points))] * len(points), [[tuple(points)]])
+    failures = []
+    for tol in (None, 1e-9, 1e-8, 1e-6, 1e-12, 1e-14):
+        report = verify_k_symmetry(model, tol)
+        assert report == _legacy_verify_k_symmetry(model, k, tol)
+        failures.append(len(report.witnesses))
+    # Entries below and above the tols occur: the verdicts differ by tol,
+    # and at some tol fibers both pass and fail.
+    assert len(set(failures)) > 1 and any(0 < n < 200 for n in failures)
+
+
+def test_exact_k_symmetry_fails_one_fiber_at_a_lifted_order():
+    """Z127 with K = 7: the legacy conjugation runs at order lcm(7, 127)."""
+    model = build_cyclic_model(_z127_data(2, 7))
+    bent = [[zeta(127, 5) if (r, c) == (3, 0) else x for c, x in enumerate(row)]
+            for r, row in enumerate(model.entries[0][0][4].data)]
+    fibers = list(model.entries[0][0])
+    fibers[4] = CMatrix.exact(bent)
+    model = FiberModel(1, 7, model.labels, model.weights, [[tuple(fibers)]])
+    report = verify_k_symmetry(model)
+    assert report == _legacy_verify_k_symmetry(model, 7, None)
+    assert report.witnesses == ({"row": 1, "col": 1, "point": model.labels[4]},)
+    assert report.checked == 127
+
+
+def test_float_k_symmetry_at_tol_zero_passes_an_exactly_symmetric_model():
+    """The one intended change: the legacy loop failed this model at tol 0
+    on the rounding of zeta^r x zeta^(-c) against zeta x; the support
+    reading passes it."""
+    model = build_cyclic_model(_d5_data()).to_float()
+    assert verify_k_symmetry(model, 0.0).passed
+    assert not _legacy_verify_k_symmetry(model, 2, 0.0).passed
+
+
+def _random_exact_scalar(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return 0
+    if pick == 1:
+        return rng.randint(-9, 9) or 1
+    if pick == 2:
+        return F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+    return zeta(rng.choice([3, 5, 7, 12]), rng.randrange(12)) * rng.randint(1, 4)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cycle_fill_is_k_symmetric_and_no_off_pattern_entry_is(k):
+    rng = random.Random(340 + k)
+    for _ in range(3):
+        fill = cycle_fill([_random_exact_scalar(rng) for _ in range(k)])
+        assert verify_k_symmetry(_single_point_model(fill)).passed
+        for r in range(k):
+            for c in range(k):
+                if c == (r - 1) % k:
+                    continue
+                rows = [list(row) for row in fill.data]
+                rows[r][c] = rng.choice([1, F(-2, 3), zeta(5, 2), zeta(k, 1) + 2])
+                bent = _single_point_model(CMatrix.exact(rows))
+                assert not verify_k_symmetry(bent).passed
+
+
+def test_k_symmetry_takes_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product ran")
+
+    model = build_cyclic_model(_z127_data(25, 21))
+    monkeypatch.setattr(CMatrix, "__mul__", refuse)
+    monkeypatch.setattr(Cyc, "__mul__", refuse)
+    monkeypatch.setattr(Cyc, "__rmul__", refuse)
+    report = verify_k_symmetry(model)
+    assert (report.passed, report.checked) == (True, 127)
+
+
+def _legacy_haar_side(k, i, size):
+    """The Haar side as the certificate summed it: sum_t zeta_K^(ti) / (|L| K)."""
+    total = zeta(k, 0)
+    for t in range(1, k):
+        total = total + zeta(k, (t * i) % k)
+    return total * Fraction(1, size * k)
+
+
+@pytest.mark.parametrize("size", [1, 5, 13, 127])
+def test_haar_side_is_the_zeta_sum(size):
+    for k in range(1, 65):
+        for i in range(k):
+            want = _legacy_haar_side(k, i, size)
+            got = cyclic._haar_side(i, size)
+            assert scalars_equal(got, want)
+            assert str(got) == str(want)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
